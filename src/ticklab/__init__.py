@@ -19,10 +19,8 @@ from .protocols import (ExplicitEC, FreeRunEC, PreparedRun, Protocol,
                         ProtocolConfig, QuasiIdealSpec, TrialMatrix,
                         choose_period_feedback, choose_period_no_feedback,
                         corollary_bounds, ec_bar_sigma, monte_carlo,
-                        output_epsilon_budget, prepare, run_dyn_switch,
-                        run_dyn_switch_feedback, run_ec_bunch,
-                        run_input_bunch, run_protocol, theorem1_bound,
-                        theorem2_bound)
+                        output_epsilon_budget, prepare, run_protocol,
+                        theorem1_bound, theorem2_bound)
 from .trace import TickTrace
 
 __all__ = [
@@ -37,8 +35,7 @@ __all__ = [
     "ec_bar_sigma", "empirical_inaccuracy", "free_run",
     "hoeffding_inaccuracy_bound", "hoeffding_tail", "monte_carlo",
     "output_epsilon_budget", "plan_scenario", "prepare", "quasi_ideal_params",
-    "quasi_ideal_ratio", "r_accuracy", "run_dyn_switch",
-    "run_dyn_switch_feedback", "run_ec_bunch", "run_input_bunch",
-    "run_network", "run_protocol", "sample_tick_phase",
+    "quasi_ideal_ratio", "r_accuracy", "run_network", "run_protocol",
+    "sample_tick_phase",
     "sample_waiting_time", "theorem1_bound", "theorem2_bound", "wrap_phase",
 ]

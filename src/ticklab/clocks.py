@@ -26,9 +26,11 @@ from .distributions import WaitingTimeDistribution
 from .trace import TickTrace
 
 
-def wrap_phase(x: float, tau: float) -> float:
-    """Map x into the phase domain (-tau/2, tau/2]."""
+def wrap_phase(x, tau: float):
+    """Map x into the phase domain (-tau/2, tau/2]; elementwise on arrays."""
     s = (x + tau / 2) % tau - tau / 2
+    if isinstance(s, np.ndarray):
+        return np.where(s <= -tau / 2, tau / 2, s)
     if s <= -tau / 2:
         s = tau / 2
     return s
@@ -51,6 +53,18 @@ def sample_tick_phase(tau, sigma, eps_tail, rng, size=None):
     win = rng.uniform(lo, hi, size)
     tail = rng.uniform(-tau / 2, tau / 2, size)
     return np.where(u < 1.0 - eps_tail, win, tail)
+
+
+def fire_delay(s: np.ndarray, tau, sigma, eps_tail, rng) -> np.ndarray:
+    """Times until the detector fires for ECs switched on at the dial
+    phases ``s``, one independent draw per phase.
+
+    The hand must reach the drawn tick phase forwards, so a phase at or
+    behind ``s`` costs one more period.  From the reset state (s = 0)
+    this is the tick gap of a free-running EC.
+    """
+    phi = sample_tick_phase(tau, sigma, eps_tail, rng, np.shape(s))
+    return np.where(phi <= s, phi - s + tau, phi - s)
 
 
 class Mode(Enum):
@@ -122,8 +136,7 @@ def free_run(mu, sigma, eps_tail, count, rng) -> TickTrace:
     tau = 2.0 * mu
     if not 0.0 <= sigma < tau:
         raise ValueError("window width must lie in [0, 2 mu)")
-    phi = np.atleast_1d(sample_tick_phase(tau, sigma, eps_tail, rng, count))
-    gaps = np.where(phi > 0, phi, phi + tau)
+    gaps = fire_delay(np.zeros(count), tau, sigma, eps_tail, rng)
     return TickTrace(np.cumsum(gaps))
 
 

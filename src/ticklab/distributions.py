@@ -13,7 +13,6 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, stats
 
 from .inaccuracy import ConfidenceInterval
 
@@ -122,6 +121,7 @@ class Gaussian(WaitingTimeDistribution):
             raise ValueError("standard deviation must be positive")
 
     def _law(self):
+        from scipy import stats  # deferred: scipy dominates import time
         a = (0.0 - self.mu) / self.sd
         return stats.truncnorm(a, np.inf, loc=self.mu, scale=self.sd)
 
@@ -144,6 +144,7 @@ class Gaussian(WaitingTimeDistribution):
         _check_eps(eps)
         if eps == 0.0:
             raise ValueError("no finite interval covers a Gaussian at eps=0")
+        from scipy import optimize
         law = self._law()
 
         def ratio(a):

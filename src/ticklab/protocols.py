@@ -13,23 +13,24 @@ accurate output tick signal:
 
 The module also houses the period-selection rules for protocols 1 and 2,
 the closed-form inaccuracy bounds for the first two protocols, and the
-Monte-Carlo trial runner.
+Monte-Carlo engine, which runs a block of trials in lockstep as arrays.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
-from .clocks import (InputClock, RenewalProcess, quasi_ideal_ratio,
-                     sample_tick_phase, wrap_phase)
+from .clocks import fire_delay, quasi_ideal_ratio, wrap_phase
 from .distributions import WaitingTimeDistribution
 from .inaccuracy import InaccuracyEstimate, empirical_inaccuracy
 from .trace import TickTrace
 
 _M_CAP = 10 ** 6
+_BLOCK = 4096        # trials per random stream
+_CHUNK = 1 << 16     # waits per input-bunching cumsum chunk
 
 
 def choose_period_no_feedback(mu_in: float, sigma_in: float,
@@ -53,12 +54,15 @@ def choose_period_no_feedback(mu_in: float, sigma_in: float,
     else:
         x = mu_in / (j * sigma_in)
         m = max(1, math.ceil(x - 1.5))
+        if m > 1 and j * sigma_in >= mu_in / (m + 0.5):
+            m -= 1  # x rounded up across the open edge of the cell
         if m > _M_CAP:
             m = _M_CAP
-        else:
+        elif not (mu_in / (m + 1.5) <= j * sigma_in * (1 + 1e-12)
+                  and j * sigma_in < mu_in / (m + 0.5)):
             # bracket check, with a little float slack on the closed end
-            assert mu_in / (m + 1.5) <= j * sigma_in * (1 + 1e-12)
-            assert j * sigma_in < mu_in / (m + 0.5)
+            raise ValueError(
+                f"period m={m} does not bracket j sigma_in={j * sigma_in!r}")
     return m, mu_in / (m + 0.5)
 
 
@@ -79,9 +83,10 @@ def choose_period_feedback(mu_in: float,
         m = max(1, math.ceil(mu_in / sigma_in) - 1)
         if m > _M_CAP:
             m = _M_CAP
-        else:
-            assert mu_in / (m + 1) <= sigma_in * (1 + 1e-12)
-            assert sigma_in < mu_in / m * (1 + 1e-12)
+        elif not (mu_in / (m + 1) <= sigma_in * (1 + 1e-12)
+                  and sigma_in < mu_in / m * (1 + 1e-12)):
+            raise ValueError(
+                f"period m={m} does not bracket sigma_in={sigma_in!r}")
     return m, mu_in / m
 
 
@@ -298,116 +303,82 @@ def prepare(cfg: ProtocolConfig) -> PreparedRun:
                        cond_j_limit=cond_j)
 
 
-def _run_switching(prep: PreparedRun, rng, feedback: bool) -> TickTrace:
+def _next_after(t_in, t, dist, rng, n_ignored):
+    """Advance each trial's input clock to its first tick strictly after
+    ``t``; ticks passed over are counted in ``n_ignored``.  Only the trials
+    whose input still lags are redrawn."""
+    t_in = t_in + dist.sample(rng, t_in.size)
+    lag = np.flatnonzero(t_in <= t)
+    while lag.size:
+        n_ignored[lag] += 1
+        t_in[lag] += dist.sample(rng, lag.size)
+        lag = lag[t_in[lag] <= t[lag]]
+    return t_in
+
+
+def _simulate(prep: PreparedRun, rng, size: int):
+    """Run ``size`` trials in lockstep on one random stream.
+
+    Returns the absolute output ticks, shape (size, n_ticks), and the
+    per-trial count of ignored input ticks.  Horizon truncation is left
+    to the caller.
+    """
     cfg = prep.cfg
-    tau, sigma_ec, eps_ec = prep.tau, prep.sigma_ec, prep.eps_ec
-    proc = RenewalProcess(InputClock(cfg.input_dist), rng)
-    out = []
-    t_in = proc.next_tick()
-    s = 0.0  # EC reset when the first input tick arrives
-    truncated = False
-    while len(out) < cfg.n_ticks:
-        phi = sample_tick_phase(tau, sigma_ec, eps_ec, rng)
-        duration = phi - s
-        if phi <= s:
-            duration += tau
-        t_out = t_in + duration
-        if t_out > prep.horizon:
-            truncated = True
-            break
-        out.append(t_out)
-        restart = cfg.restart_every is not None \
-            and len(out) % cfg.restart_every == 0
-        if feedback:
-            proc.reset(t_out)
-            t_in = proc.next_tick()
-        else:
-            t_in = proc.next_after(t_out)
-        # the EC idles from its reset at t_out until the next input tick;
-        # an explicit restart re-zeroes it at that tick instead
-        s = 0.0 if restart else wrap_phase(t_in - t_out, tau)
-    return TickTrace(np.asarray(out), truncated=truncated,
-                     n_ignored_inputs=proc.n_skipped)
-
-
-def run_dyn_switch(prep: PreparedRun, rng) -> TickTrace:
-    """Dynamics switching without feedback."""
-    return _run_switching(prep, rng, feedback=False)
-
-
-def run_dyn_switch_feedback(prep: PreparedRun, rng) -> TickTrace:
-    """Dynamics switching with the input clock reset at every output."""
-    return _run_switching(prep, rng, feedback=True)
-
-
-def run_input_bunch(prep: PreparedRun, rng) -> TickTrace:
-    """Every d-th input tick is an output tick."""
-    cfg = prep.cfg
-    d = cfg.bunch
-    waits = np.atleast_1d(cfg.input_dist.sample(rng, cfg.n_ticks * d))
-    ticks = np.cumsum(waits)
-    out = ticks[d - 1::d]
-    keep = out <= prep.horizon
-    return TickTrace(out[keep], truncated=not keep.all())
-
-
-class _FreeRunEC:
-    """Lazily extended tick grid of a free-running EC."""
-
-    def __init__(self, mu, sigma, eps_tail, rng, block=256):
-        self.tau = 2.0 * mu
-        self.sigma = sigma
-        self.eps_tail = eps_tail
-        self._rng = rng
-        self._block = block
-        self.ticks = np.empty(0)
-
-    def _extend(self):
-        phi = np.atleast_1d(sample_tick_phase(
-            self.tau, self.sigma, self.eps_tail, self._rng, self._block))
-        gaps = np.where(phi > 0, phi, phi + self.tau)
-        last = self.ticks[-1] if self.ticks.size else 0.0
-        self.ticks = np.concatenate([self.ticks, last + np.cumsum(gaps)])
-
-    def first_at_or_after(self, t: float) -> float:
-        while self.ticks.size == 0 or self.ticks[-1] < t:
-            self._extend()
-        i = int(np.searchsorted(self.ticks, t, side="left"))
-        return float(self.ticks[i])
-
-
-def run_ec_bunch(prep: PreparedRun, rng) -> TickTrace:
-    """Output the first tick of a free-running EC at or after each input
-    tick; the next input tick considered is the first one strictly after
-    the previous output."""
-    cfg = prep.cfg
-    ec = _FreeRunEC(prep.mu_ec, prep.sigma_ec, prep.eps_ec, rng)
-    proc = RenewalProcess(InputClock(cfg.input_dist), rng)
-    out = []
-    t_prev = 0.0
-    truncated = False
-    while len(out) < cfg.n_ticks:
-        t_in = proc.next_after(t_prev)
-        t_out = ec.first_at_or_after(t_in)
-        if t_out > prep.horizon:
-            truncated = True
-            break
-        out.append(t_out)
-        t_prev = t_out
-    return TickTrace(np.asarray(out), truncated=truncated,
-                     n_ignored_inputs=proc.n_skipped)
-
-
-_RUNNERS = {
-    Protocol.DYN_SWITCH: run_dyn_switch,
-    Protocol.DYN_SWITCH_FEEDBACK: run_dyn_switch_feedback,
-    Protocol.INPUT_BUNCH: run_input_bunch,
-    Protocol.EC_BUNCH: run_ec_bunch,
-}
+    dist, n_out = cfg.input_dist, cfg.n_ticks
+    out = np.empty((size, n_out))
+    n_ignored = np.zeros(size, dtype=int)
+    if cfg.protocol is Protocol.INPUT_BUNCH:
+        d = cfg.bunch
+        rows = max(1, _CHUNK // (n_out * d))
+        for r in range(0, size, rows):
+            n = min(rows, size - r)
+            waits = dist.sample(rng, (n, n_out * d))
+            out[r:r + n] = np.cumsum(waits, axis=1)[:, d - 1::d]
+    elif cfg.protocol is Protocol.EC_BUNCH:
+        # the EC free-runs from its reset state at time 0
+        tau = 2.0 * prep.mu_ec
+        ec = np.zeros(size)
+        t_in = np.zeros(size)
+        for k in range(n_out):
+            t_in = _next_after(t_in, ec, dist, rng, n_ignored)
+            behind = np.flatnonzero(ec < t_in)
+            while behind.size:
+                ec[behind] += fire_delay(np.zeros(behind.size), tau,
+                                         prep.sigma_ec, prep.eps_ec, rng)
+                behind = behind[ec[behind] < t_in[behind]]
+            out[:, k] = ec
+    else:
+        feedback = cfg.protocol is Protocol.DYN_SWITCH_FEEDBACK
+        t_in = dist.sample(rng, size)
+        s = np.zeros(size)  # EC reset when the first input tick arrives
+        for k in range(n_out):
+            t_out = t_in + fire_delay(s, prep.tau, prep.sigma_ec,
+                                      prep.eps_ec, rng)
+            out[:, k] = t_out
+            if k + 1 == n_out:
+                break
+            if feedback:
+                t_in = t_out + dist.sample(rng, size)
+            else:
+                t_in = _next_after(t_in, t_out, dist, rng, n_ignored)
+            # the EC idles from its reset at t_out until the next input
+            # tick; an explicit restart re-zeroes it at that tick instead
+            if cfg.restart_every and (k + 1) % cfg.restart_every == 0:
+                s = np.zeros(size)
+            else:
+                s = wrap_phase(t_in - t_out, prep.tau)
+    if (out[:, 0] < 0).any() or (np.diff(out, axis=1) <= 0).any():
+        raise ValueError(
+            "output ticks must be nonnegative and strictly increasing")
+    return out, n_ignored
 
 
 def run_protocol(prep: PreparedRun, rng) -> TickTrace:
-    return _RUNNERS[prep.cfg.protocol](prep, rng)
+    """One trial: the output ticks up to the horizon."""
+    out, n_ignored = _simulate(prep, rng, 1)
+    keep = out[0] <= prep.horizon
+    return TickTrace(out[0, keep], truncated=not keep.all(),
+                     n_ignored_inputs=int(n_ignored[0]))
 
 
 @dataclass(frozen=True)
@@ -445,34 +416,30 @@ class TrialMatrix:
 
 def monte_carlo(cfg: ProtocolConfig, trials: int,
                 seed: int) -> TrialMatrix:
-    """Run independent trials with per-trial random streams derived from
-    (seed, trial index); the result is bit-identical for a fixed seed
-    regardless of execution order."""
+    """Run independent trials in blocks of ``_BLOCK`` trials.
+
+    Block b draws from its own stream,
+    ``default_rng(SeedSequence(seed).spawn(n_blocks)[b])``, and runs its
+    trials in lockstep.  The result is bit-identical for a fixed
+    (seed, trials); blocks are independent, so the rows of every full
+    block do not depend on the total trial count.
+    """
     if trials < 1:
         raise ValueError("need at least one trial")
     prep = prepare(cfg)
     switching = cfg.protocol in (Protocol.DYN_SWITCH,
                                  Protocol.DYN_SWITCH_FEEDBACK)
     n_out = cfg.n_ticks + 1 if switching else cfg.n_ticks
-    data = np.full((trials, cfg.n_ticks), np.nan)
-    truncated = np.zeros(trials, dtype=bool)
-    n_ignored = np.zeros(trials, dtype=int)
-    run_cfg = ProtocolConfig(
-        protocol=cfg.protocol, input_dist=cfg.input_dist, eps=cfg.eps,
-        n_ticks=n_out, ec=cfg.ec, bunch=cfg.bunch,
-        period_tick=cfg.period_tick, horizon=prep.horizon,
-        restart_every=cfg.restart_every)
-    run_prep = prepare(run_cfg)
-    for i in range(trials):
-        rng = np.random.default_rng([seed, i])
-        trace = run_protocol(run_prep, rng)
-        n_ignored[i] = trace.n_ignored_inputs
-        if trace.truncated or len(trace) < n_out:
-            truncated[i] = True
-            continue
-        if switching:
-            data[i] = trace.times[1:] - trace.times[0]
-        else:
-            data[i] = trace.times
+    run_prep = replace(prep, cfg=replace(cfg, n_ticks=n_out))
+    out = np.empty((trials, n_out))
+    n_ignored = np.empty(trials, dtype=int)
+    streams = np.random.SeedSequence(seed).spawn(-(-trials // _BLOCK))
+    for b, stream in enumerate(streams):
+        rows = slice(b * _BLOCK, min((b + 1) * _BLOCK, trials))
+        out[rows], n_ignored[rows] = _simulate(
+            run_prep, np.random.default_rng(stream), rows.stop - rows.start)
+    truncated = (out > prep.horizon).any(axis=1)
+    data = out[:, 1:] - out[:, :1] if switching else out
+    data[truncated] = np.nan
     return TrialMatrix(prep=prep, data=data, truncated=truncated,
                        n_ignored=n_ignored)

@@ -39,6 +39,30 @@ class TestPeriodChoosers:
         # sigma = mu / (m + 1) sits on the closed lower edge of the m-cell
         assert choose_period_feedback(1.0, 0.5) == (1, pytest.approx(1.0))
 
+    def test_brackets_on_grid(self):
+        # the cell edges mu_in / (k + 3/2) and mu_in / (k + 1) are on the
+        # grid, where rounding decides the cell
+        for mu_in in (0.3, 1.0, 2.7, 10.0):
+            grid = [mu_in / (k + 1.5) for k in range(1, 30)] \
+                + [mu_in / (k + 1) for k in range(1, 30)] \
+                + list(np.linspace(0.01, 0.99, 50) * mu_in)
+            for x in grid:
+                for j in range(1, 6):
+                    sigma_in = x / j
+                    js = j * sigma_in
+                    if js >= 2 * mu_in / 3 or sigma_in >= 2 * mu_in / 3:
+                        with pytest.raises(ValueError):
+                            choose_period_no_feedback(mu_in, sigma_in, j)
+                        continue
+                    m, tau = choose_period_no_feedback(mu_in, sigma_in, j)
+                    assert mu_in / (m + 1.5) <= js * (1 + 1e-12)
+                    assert js < mu_in / (m + 0.5)
+                    assert tau == pytest.approx(mu_in / (m + 0.5))
+                m, tau = choose_period_feedback(mu_in, x)
+                assert mu_in / (m + 1) <= x * (1 + 1e-12)
+                assert x < mu_in / m * (1 + 1e-12)
+                assert tau == pytest.approx(mu_in / m)
+
     def test_feedback_bracket_and_errors(self):
         for sigma in (0.07, 0.13, 0.29, 0.6):
             m, tau = choose_period_feedback(1.0, sigma)
