@@ -14,7 +14,7 @@ from .inaccuracy import (ConfidenceInterval, InaccuracyEstimate,
                          hoeffding_inaccuracy_bound, hoeffding_tail,
                          r_accuracy)
 from .network import (NetworkScenario, NodeConfig, cross_node_spread,
-                      plan_scenario, run_network)
+                      network_spreads, plan_scenario, run_network)
 from .protocols import (ExplicitEC, FreeRunEC, PreparedRun, Protocol,
                         ProtocolConfig, QuasiIdealSpec, TrialMatrix,
                         choose_period_feedback, choose_period_no_feedback,
@@ -34,7 +34,8 @@ __all__ = [
     "choose_period_no_feedback", "corollary_bounds", "cross_node_spread",
     "ec_bar_sigma", "empirical_inaccuracy", "free_run",
     "hoeffding_inaccuracy_bound", "hoeffding_tail", "monte_carlo",
-    "output_epsilon_budget", "plan_scenario", "prepare", "quasi_ideal_params",
+    "network_spreads", "output_epsilon_budget", "plan_scenario", "prepare",
+    "quasi_ideal_params",
     "quasi_ideal_ratio", "r_accuracy", "run_network", "run_protocol",
     "sample_tick_phase",
     "sample_waiting_time", "theorem1_bound", "theorem2_bound", "wrap_phase",

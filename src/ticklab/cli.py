@@ -30,7 +30,7 @@ import numpy as np
 
 from .distributions import Box, Delta, DeltaMixture, Gaussian
 from .inaccuracy import bruteforce_inaccuracy, empirical_inaccuracy
-from .network import cross_node_spread, plan_scenario, run_network
+from .network import network_spreads, plan_scenario
 from .protocols import (Protocol, ProtocolConfig, QuasiIdealSpec,
                         corollary_bounds, monte_carlo, prepare,
                         theorem1_bound, theorem2_bound)
@@ -317,12 +317,7 @@ def cmd_network(cfg: dict) -> list[dict]:
         jitter_width=float(cfg["jitter_width"]), d=d, eta=eta, eps=eps,
         eps_ec=eps_ec, n_outputs=int(cfg["outputs"]),
         sigma_scale=float(cfg["sigma_scale"]))
-    enhanced = []
-    raw = []
-    for t in range(trials):
-        result = run_network(scenario, seed + t)
-        enhanced.append(cross_node_spread(result.outputs, tick)[0])
-        raw.append(cross_node_spread(result.arrivals, tick)[0])
+    enhanced, raw = network_spreads(scenario, trials, seed, tick)
     rows = []
     for label, values in (("enhanced", enhanced), ("raw", raw)):
         rows.append(_row(

@@ -64,6 +64,12 @@ def fire_delay(s: np.ndarray, tau, sigma, eps_tail, rng) -> np.ndarray:
     this is the tick gap of a free-running EC.
     """
     phi = sample_tick_phase(tau, sigma, eps_tail, rng, np.shape(s))
+    return delay_to_phase(s, phi, tau)
+
+
+def delay_to_phase(s: np.ndarray, phi: np.ndarray, tau) -> np.ndarray:
+    """Time for the hand to turn from dial phase ``s`` to the tick phase
+    ``phi``, elementwise; the hand only turns forwards."""
     return np.where(phi <= s, phi - s + tau, phi - s)
 
 
@@ -159,29 +165,32 @@ class QuasiIdealParams:
                               phase=phase, mode=mode, dimension=self.d)
 
 
-def quasi_ideal_ratio(d: int, eta: float) -> float:
-    """sigma / tau of the d-dimensional Quasi-Ideal Clock."""
+def _quasi_ideal_window(d: int, eta: float) -> tuple[float, float, float]:
+    """gamma, x_vr and sigma / tau of the d-dimensional Quasi-Ideal Clock."""
     if d < 2:
         raise ValueError("dimension must be at least 2")
     if not 0.0 < eta < 1.0:
         raise ValueError("eta must lie in (0, 1)")
     gamma = d ** (eta - 1.0)
     x_vr = d ** (0.75 * eta - 1.0) / math.pi
-    return gamma + x_vr / math.pi
+    return gamma, x_vr, gamma + x_vr / math.pi
+
+
+def quasi_ideal_ratio(d: int, eta: float) -> float:
+    """sigma / tau of the d-dimensional Quasi-Ideal Clock."""
+    return _quasi_ideal_window(d, eta)[2]
 
 
 def quasi_ideal_params(d: int, eta: float, tau: float = 1.0,
                        eps_tail: float = 0.001) -> QuasiIdealParams:
     if tau <= 0:
         raise ValueError("period must be positive")
-    ratio = quasi_ideal_ratio(d, eta)
+    gamma, x_vr, ratio = _quasi_ideal_window(d, eta)
     sigma = ratio * tau
     if sigma >= tau:
         raise ValueError(
             f"window width {sigma:g} reaches the period; d={d} too small "
             f"for eta={eta}")
-    gamma = d ** (eta - 1.0)
-    x_vr = d ** (0.75 * eta - 1.0) / math.pi
     return QuasiIdealParams(d=d, eta=eta, tau=tau, eps_tail=eps_tail,
                             gamma=gamma, x_vr=x_vr, sigma=sigma)
 

@@ -14,12 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clocks import quasi_ideal_ratio, sample_tick_phase, wrap_phase
+from .clocks import (delay_to_phase, quasi_ideal_ratio, sample_tick_phase,
+                     wrap_phase)
 from .distributions import Box, WaitingTimeDistribution
 from .protocols import ExplicitEC
-from .trace import TickTrace
+from .trace import TickTrace, check_rows
 
 _PHASE_MARGIN = 0.75  # fraction of the safe phase band a node may use
+_BLOCK = 128          # trials per block; peak memory grows with it
 
 
 @dataclass(frozen=True)
@@ -86,44 +88,80 @@ def _check_node(scenario: NetworkScenario, node: NodeConfig, i: int):
             f"{slack:.4g}) reach the detector band of width {band:.4g}")
 
 
-def _arrivals(broadcast: np.ndarray, node: NodeConfig, rng) -> np.ndarray:
-    t = broadcast + node.delay
-    if node.jitter is not None:
-        t = t + node.jitter.sample(rng, broadcast.size) - node.jitter.mean
-    if np.any(np.diff(t) <= 0):
-        raise ValueError("link jitter reordered the broadcast ticks")
+def _arrivals(broadcast: np.ndarray, scenario: NetworkScenario,
+              rngs) -> np.ndarray:
+    """Broadcast ticks (trials, ticks) as received at every node, shape
+    (trials, nodes, ticks); node i draws its jitter from ``rngs[i]``."""
+    t = np.empty((broadcast.shape[0], len(scenario.nodes),
+                  broadcast.shape[1]))
+    for i, (node, rng) in enumerate(zip(scenario.nodes, rngs)):
+        t[:, i] = broadcast + node.delay
+        if node.jitter is not None:
+            t[:, i] += node.jitter.sample(rng, broadcast.shape) \
+                - node.jitter.mean
     return t
 
 
-def _run_node(arrivals: np.ndarray, ec: ExplicitEC, n_outputs: int,
-              rng) -> TickTrace:
-    """Dynamics switching over a fixed arrival trace.
+def _simulate(scenario: NetworkScenario, seq: np.random.SeedSequence,
+              size: int):
+    """Run ``size`` trials of ``scenario`` in lockstep.
 
-    The EC is not reset at the first arrival: it free-evolved from phase 0
-    at time 0, which is what keeps the nodes mutually synchronized.  After
-    each output the EC is reset as usual.
+    ``seq`` spawns one stream for the central clock and then one per
+    node.  A node draws its EC tick phases for all outputs first, then its
+    link jitter, from its own stream only.  Returns the output ticks and
+    the arrival ticks, shapes (size, nodes, n_outputs) and (size, nodes,
+    n), n > n_outputs.
+
+    Each node runs dynamics switching over its arrivals.  Its EC is not
+    reset at the first arrival: it free-evolved from phase 0 at time 0,
+    which is what keeps the nodes mutually synchronized.  After each
+    output the EC is reset as usual.  When a node has no arrival left
+    after an output, every node receives another chunk of broadcast
+    ticks.
     """
-    tau, sigma, eps_tail = ec.tau, ec.sigma, ec.eps_tail
-    out = []
-    idx = 0
-    t_in = arrivals[idx]
+    rng_c, *rngs = [np.random.default_rng(s) for s in
+                    seq.spawn(1 + len(scenario.nodes))]
+    n_out = scenario.n_outputs
+    tau = scenario.nodes[0].ec.tau  # common to all nodes
+    phi = np.stack([sample_tick_phase(tau, node.ec.sigma, node.ec.eps_tail,
+                                      rng, (size, n_out))
+                    for node, rng in zip(scenario.nodes, rngs)], axis=1)
+    width = n_out + 2  # each output uses up at least one arrival
+    broadcast = np.cumsum(scenario.central.sample(rng_c, (size, width)),
+                          axis=1)
+    arr = _arrivals(broadcast, scenario, rngs)
+    out = np.empty_like(phi)
+    t_in = arr[:, :, 0]
     s = wrap_phase(t_in, tau)
-    while len(out) < n_outputs:
-        phi = sample_tick_phase(tau, sigma, eps_tail, rng)
-        duration = phi - s
-        if phi <= s:
-            duration += tau
-        t_out = t_in + duration
-        out.append(t_out)
-        while idx < arrivals.size and arrivals[idx] <= t_out:
-            idx += 1
-        if idx >= arrivals.size:
-            if len(out) < n_outputs:
-                raise ValueError("broadcast trace exhausted early")
+    for k in range(n_out):
+        t_out = t_in + delay_to_phase(s, phi[:, :, k], tau)
+        out[:, :, k] = t_out
+        if k + 1 == n_out:
             break
-        t_in = arrivals[idx]
+        # the arrivals are sorted, so the count is the next one's index
+        nxt = (arr <= t_out[:, :, None]).sum(axis=2)
+        while nxt.max() == arr.shape[2]:
+            waits = scenario.central.sample(rng_c, (size, width))
+            broadcast = broadcast[:, -1:] + np.cumsum(waits, axis=1)
+            more = _arrivals(broadcast, scenario, rngs)
+            arr = np.concatenate([arr, more], axis=2)
+            nxt += (more <= t_out[:, :, None]).sum(axis=2)
+        t_in = np.take_along_axis(arr, nxt[:, :, None], axis=2)[:, :, 0]
         s = wrap_phase(t_in - t_out, tau)
-    return TickTrace(np.asarray(out))
+    if (arr[:, :, 1:] <= arr[:, :, :-1]).any():
+        raise ValueError("link jitter reordered the broadcast ticks")
+    check_rows(out.reshape(-1, n_out))
+    return out, arr
+
+
+def _blocks(scenario: NetworkScenario, trials: int, seed: int):
+    """Yield ``_simulate`` results for ``trials`` trials in blocks of
+    ``_BLOCK``; block b runs on ``SeedSequence(seed).spawn(n_blocks)[b]``."""
+    for i, node in enumerate(scenario.nodes):
+        _check_node(scenario, node, i)
+    streams = np.random.SeedSequence(seed).spawn(-(-trials // _BLOCK))
+    for b, seq in enumerate(streams):
+        yield _simulate(scenario, seq, min(_BLOCK, trials - b * _BLOCK))
 
 
 @dataclass(frozen=True)
@@ -133,26 +171,39 @@ class NetworkResult:
 
 
 def run_network(scenario: NetworkScenario, seed: int) -> NetworkResult:
-    """Simulate one scenario trial.
+    """Simulate one scenario trial, the single trial of
+    ``network_spreads(scenario, 1, seed, k)``.  Nodes only see their own
+    arrival trace, never each other's state."""
+    out, arr = next(_blocks(scenario, 1, seed))
+    return NetworkResult(outputs=tuple(map(TickTrace, out[0])),
+                         arrivals=tuple(map(TickTrace, arr[0])))
 
-    The central clock uses the random stream (seed, 0); node i uses
-    (seed, i + 1).  Nodes only see their own arrival trace, never each
-    other's state.
+
+def network_spreads(scenario: NetworkScenario, trials: int, seed: int,
+                    k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Spread (max - min) of tick ``k`` (0-based) across the nodes, in
+    each of ``trials`` independent trials.
+
+    Returns the spreads of the enhanced outputs and of the raw arrivals,
+    each of shape (trials,).  Trials run in blocks of ``_BLOCK`` on the
+    streams of ``_blocks``, so the result is bit-identical for a fixed
+    (seed, trials) and every full block's rows do not depend on the trial
+    count.
     """
-    for i, node in enumerate(scenario.nodes):
-        _check_node(scenario, node, i)
-    rng_c = np.random.default_rng([seed, 0])
-    n_broadcast = 4 * (scenario.n_outputs + 2)
-    waits = np.atleast_1d(scenario.central.sample(rng_c, n_broadcast))
-    broadcast = np.cumsum(waits)
-    outputs = []
-    arrivals = []
-    for i, node in enumerate(scenario.nodes):
-        rng = np.random.default_rng([seed, i + 1])
-        arr = _arrivals(broadcast, node, rng)
-        outputs.append(_run_node(arr, node.ec, scenario.n_outputs, rng))
-        arrivals.append(TickTrace(arr))
-    return NetworkResult(outputs=tuple(outputs), arrivals=tuple(arrivals))
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    if not 0 <= k < scenario.n_outputs:
+        raise ValueError(
+            f"tick index {k} outside [0, {scenario.n_outputs})")
+    enhanced = np.empty(trials)
+    raw = np.empty(trials)
+    start = 0
+    for out, arr in _blocks(scenario, trials, seed):
+        rows = slice(start, start + out.shape[0])
+        enhanced[rows] = np.ptp(out[:, :, k], axis=1)
+        raw[rows] = np.ptp(arr[:, :, k], axis=1)
+        start = rows.stop
+    return enhanced, raw
 
 
 def plan_scenario(central: WaitingTimeDistribution, n_nodes: int,

@@ -26,7 +26,7 @@ import numpy as np
 from .clocks import fire_delay, quasi_ideal_ratio, wrap_phase
 from .distributions import WaitingTimeDistribution
 from .inaccuracy import InaccuracyEstimate, empirical_inaccuracy
-from .trace import TickTrace
+from .trace import TickTrace, check_rows
 
 _M_CAP = 10 ** 6
 _BLOCK = 4096        # trials per random stream
@@ -367,9 +367,7 @@ def _simulate(prep: PreparedRun, rng, size: int):
                 s = np.zeros(size)
             else:
                 s = wrap_phase(t_in - t_out, prep.tau)
-    if (out[:, 0] < 0).any() or (np.diff(out, axis=1) <= 0).any():
-        raise ValueError(
-            "output ticks must be nonnegative and strictly increasing")
+    check_rows(out)
     return out, n_ignored
 
 

@@ -39,3 +39,12 @@ class TickTrace:
     def gaps(self) -> np.ndarray:
         """Inter-tick durations."""
         return np.diff(self.times)
+
+
+def check_rows(times: np.ndarray):
+    """The ``TickTrace`` invariant for a block of output traces, one per
+    row: raise ``ValueError`` unless every row is nonnegative and strictly
+    increasing."""
+    if (times[:, 0] < 0).any() or (np.diff(times, axis=1) <= 0).any():
+        raise ValueError(
+            "output ticks must be nonnegative and strictly increasing")

@@ -57,6 +57,17 @@ class TestDeterminism:
                            if not line.startswith("# generated")]
         assert strip(text) == strip(emitted)
 
+    def test_network_round_trip_from_emitted_file(self, capsys, tmp_path):
+        out = tmp_path / "network.csv"
+        code, _ = _run(capsys, "network", "--trials", "40", "--seed", "9",
+                       "--out", str(out))
+        assert code == 0
+        code, text = _run(capsys, "network", "--config", str(out))
+        assert code == 0
+        strip = lambda t: [line for line in t.splitlines()
+                           if not line.startswith("# generated")]
+        assert strip(text) == strip(out.read_text())
+
     def test_env_variable_overrides_seed(self, capsys, monkeypatch):
         monkeypatch.setenv("TICKLAB_SEED", "4242")
         _, text = _run(capsys, *SMALL_SWEEP)
@@ -114,6 +125,20 @@ class TestCommands:
         assert code == 0
         assert any(line.startswith("network,enhanced,") for line
                    in text.splitlines())
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_network_needs_a_trial(self, capsys, trials):
+        code, text = _run(capsys, "network", "--trials", trials)
+        assert code == 2
+        assert text == ""
+
+    @pytest.mark.parametrize("tick", ["-1", "5"])
+    def test_network_tick_outside_outputs(self, capsys, tmp_path, tick):
+        cfg = tmp_path / "net.ini"
+        cfg.write_text(f"[network]\noutputs = 5\ntick = {tick}\n"
+                       "trials = 10\n")
+        code, _ = _run(capsys, "network", "--config", str(cfg))
+        assert code == 2
 
     def test_estimator_check_passes(self, capsys):
         code, text = _run(capsys, "estimator-check")
