@@ -6,8 +6,7 @@ from .clocks import (EnhancingClock, InputClock, MarkovTwoState, Mode,
                      quasi_ideal_params, quasi_ideal_ratio,
                      sample_tick_phase, wrap_phase)
 from .distributions import (Box, Delta, DeltaMixture, Gaussian,
-                            WaitingTimeDistribution, analytic_confidence,
-                            sample_waiting_time)
+                            WaitingTimeDistribution)
 from .inaccuracy import (ConfidenceInterval, InaccuracyEstimate,
                          ZeroVarianceError, bruteforce_inaccuracy,
                          chebyshev_bound, empirical_inaccuracy,
@@ -20,7 +19,7 @@ from .protocols import (ExplicitEC, FreeRunEC, PreparedRun, Protocol,
                         choose_period_feedback, choose_period_no_feedback,
                         corollary_bounds, ec_bar_sigma, monte_carlo,
                         output_epsilon_budget, prepare, run_protocol,
-                        theorem1_bound, theorem2_bound)
+                        theorem1_bound, theorem2_bound, theorem_bound)
 from .trace import TickTrace
 
 __all__ = [
@@ -29,7 +28,7 @@ __all__ = [
     "InputClock", "MarkovTwoState", "Mode", "NetworkScenario", "NodeConfig",
     "PreparedRun", "Protocol", "ProtocolConfig", "QuasiIdealParams",
     "QuasiIdealSpec", "RenewalProcess", "TickTrace", "TrialMatrix",
-    "WaitingTimeDistribution", "ZeroVarianceError", "analytic_confidence",
+    "WaitingTimeDistribution", "ZeroVarianceError",
     "bruteforce_inaccuracy", "chebyshev_bound", "choose_period_feedback",
     "choose_period_no_feedback", "corollary_bounds", "cross_node_spread",
     "ec_bar_sigma", "empirical_inaccuracy", "free_run",
@@ -38,5 +37,5 @@ __all__ = [
     "quasi_ideal_params",
     "quasi_ideal_ratio", "r_accuracy", "run_network", "run_protocol",
     "sample_tick_phase",
-    "sample_waiting_time", "theorem1_bound", "theorem2_bound", "wrap_phase",
+    "theorem1_bound", "theorem2_bound", "theorem_bound", "wrap_phase",
 ]

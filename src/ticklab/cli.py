@@ -32,8 +32,7 @@ from .distributions import Box, Delta, DeltaMixture, Gaussian
 from .inaccuracy import bruteforce_inaccuracy, empirical_inaccuracy
 from .network import network_spreads, plan_scenario
 from .protocols import (Protocol, ProtocolConfig, QuasiIdealSpec,
-                        corollary_bounds, monte_carlo, prepare,
-                        theorem1_bound, theorem2_bound)
+                        corollary_bounds, monte_carlo, theorem_bound)
 
 COLUMNS = ["experiment", "protocol", "d", "eta", "eps", "eps0", "eps_ec",
            "trials", "j", "sigma_out", "mu_out", "Sigma_out", "bound",
@@ -146,17 +145,10 @@ def resolve_config(args) -> dict:
     cfg = dict(_DEFAULTS[args.experiment])
     if args.config:
         cfg.update(_read_config_file(args.config, args.experiment))
-    if args.seed is not None:
-        cfg["seed"] = str(args.seed)
-    if args.trials is not None and "trials" in cfg:
-        cfg["trials"] = str(args.trials)
-    if args.d is not None and "d" in cfg:
-        cfg["d"] = args.d
-    if args.protocol is not None:
-        if "protocols" in cfg:
-            cfg["protocols"] = args.protocol
-        elif "protocol" in cfg:
-            cfg["protocol"] = args.protocol
+    for key in _DEFAULTS[args.experiment]:
+        # a flag overrides the config key of its name (see build_parser)
+        if getattr(args, key, None) is not None:
+            cfg[key] = str(getattr(args, key))
     env_seed = os.environ.get("TICKLAB_SEED")
     if env_seed is not None:
         try:
@@ -192,51 +184,60 @@ def fit_slope(d_values, sigma_values) -> float | None:
     return float(np.polyfit(x, y, 1)[0])
 
 
-def cmd_sweep(cfg: dict) -> list[dict]:
+def _protocol_rows(experiment: str, cfg: dict, name: str, d: int,
+                   bunch: int, n_ticks: int, js,
+                   period_tick: int) -> list[dict]:
+    """Simulate protocol ``name`` of ``cfg`` with EC dimension ``d`` (or
+    counter capacity ``bunch`` for input bunching) and emit one row per
+    tick index in ``js``, each with the theorem bound that covers it."""
+    if name not in _PROTOCOLS:
+        raise ConfigError(f"unknown protocol {name!r}")
+    protocol = _PROTOCOLS[name]
     dist = parse_dist(cfg["input"])
     eps, eps0 = float(cfg["eps"]), float(cfg["eps0"])
     eps_ec, eta = float(cfg["eps_ec"]), float(cfg["eta"])
-    j = int(cfg["j"])
     trials, seed = int(cfg["trials"]), int(cfg["seed"])
+    if protocol is Protocol.INPUT_BUNCH:
+        pc = ProtocolConfig(protocol=protocol, input_dist=dist, eps=eps,
+                            n_ticks=n_ticks, bunch=bunch)
+    else:
+        pc = ProtocolConfig(protocol=protocol, input_dist=dist, eps=eps,
+                            n_ticks=n_ticks,
+                            ec=QuasiIdealSpec(d=d, eta=eta, eps_tail=eps_ec),
+                            period_tick=period_tick)
+    matrix = monte_carlo(pc, trials, seed)
+    prep = matrix.prep
+    rows = []
+    for j in js:
+        est = matrix.estimate(j, eps0)
+        rows.append(_row(
+            experiment=experiment, protocol=name, d=d, eta=eta, eps=eps,
+            eps0=eps0, eps_ec=eps_ec, trials=trials, j=j,
+            sigma_out=est.interval.sigma, mu_out=est.interval.mu,
+            Sigma_out=est.sigma_ratio,
+            bound=theorem_bound(protocol, prep.sigma_in / prep.mu_in,
+                                prep.bar_sigma_ec, j),
+            truncated_trials=matrix.n_truncated, seed=seed))
+    return rows
+
+
+def cmd_sweep(cfg: dict) -> list[dict]:
+    j = int(cfg["j"])
     d_list = _int_list(cfg["d"])
+    if not d_list:
+        raise ConfigError("sweep needs at least one dimension")
     protocols = [p.strip() for p in cfg["protocols"].split(",") if p.strip()]
     rows = []
     for name in protocols:
-        if name not in _PROTOCOLS:
-            raise ConfigError(f"unknown protocol {name!r}")
-        protocol = _PROTOCOLS[name]
-        sigmas = []
-        for d in d_list:
-            if protocol is Protocol.INPUT_BUNCH:
-                pc = ProtocolConfig(protocol=protocol, input_dist=dist,
-                                    eps=eps, n_ticks=j, bunch=d)
-            else:
-                pc = ProtocolConfig(
-                    protocol=protocol, input_dist=dist, eps=eps, n_ticks=j,
-                    ec=QuasiIdealSpec(d=d, eta=eta, eps_tail=eps_ec),
-                    period_tick=j)
-            matrix = monte_carlo(pc, trials, seed)
-            est = matrix.estimate(j, eps0)
-            bound = None
-            if protocol is Protocol.DYN_SWITCH:
-                prep = matrix.prep
-                bound = theorem1_bound(prep.sigma_in / prep.mu_in,
-                                       prep.bar_sigma_ec, j)
-            elif protocol is Protocol.DYN_SWITCH_FEEDBACK:
-                prep = matrix.prep
-                bound = theorem2_bound(prep.sigma_in / prep.mu_in,
-                                       prep.bar_sigma_ec)
-            sigmas.append(est.sigma_ratio)
-            rows.append(_row(
-                experiment="sweep", protocol=name, d=d, eta=eta, eps=eps,
-                eps0=eps0, eps_ec=eps_ec, trials=trials, j=j,
-                sigma_out=est.interval.sigma, mu_out=est.interval.mu,
-                Sigma_out=est.sigma_ratio, bound=bound,
-                truncated_trials=matrix.n_truncated, seed=seed))
+        # input bunching counts d input ticks; the ECs target tick j
+        points = [_protocol_rows("sweep", cfg, name, d, d, j, [j], j)[0]
+                  for d in d_list]
+        rows += points
+        shared = {key: points[0][key] for key in
+                  ("eta", "eps", "eps0", "eps_ec", "trials", "j", "seed")}
         rows.append(_row(
-            experiment="sweep_slope", protocol=name, eta=eta, eps=eps,
-            eps0=eps0, eps_ec=eps_ec, trials=trials, j=j,
-            Sigma_out=fit_slope(d_list, sigmas), seed=seed))
+            experiment="sweep_slope", protocol=name, **shared,
+            Sigma_out=fit_slope(d_list, [r["Sigma_out"] for r in points])))
     return rows
 
 
@@ -247,63 +248,23 @@ def cmd_bounds(cfg: dict) -> list[dict]:
     rows = []
     for d in _int_list(cfg["d"]):
         for j in _int_list(cfg["j"]):
-            bar_ec = 2.0 / d ** (1.0 - nu)
-            values = [("theorem1", theorem1_bound(sigma_in, bar_ec, j)
-                       if sigma_in < 2 / 3 and j < 2 / (3 * sigma_in)
-                       else None),
-                      ("theorem2", theorem2_bound(sigma_in, bar_ec)
-                       if j == 1 and sigma_in < 1 else None)]
-            nf, fb = corollary_bounds(sigma_in, d, nu, j)
-            values += [("corollary_no_feedback", nf)]
-            if j == 1:
-                values += [("corollary_feedback", fb)]
-            for name, value in values:
-                if value is None:
-                    continue
-                rows.append(_row(experiment="bounds", protocol=name, d=d,
-                                 j=j, Sigma_out=sigma_in, bound=value,
-                                 seed=seed))
+            # the table evaluates both theorems at the d-dimensional EC
+            # inaccuracy, which is what each corollary states
+            no_fb, fb = corollary_bounds(sigma_in, d, nu, j)
+            for name, value in (("theorem1", no_fb), ("theorem2", fb),
+                                ("corollary_no_feedback", no_fb),
+                                ("corollary_feedback", fb)):
+                if value is not None:
+                    rows.append(_row(experiment="bounds", protocol=name,
+                                     d=d, j=j, Sigma_out=sigma_in,
+                                     bound=value, seed=seed))
     return rows
 
 
 def cmd_run(cfg: dict) -> list[dict]:
-    dist = parse_dist(cfg["input"])
-    name = cfg["protocol"]
-    if name not in _PROTOCOLS:
-        raise ConfigError(f"unknown protocol {name!r}")
-    protocol = _PROTOCOLS[name]
-    eps, eps0 = float(cfg["eps"]), float(cfg["eps0"])
-    eps_ec, eta = float(cfg["eps_ec"]), float(cfg["eta"])
-    d, bunch = int(cfg["d"]), int(cfg["bunch"])
-    trials, seed = int(cfg["trials"]), int(cfg["seed"])
     ticks = int(cfg["ticks"])
-    if protocol is Protocol.INPUT_BUNCH:
-        pc = ProtocolConfig(protocol=protocol, input_dist=dist, eps=eps,
-                            n_ticks=ticks, bunch=bunch)
-    else:
-        pc = ProtocolConfig(protocol=protocol, input_dist=dist, eps=eps,
-                            n_ticks=ticks,
-                            ec=QuasiIdealSpec(d=d, eta=eta, eps_tail=eps_ec))
-    matrix = monte_carlo(pc, trials, seed)
-    prep = matrix.prep
-    rows = []
-    for j in range(1, ticks + 1):
-        est = matrix.estimate(j, eps0)
-        bound = None
-        if protocol is Protocol.DYN_SWITCH:
-            s_in = prep.sigma_in / prep.mu_in
-            if j < 2 / (3 * s_in):
-                bound = theorem1_bound(s_in, prep.bar_sigma_ec, j)
-        elif protocol is Protocol.DYN_SWITCH_FEEDBACK:
-            bound = theorem2_bound(prep.sigma_in / prep.mu_in,
-                                   prep.bar_sigma_ec)
-        rows.append(_row(
-            experiment="run", protocol=name, d=d, eta=eta, eps=eps,
-            eps0=eps0, eps_ec=eps_ec, trials=trials, j=j,
-            sigma_out=est.interval.sigma, mu_out=est.interval.mu,
-            Sigma_out=est.sigma_ratio, bound=bound,
-            truncated_trials=matrix.n_truncated, seed=seed))
-    return rows
+    return _protocol_rows("run", cfg, cfg["protocol"], int(cfg["d"]),
+                          int(cfg["bunch"]), ticks, range(1, ticks + 1), 1)
 
 
 def cmd_network(cfg: dict) -> list[dict]:
@@ -395,16 +356,23 @@ def build_parser() -> argparse.ArgumentParser:
         description="Tick-signal accuracy enhancement simulator")
     sub = parser.add_subparsers(dest="experiment", required=True)
     for name in _COMMANDS:
+        keys = _DEFAULTS[name]
         p = sub.add_parser(name)
         p.add_argument("--config", help="INI file or previously emitted "
                        "result file to reproduce")
         p.add_argument("--seed", type=int)
         p.add_argument("--out", help="output path (default: stdout)")
         p.add_argument("--format", choices=["csv", "json"], default="csv")
-        p.add_argument("--trials", type=int)
-        p.add_argument("--d", help="comma-separated dimension list")
-        p.add_argument("--protocol", help="protocol number (1-4), or a "
-                       "comma list for sweep")
+        # an override flag only where the subcommand reads its key
+        if "trials" in keys:
+            p.add_argument("--trials", type=int)
+        if "d" in keys:
+            p.add_argument("--d", help="comma-separated dimension list")
+        if "protocol" in keys:
+            p.add_argument("--protocol", help="protocol number (1-4)")
+        if "protocols" in keys:
+            p.add_argument("--protocol", dest="protocols",
+                           help="comma-separated protocol numbers (1-4)")
     return parser
 
 

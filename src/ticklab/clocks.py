@@ -115,9 +115,6 @@ class EnhancingClock:
     def switched(self, mode: Mode) -> "EnhancingClock":
         return replace(self, mode=mode)
 
-    def reset(self) -> "EnhancingClock":
-        return replace(self, phase=0.0)
-
     def tick(self, rng) -> tuple[float, "EnhancingClock"]:
         """Sample the time until the detector fires, from the current
         switch-on phase.  Returns the duration and the reset clock."""
@@ -200,7 +197,6 @@ class InputClock:
     """Specification of an i.i.d. input clock."""
 
     dist: WaitingTimeDistribution
-    resettable: bool = True
 
     def process(self, rng, start: float = 0.0) -> "RenewalProcess":
         return RenewalProcess(self, rng, start=start)
@@ -249,15 +245,12 @@ class RenewalProcess:
 
     def reset(self, t: float):
         """Restart the renewal process at time t."""
-        if not self.clock.resettable:
-            raise ValueError("input clock is not resettable")
         self.t = t
 
 
 @dataclass(frozen=True)
 class PeriodicityCheck:
     is_fixed_point: bool
-    is_stationary_for_all_t: bool
 
 
 @dataclass(frozen=True)
@@ -294,7 +287,4 @@ class MarkovTwoState:
             raise ValueError("period must be positive")
         row = np.array([1.0, 0.0]) @ self.transition(period)
         fixed = abs(row[0] - 1.0) <= tol and abs(row[1]) <= tol
-        return PeriodicityCheck(
-            is_fixed_point=fixed,
-            is_stationary_for_all_t=(self.alpha == 0.0),
-        )
+        return PeriodicityCheck(is_fixed_point=fixed)

@@ -220,13 +220,3 @@ class DeltaMixture(WaitingTimeDistribution):
     def support(self):
         return (self.atoms[0][0], self.atoms[-1][0])
 
-
-def sample_waiting_time(dist: WaitingTimeDistribution, rng, size=None):
-    return dist.sample(rng, size)
-
-
-def analytic_confidence(dist, eps: float) -> ConfidenceInterval:
-    if not isinstance(dist, WaitingTimeDistribution):
-        raise NotImplementedError(
-            f"no analytic confidence interval for {type(dist).__name__}")
-    return dist.confidence(eps)

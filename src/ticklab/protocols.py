@@ -117,18 +117,39 @@ def theorem2_bound(sigma_in: float, bar_sigma_ec: float) -> float:
     return sigma_in * bar_sigma_ec
 
 
+def theorem_bound(protocol: Protocol, sigma_in: float,
+                  bar_sigma_ec: float | None, j: int) -> float | None:
+    """The paper's bound on the j-th output inaccuracy of ``protocol``:
+    theorem 1 for dynamics switching, theorem 2 for the single i.i.d. gap
+    (j = 1) of dynamics switching with feedback.  None when no theorem
+    covers the protocol and tick, or when its hypotheses fail."""
+    if not sigma_in >= 0.0:
+        raise ValueError("input inaccuracy must be nonnegative")
+    if j < 1:
+        raise ValueError("tick index must be a positive integer")
+    try:
+        if protocol is Protocol.DYN_SWITCH:
+            return theorem1_bound(sigma_in, bar_sigma_ec, j)
+        if protocol is Protocol.DYN_SWITCH_FEEDBACK and j == 1:
+            return theorem2_bound(sigma_in, bar_sigma_ec)
+    except ValueError:  # a hypothesis of the theorem fails
+        pass
+    return None
+
+
 def corollary_bounds(sigma_in: float, d: int, nu: float,
-                     j: int) -> tuple[float, float]:
-    """Bounds with the EC inaccuracy replaced by its d-dimensional scaling
-    2 / d^(1-nu): ((5 j^2 / 3) Sigma_in / d^(1-nu), 2 Sigma_in / d^(1-nu))."""
+                     j: int) -> tuple[float | None, float | None]:
+    """The theorem bounds for dynamics switching without and with
+    feedback at the d-dimensional EC inaccuracy bar_Sigma_EC = 2 / d^(1-nu):
+    ((5 j^2 / 3) Sigma_in / d^(1-nu), 2 Sigma_in / d^(1-nu)), each None
+    where its theorem does not apply."""
     if d < 2:
         raise ValueError("dimension must be at least 2")
     if not 0.0 < nu < 1.0:
         raise ValueError("nu must lie in (0, 1)")
-    if j < 1:
-        raise ValueError("tick index must be a positive integer")
-    scale = d ** (1.0 - nu)
-    return (5.0 * j * j / 3.0 * sigma_in / scale, 2.0 * sigma_in / scale)
+    bar_ec = 2.0 / d ** (1.0 - nu)
+    return (theorem_bound(Protocol.DYN_SWITCH, sigma_in, bar_ec, j),
+            theorem_bound(Protocol.DYN_SWITCH_FEEDBACK, sigma_in, bar_ec, j))
 
 
 def output_epsilon_budget(eps: float, eps_ec: float, j: int) -> float:
@@ -186,7 +207,6 @@ class ProtocolConfig:
     bunch: int | None = None          # counter capacity of input bunching
     period_tick: int = 1              # j targeted by the period chooser
     horizon: float | None = None
-    restart_every: int | None = None
 
     def __post_init__(self):
         if self.n_ticks < 1:
@@ -195,8 +215,6 @@ class ProtocolConfig:
             raise ValueError("tail level must lie in [0, 1)")
         if self.horizon is not None and self.horizon <= 0:
             raise ValueError("horizon must be positive")
-        if self.restart_every is not None and self.restart_every < 1:
-            raise ValueError("restart period must be a positive integer")
         if self.protocol is Protocol.INPUT_BUNCH:
             if self.bunch is None or self.bunch < 1:
                 raise ValueError("input bunching needs a counter capacity")
@@ -222,10 +240,12 @@ class PreparedRun:
     cond_j_limit: float | None = None
 
     @property
-    def bar_sigma_ec(self) -> float:
-        if self.tau is not None:
-            return ec_bar_sigma(self.sigma_ec, self.tau)
-        return ec_bar_sigma(self.sigma_ec, 2.0 * self.mu_ec)
+    def bar_sigma_ec(self) -> float | None:
+        """Inaccuracy bound of the switchable EC; None for the bunching
+        protocols, which have none."""
+        if self.tau is None:
+            return None
+        return ec_bar_sigma(self.sigma_ec, self.tau)
 
 
 def _ec_bunch_mean(mu_in: float, sigma_in: float, ratio: float) -> float:
@@ -361,12 +381,8 @@ def _simulate(prep: PreparedRun, rng, size: int):
                 t_in = t_out + dist.sample(rng, size)
             else:
                 t_in = _next_after(t_in, t_out, dist, rng, n_ignored)
-            # the EC idles from its reset at t_out until the next input
-            # tick; an explicit restart re-zeroes it at that tick instead
-            if cfg.restart_every and (k + 1) % cfg.restart_every == 0:
-                s = np.zeros(size)
-            else:
-                s = wrap_phase(t_in - t_out, prep.tau)
+            # the EC idles from its reset at t_out until the next input tick
+            s = wrap_phase(t_in - t_out, prep.tau)
     check_rows(out)
     return out, n_ignored
 

@@ -1,7 +1,7 @@
 """Tick traces: ordered sequences of absolute tick times."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,10 +23,8 @@ class TickTrace:
         t = np.atleast_1d(np.asarray(self.times, dtype=float))
         if t.ndim != 1:
             raise ValueError("tick times must be one-dimensional")
-        if t.size and t[0] < 0:
-            raise ValueError("tick times must be nonnegative")
-        if np.any(np.diff(t) <= 0):
-            raise ValueError("tick times must be strictly increasing")
+        if t.size:
+            check_rows(t[np.newaxis])
         object.__setattr__(self, "times", t)
 
     def __len__(self) -> int:
@@ -42,9 +40,9 @@ class TickTrace:
 
 
 def check_rows(times: np.ndarray):
-    """The ``TickTrace`` invariant for a block of output traces, one per
-    row: raise ``ValueError`` unless every row is nonnegative and strictly
-    increasing."""
+    """The ``TickTrace`` invariant for a block of nonempty tick traces,
+    one per row: raise ``ValueError`` unless every row is nonnegative and
+    strictly increasing."""
     if (times[:, 0] < 0).any() or (np.diff(times, axis=1) <= 0).any():
         raise ValueError(
-            "output ticks must be nonnegative and strictly increasing")
+            "tick times must be nonnegative and strictly increasing")

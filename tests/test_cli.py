@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -35,6 +36,18 @@ def _run(capsys, *argv):
     return code, capsys.readouterr().out
 
 
+def _table(text):
+    """The data rows of an emitted CSV file, as dicts."""
+    return list(csv.DictReader(
+        line for line in text.splitlines() if not line.startswith("#")))
+
+
+def _ini(tmp_path, experiment, body):
+    path = tmp_path / f"{experiment}.ini"
+    path.write_text(f"[{experiment}]\n{body}")
+    return str(path)
+
+
 SMALL_SWEEP = ("sweep", "--d", "16,32", "--trials", "60", "--seed", "7")
 
 
@@ -63,6 +76,23 @@ class TestDeterminism:
                        "--out", str(out))
         assert code == 0
         code, text = _run(capsys, "network", "--config", str(out))
+        assert code == 0
+        strip = lambda t: [line for line in t.splitlines()
+                           if not line.startswith("# generated")]
+        assert strip(text) == strip(out.read_text())
+
+    @pytest.mark.parametrize("argv", [
+        ("run", "--protocol", "2", "--trials", "80", "--seed", "5"),
+        ("run", "--protocol", "3", "--trials", "80", "--d", "16"),
+        ("bounds", "--d", "16,64", "--seed", "3"),
+        ("estimator-check", "--seed", "11"),
+    ], ids=["run-2", "run-3", "bounds", "estimator-check"])
+    def test_subcommand_round_trip_from_emitted_file(self, capsys, tmp_path,
+                                                     argv):
+        out = tmp_path / "first.csv"
+        code, _ = _run(capsys, *argv, "--out", str(out))
+        assert code == 0
+        code, text = _run(capsys, argv[0], "--config", str(out))
         assert code == 0
         strip = lambda t: [line for line in t.splitlines()
                            if not line.startswith("# generated")]
@@ -100,6 +130,35 @@ class TestConfigHandling:
         code, _ = _run(capsys, "bounds", "--config", str(out))
         assert code == 2
 
+    def test_sweep_needs_a_dimension(self, capsys, tmp_path):
+        cfg = _ini(tmp_path, "sweep", "d = ,\ntrials = 10\n")
+        code, text = _run(capsys, "sweep", "--config", cfg)
+        assert code == 2
+        assert text == ""
+
+    @pytest.mark.parametrize("argv", [
+        ("bounds", "--trials", "5"),
+        ("bounds", "--protocol", "1"),
+        ("network", "--protocol", "3"),
+        ("estimator-check", "--d", "16"),
+        ("estimator-check", "--trials", "5"),
+    ])
+    def test_flag_without_config_key_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_benchmark_argv_parses(self):
+        parser = build_parser()
+        common = ["--seed", "3", "--format", "json"]
+        assert parser.parse_args(["sweep", *common]).protocols is None
+        args = parser.parse_args(["run", "--config", "run.ini",
+                                  "--protocol", "2", *common])
+        assert (args.config, args.protocol) == ("run.ini", "2")
+        assert parser.parse_args(["network", "--trials", "9",
+                                  *common]).trials == 9
+
     def test_flag_overrides_config(self, capsys, tmp_path):
         cfg = tmp_path / "ok.ini"
         cfg.write_text("[sweep]\nd = 16\ntrials = 50\nseed = 3\n")
@@ -119,6 +178,65 @@ class TestCommands:
         rows = [line for line in text.splitlines() if line.startswith("run,")]
         assert code == 0
         assert len(rows) == 6      # default ticks=6, one row per j
+
+    def test_run_feedback_bound_only_at_first_tick(self, capsys):
+        code, text = _run(capsys, "run", "--protocol", "2", "--trials",
+                          "200", "--seed", "5")
+        assert code == 0
+        bounds = {int(r["j"]): r["bound"] for r in _table(text)}
+        assert float(bounds.pop(1)) > 0
+        assert set(bounds) == {2, 3, 4, 5, 6}
+        assert set(bounds.values()) == {""}
+
+    def test_run_bound_within_theorem1_limit(self, capsys, tmp_path):
+        # Sigma_in = 0.297 / 1.0015: theorem 1 admits j < 2.25
+        cfg = _ini(tmp_path, "run", "input = box:center=1,width=0.3\n"
+                   "trials = 100\nticks = 4\n")
+        code, text = _run(capsys, "run", "--config", cfg)
+        assert code == 0
+        assert [r["bound"] != "" for r in _table(text)] == \
+            [True, True, False, False]
+
+    @pytest.mark.parametrize("protocol", ["1", "2"])
+    def test_run_with_delta_input(self, capsys, tmp_path, protocol):
+        cfg = _ini(tmp_path, "run", "input = delta:time=1\ntrials = 50\n"
+                   "ticks = 3\n")
+        code, text = _run(capsys, "run", "--config", cfg,
+                          "--protocol", protocol)
+        assert code == 0
+        rows = _table(text)
+        assert float(rows[0]["bound"]) == 0.0
+        assert [r["bound"] != "" for r in rows] == \
+            [True, protocol == "1", protocol == "1"]
+
+    @pytest.mark.parametrize("sigma_in", ["0", "0.33", "0.5", "0.7", "1.2"])
+    def test_bounds_corollary_only_with_its_theorem(self, capsys, tmp_path,
+                                                    sigma_in):
+        cfg = _ini(tmp_path, "bounds", f"sigma_in = {sigma_in}\n")
+        code, text = _run(capsys, "bounds", "--config", cfg)
+        assert code == 0
+        names = {(r["d"], r["j"], r["protocol"]) for r in _table(text)}
+        for theorem, corollary in (("theorem1", "corollary_no_feedback"),
+                                   ("theorem2", "corollary_feedback")):
+            with_theorem = {(d, j) for d, j, p in names if p == theorem}
+            with_corollary = {(d, j) for d, j, p in names if p == corollary}
+            assert with_theorem == with_corollary
+
+    def test_bounds_at_zero_input_inaccuracy(self, capsys, tmp_path):
+        cfg = _ini(tmp_path, "bounds", "sigma_in = 0\n")
+        code, text = _run(capsys, "bounds", "--config", cfg)
+        assert code == 0
+        rows = _table(text)
+        assert {float(r["bound"]) for r in rows} == {0.0}
+        # theorem 1 holds for every j, theorem 2 for the first gap only
+        assert sum(r["protocol"] == "theorem1" for r in rows) == 4 * 6
+        assert sum(r["protocol"] == "theorem2" for r in rows) == 4
+
+    def test_bounds_reject_negative_input_inaccuracy(self, capsys,
+                                                     tmp_path):
+        cfg = _ini(tmp_path, "bounds", "sigma_in = -0.1\n")
+        code, _ = _run(capsys, "bounds", "--config", cfg)
+        assert code == 2
 
     def test_network_summary(self, capsys):
         code, text = _run(capsys, "network", "--trials", "10", "--seed", "2")

@@ -133,12 +133,6 @@ class TestRenewalProcess:
         assert t > 3.5
         assert proc.n_skipped == 3
 
-    def test_reset_requires_resettable(self):
-        proc = InputClock(Box(1.0, 0.1),
-                          resettable=False).process(np.random.default_rng(2))
-        with pytest.raises(ValueError):
-            proc.reset(1.0)
-
 
 class TestMarkovTwoState:
     def test_identity_at_zero_time(self):
@@ -168,14 +162,19 @@ class TestMarkovTwoState:
         assert np.allclose(ps.sum(axis=1), 1.0, atol=1e-14)
 
     def test_periodicity_examples(self):
-        stationary = MarkovTwoState(0.0, 0.7).periodicity_check(5.0)
-        assert stationary.is_fixed_point
-        assert stationary.is_stationary_for_all_t
-        leaky = MarkovTwoState(0.3, 0.7).periodicity_check(5.0)
-        assert not leaky.is_fixed_point
-        assert not leaky.is_stationary_for_all_t
-        frozen = MarkovTwoState(0.0, 0.0).periodicity_check(1.0)
-        assert frozen.is_fixed_point and frozen.is_stationary_for_all_t
+        def stationary_for_all_t(chain):
+            return all(np.array_equal(chain.transition(t)[0], [1.0, 0.0])
+                       for t in (0.0, 0.3, 1.0, 5.0, 40.0))
+
+        stationary = MarkovTwoState(0.0, 0.7)
+        assert stationary.periodicity_check(5.0).is_fixed_point
+        assert stationary_for_all_t(stationary)
+        leaky = MarkovTwoState(0.3, 0.7)
+        assert not leaky.periodicity_check(5.0).is_fixed_point
+        assert not stationary_for_all_t(leaky)
+        frozen = MarkovTwoState(0.0, 0.0)
+        assert frozen.periodicity_check(1.0).is_fixed_point
+        assert stationary_for_all_t(frozen)
 
     def test_rejects_negative_rates(self):
         with pytest.raises(ValueError):

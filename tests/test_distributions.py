@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from ticklab import (Box, Delta, DeltaMixture, Gaussian,
-                     analytic_confidence, sample_waiting_time)
+from ticklab import Box, Delta, DeltaMixture, Gaussian
 
 
 class TestDelta:
@@ -109,8 +108,6 @@ class TestDeltaMixture:
 
 def test_module_helpers():
     rng = np.random.default_rng(4)
-    assert sample_waiting_time(Delta(2.0), rng) == 2.0
-    c = analytic_confidence(Delta(2.0), 0.2)
+    assert Delta(2.0).sample(rng) == 2.0
+    c = Delta(2.0).confidence(0.2)
     assert c.mu == 2.0
-    with pytest.raises(NotImplementedError):
-        analytic_confidence("not a distribution", 0.1)

@@ -1,7 +1,7 @@
 """The lockstep Monte-Carlo engine against a scalar oracle.
 
 The oracle runs one trial at a time on the ``EnhancingClock`` state
-machine (``tick`` / ``advance`` / ``reset``) and a ``RenewalProcess``.
+machine (``tick`` / ``advance``) and a ``RenewalProcess``.
 It draws its random numbers in a different order than the engine, so the
 two agree exactly only where nothing is random (Delta input, zero-width
 EC) and in distribution otherwise.
@@ -60,9 +60,7 @@ def oracle_trial(prep, rng):
                 t_in = proc.next_tick()
             else:
                 t_in = proc.next_after(t_out)
-            restart = cfg.restart_every and (k + 1) % cfg.restart_every == 0
-            clock = (clock.reset() if restart
-                     else clock.advance(t_in - t_out)).switched(Mode.TICK)
+            clock = clock.advance(t_in - t_out).switched(Mode.TICK)
     return np.asarray(out), proc.n_skipped
 
 

@@ -6,7 +6,7 @@ from ticklab import (Box, Delta, ExplicitEC, FreeRunEC, Protocol,
                      choose_period_feedback, choose_period_no_feedback,
                      corollary_bounds, ec_bar_sigma, monte_carlo,
                      output_epsilon_budget, prepare, run_protocol,
-                     theorem1_bound, theorem2_bound)
+                     theorem1_bound, theorem2_bound, theorem_bound)
 
 BOX_THIRD = Box(center=1.0, width=0.3333333333)
 
@@ -97,6 +97,57 @@ class TestBoundFormulas:
         bar = 2.0 / 100 ** 0.9
         assert nf == pytest.approx(theorem1_bound(0.33, bar, 1))
         assert fb == pytest.approx(theorem2_bound(0.33, bar))
+        # each corollary holds exactly where its theorem does
+        assert corollary_bounds(0.33, 100, 0.1, 2)[1] is None
+        assert corollary_bounds(0.33, 100, 0.1, 3) == (None, None)
+        assert corollary_bounds(0.0, 100, 0.1, 1) == (0.0, 0.0)
+        with pytest.raises(ValueError):
+            corollary_bounds(0.33, 1, 0.1, 1)
+        with pytest.raises(ValueError):
+            corollary_bounds(0.33, 100, 1.0, 1)
+
+    @pytest.mark.parametrize("protocol, sigma_in, j, expected", [
+        # theorem 1 holds for every j at sigma_in = 0 ...
+        (Protocol.DYN_SWITCH, 0.0, 1, 0.0),
+        (Protocol.DYN_SWITCH, 0.0, 100, 0.0),
+        # ... and below j = 2 / (3 sigma_in) otherwise (2.02 at 0.33)
+        (Protocol.DYN_SWITCH, 0.33, 1, 5 / 6 * 0.33 * 0.04),
+        (Protocol.DYN_SWITCH, 0.33, 2, 5 * 4 / 6 * 0.33 * 0.04),
+        (Protocol.DYN_SWITCH, 0.33, 3, None),
+        (Protocol.DYN_SWITCH, 1 / 3, 1, 5 / 6 / 3 * 0.04),
+        (Protocol.DYN_SWITCH, 1 / 3, 2, None),     # j at the limit itself
+        (Protocol.DYN_SWITCH, 2 / 3, 1, None),
+        (Protocol.DYN_SWITCH, 1.0, 1, None),
+        # theorem 2 bounds the single i.i.d. gap, below sigma_in = 1
+        (Protocol.DYN_SWITCH_FEEDBACK, 0.0, 1, 0.0),
+        (Protocol.DYN_SWITCH_FEEDBACK, 0.33, 1, 0.33 * 0.04),
+        (Protocol.DYN_SWITCH_FEEDBACK, 0.33, 2, None),
+        (Protocol.DYN_SWITCH_FEEDBACK, 0.0, 5, None),
+        (Protocol.DYN_SWITCH_FEEDBACK, 2 / 3, 1, 2 / 3 * 0.04),
+        (Protocol.DYN_SWITCH_FEEDBACK, 0.9, 1, 0.9 * 0.04),
+        (Protocol.DYN_SWITCH_FEEDBACK, 1.0, 1, None),
+        (Protocol.DYN_SWITCH_FEEDBACK, 1.5, 1, None),
+        # no theorem covers the bunching protocols
+        (Protocol.INPUT_BUNCH, 0.0, 1, None),
+        (Protocol.INPUT_BUNCH, 0.33, 3, None),
+        (Protocol.EC_BUNCH, 0.0, 1, None),
+        (Protocol.EC_BUNCH, 0.33, 1, None),
+    ])
+    def test_theorem_bound(self, protocol, sigma_in, j, expected):
+        bound = theorem_bound(protocol, sigma_in, 0.04, j)
+        if expected is None:
+            assert bound is None
+        else:
+            assert bound == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+    def test_theorem_bound_rejects_bad_arguments(self):
+        for protocol in Protocol:
+            with pytest.raises(ValueError):
+                theorem_bound(protocol, -0.1, 0.04, 1)
+            with pytest.raises(ValueError):
+                theorem_bound(protocol, 0.33, 0.04, 0)
+        # the bunching protocols have no switchable EC to pass
+        assert theorem_bound(Protocol.EC_BUNCH, 0.33, None, 1) is None
 
     def test_ec_bar_sigma(self):
         assert ec_bar_sigma(0.1, 2.0) == pytest.approx(0.1)
@@ -174,6 +225,16 @@ class TestPrepare:
             ec=FreeRunEC(mu=0.4, sigma=0.001, eps_tail=0.0))
         with pytest.raises(ValueError):
             prepare(cfg)
+
+    def test_bunching_has_no_switchable_ec(self):
+        cfg = ProtocolConfig(protocol=Protocol.INPUT_BUNCH,
+                             input_dist=BOX_THIRD, eps=0.01, n_ticks=1,
+                             bunch=4)
+        assert prepare(cfg).bar_sigma_ec is None
+        cfg = ProtocolConfig(protocol=Protocol.EC_BUNCH,
+                             input_dist=BOX_THIRD, eps=0.01, n_ticks=1,
+                             ec=QuasiIdealSpec(d=256))
+        assert prepare(cfg).bar_sigma_ec is None
 
     def test_reports_both_j_conditions(self):
         cfg = ProtocolConfig(
@@ -268,16 +329,3 @@ class TestMonteCarlo:
                      / fb.estimate(1, eps1).sigma_ratio)
         assert growth_no_fb > 12          # super-linear
         assert growth_fb < 2 * np.sqrt(12)
-
-    def test_restart_every_reanchors_later_ticks(self):
-        box = Box(1.0, 0.30303)
-        base = ProtocolConfig(protocol=Protocol.DYN_SWITCH, input_dist=box,
-                              eps=0.01, n_ticks=4, ec=QuasiIdealSpec(d=256))
-        restarted = ProtocolConfig(
-            protocol=Protocol.DYN_SWITCH, input_dist=box, eps=0.01,
-            n_ticks=4, ec=QuasiIdealSpec(d=256), restart_every=2)
-        free = monte_carlo(base, 50, 5)
-        pinned = monte_carlo(restarted, 50, 5)
-        # the first restart happens after the second output
-        assert free.data[:, 0] == pytest.approx(pinned.data[:, 0])
-        assert not np.allclose(free.data[:, -1], pinned.data[:, -1])
