@@ -293,6 +293,10 @@ def cmd_estimator_check(cfg: dict) -> list[dict]:
     rng = np.random.default_rng(int(cfg["seed"]))
     instances = int(cfg["instances"])
     max_n = int(cfg["max_samples"])
+    if instances < 1:
+        raise ConfigError("instances must be at least 1")
+    if max_n < 5:  # every instance draws between 5 and max_samples samples
+        raise ConfigError("max_samples must be at least 5")
     mismatches = 0
     for _ in range(instances):
         n = int(rng.integers(5, max_n + 1))

@@ -11,12 +11,14 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
 from .inaccuracy import ConfidenceInterval
 
 _MASS_TOL = 1e-12
+_STD_NORMAL = NormalDist()
 
 
 class WaitingTimeDistribution(ABC):
@@ -52,6 +54,8 @@ class Delta(WaitingTimeDistribution):
     time: float
 
     def __post_init__(self):
+        if not math.isfinite(self.time):
+            raise ValueError("waiting time must be finite")
         if self.time <= 0:
             raise ValueError("waiting time must be positive")
 
@@ -80,6 +84,8 @@ class Box(WaitingTimeDistribution):
     width: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.center) and math.isfinite(self.width)):
+            raise ValueError("center and width must be finite")
         if self.width <= 0:
             raise ValueError("width must be positive")
         if self.width >= 2 * self.center:
@@ -115,15 +121,24 @@ class Gaussian(WaitingTimeDistribution):
     sd: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.mu) and math.isfinite(self.sd)):
+            raise ValueError("mean and standard deviation must be finite")
         if self.mu <= 0:
             raise ValueError("mean must be positive")
         if self.sd <= 0:
             raise ValueError("standard deviation must be positive")
 
-    def _law(self):
-        from scipy import stats  # deferred: scipy dominates import time
-        a = (0.0 - self.mu) / self.sd
-        return stats.truncnorm(a, np.inf, loc=self.mu, scale=self.sd)
+    def _quantile(self, q: float) -> float:
+        """Quantile at level ``q`` of the law truncated to (0, inf)."""
+        # inv_cdf raises at 0 and 1; the mass p0 below zero underflows to
+        # 0 once mu / sd is about 38, so the ends are handled here
+        if q <= 0.0:
+            return 0.0
+        p0 = _STD_NORMAL.cdf(-self.mu / self.sd)
+        p = p0 + q * (1.0 - p0)
+        if p >= 1.0:
+            return math.inf
+        return self.mu + self.sd * _STD_NORMAL.inv_cdf(p)
 
     def sample(self, rng, size=None):
         n = 1 if size is None else int(np.prod(size))
@@ -138,33 +153,46 @@ class Gaussian(WaitingTimeDistribution):
 
     @property
     def mean(self):
-        return float(self._law().mean())
+        # mu + sd phi(a) / (1 - Phi(a)) at the truncation point a = -mu/sd
+        a = -self.mu / self.sd
+        return self.mu + self.sd * _STD_NORMAL.pdf(a) / _STD_NORMAL.cdf(-a)
 
     def confidence(self, eps):
         _check_eps(eps)
         if eps == 0.0:
             raise ValueError("no finite interval covers a Gaussian at eps=0")
-        from scipy import optimize
-        law = self._law()
 
         def ratio(a):
-            lo = law.ppf(a)
-            hi = law.ppf(a + 1.0 - eps)
+            lo = self._quantile(a)
+            hi = self._quantile(a + 1.0 - eps)
             if not math.isfinite(hi):  # upper quantile hit the open tail
                 return math.inf
             return (hi - lo) / ((hi + lo) / 2)
 
-        res = optimize.minimize_scalar(
-            ratio, bounds=(0.0, eps), method="bounded",
-            options={"xatol": 1e-12},
-        )
-        a = float(res.x)
-        for edge in (0.0, eps):  # bounded search can miss the boundary
+        a = _golden_section_min(ratio, 0.0, eps, xatol=1e-12)
+        for edge in (0.0, eps):  # the search never evaluates the ends
             if ratio(edge) < ratio(a):
                 a = edge
-        lo = float(law.ppf(a))
-        hi = float(law.ppf(a + 1.0 - eps))
+        lo = self._quantile(a)
+        hi = self._quantile(a + 1.0 - eps)
         return ConfidenceInterval((lo + hi) / 2, hi - lo, eps)
+
+
+def _golden_section_min(f, lo: float, hi: float, xatol: float) -> float:
+    """Minimiser of a unimodal ``f`` on [lo, hi], to within ``xatol``."""
+    shrink = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
+    fc, fd = f(c), f(d)
+    while hi - lo > xatol:
+        if fc <= fd:
+            hi, d, fd = d, c, fc
+            c = hi - shrink * (hi - lo)
+            fc = f(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + shrink * (hi - lo)
+            fd = f(d)
+    return (lo + hi) / 2
 
 
 @dataclass(frozen=True)
@@ -177,6 +205,8 @@ class DeltaMixture(WaitingTimeDistribution):
         atoms = tuple((float(t), float(p)) for t, p in self.atoms)
         if not atoms:
             raise ValueError("mixture needs at least one atom")
+        if not all(math.isfinite(t) and math.isfinite(p) for t, p in atoms):
+            raise ValueError("atom times and probabilities must be finite")
         if any(t <= 0 for t, _ in atoms):
             raise ValueError("atom times must be positive")
         if any(p < 0 for _, p in atoms):

@@ -1,7 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import ticklab
 
 from ticklab.cli import (ConfigError, build_parser, fit_slope, main,
                          parse_dist)
@@ -262,6 +268,37 @@ class TestCommands:
         code, text = _run(capsys, "estimator-check")
         assert code == 0
 
+    @pytest.mark.parametrize("body, key", [
+        ("instances = 0\n", "instances"),
+        ("instances = -2\n", "instances"),
+        ("max_samples = 4\n", "max_samples"),
+        ("max_samples = 0\n", "max_samples"),
+    ])
+    def test_estimator_check_rejects_bad_counts(self, capsys, tmp_path,
+                                                body, key):
+        cfg = _ini(tmp_path, "estimator-check", body)
+        code = main(["estimator-check", "--config", cfg])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"{key} must be at least" in captured.err
+
+    @pytest.mark.parametrize("spec", [
+        "gaussian:mu=nan,sd=0.1",
+        "gaussian:mu=1,sd=inf",
+        "box:center=nan,width=0.1",
+        "box:center=inf,width=0.1",
+        "delta:time=inf",
+        "mixture:times=0.9|nan,probs=0.5|0.5",
+    ])
+    def test_run_rejects_non_finite_input(self, capsys, tmp_path, spec):
+        cfg = _ini(tmp_path, "run", f"input = {spec}\ntrials = 10\n")
+        code = main(["run", "--config", cfg])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "must be finite" in captured.err
+
     def test_json_format(self, capsys):
         code, text = _run(capsys, "bounds", "--format", "json")
         payload = json.loads(text)
@@ -277,3 +314,25 @@ class TestCommands:
 def test_parser_rejects_missing_subcommand():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])
+
+
+RUN_T20 = Path(__file__).resolve().parents[1] / "perfbench" / "run_t20.ini"
+
+
+def test_gaussian_run_loads_no_scipy():
+    # scipy is a test-only dependency: the runtime must not import it
+    script = (
+        "import os, sys\n"
+        "import ticklab.cli\n"
+        f"code = ticklab.cli.main(['run', '--config', {str(RUN_T20)!r}, "
+        "'--trials', '50', '--out', os.devnull])\n"
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] "
+        "== 'scipy'))\n")
+    src = str(Path(ticklab.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH"))
+                           if p)
+    done = subprocess.run([sys.executable, "-c", script],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120,
+                          check=True)
+    assert done.stdout.split() == ["0", "[]"]

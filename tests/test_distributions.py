@@ -1,6 +1,9 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import optimize, stats
 
 from ticklab import Box, Delta, DeltaMixture, Gaussian
 
@@ -78,6 +81,76 @@ class TestGaussian:
     def test_no_interval_at_zero_eps(self):
         with pytest.raises(ValueError):
             Gaussian(mu=1.0, sd=0.1).confidence(0.0)
+
+    @pytest.mark.parametrize("mu, sd, eps", itertools.product(
+        (0.5, 1.0, 2.0), (0.01, 0.1, 0.3, 1.0), (0.001, 0.01, 0.05, 0.2)))
+    def test_confidence_matches_scipy_oracle(self, mu, sd, eps):
+        # the ratio is flat at its minimum, so any optimiser pins the
+        # argmin, and with it the endpoints, only to about 1e-8
+        c = Gaussian(mu, sd).confidence(eps)
+        mu_ref, sigma_ref = scipy_confidence(mu, sd, eps)
+        assert c.sigma / c.mu == pytest.approx(sigma_ref / mu_ref, rel=1e-12)
+        assert c.mu == pytest.approx(mu_ref, rel=1e-6)
+        assert c.sigma == pytest.approx(sigma_ref, rel=1e-6)
+
+    @pytest.mark.parametrize("mu, sd", itertools.product(
+        (0.5, 1.0, 2.0), (0.01, 0.1, 0.3, 1.0, 5.0)))
+    def test_mean_matches_scipy(self, mu, sd):
+        law = stats.truncnorm(-mu / sd, np.inf, loc=mu, scale=sd)
+        assert Gaussian(mu, sd).mean == pytest.approx(law.mean(), rel=1e-12)
+
+    @pytest.mark.parametrize("mu, sd, eps", [
+        (100.0, 1.0, 0.01),   # mass below zero underflows to 0
+        (0.5, 1.0, 0.01),     # heavy truncation
+        (1.0, 0.1, 0.9),      # a window of mass 0.1
+    ])
+    def test_confidence_edge_cases(self, mu, sd, eps):
+        c = Gaussian(mu, sd).confidence(eps)
+        assert 0.0 <= c.left < c.right < math.inf
+        law = stats.truncnorm(-mu / sd, np.inf, loc=mu, scale=sd)
+        grid = np.linspace(0.0, eps, 5001)[:-1]
+        lo = law.ppf(grid)
+        hi = law.ppf(grid + 1 - eps)
+        ratios = (hi - lo) / ((hi + lo) / 2)
+        assert c.sigma / c.mu <= ratios.min() * (1 + 1e-12)
+
+
+def scipy_confidence(mu, sd, eps):
+    """Minimal-ratio interval of the truncated normal by scipy's
+    ``truncnorm`` quantiles and bounded Brent search: the oracle."""
+    law = stats.truncnorm(-mu / sd, np.inf, loc=mu, scale=sd)
+
+    def ratio(a):
+        lo = law.ppf(a)
+        hi = law.ppf(a + 1.0 - eps)
+        if not math.isfinite(hi):
+            return math.inf
+        return (hi - lo) / ((hi + lo) / 2)
+
+    res = optimize.minimize_scalar(ratio, bounds=(0.0, eps),
+                                   method="bounded",
+                                   options={"xatol": 1e-12})
+    a = float(res.x)
+    for edge in (0.0, eps):
+        if ratio(edge) < ratio(a):
+            a = edge
+    lo, hi = float(law.ppf(a)), float(law.ppf(a + 1.0 - eps))
+    return (lo + hi) / 2, hi - lo
+
+
+@pytest.mark.parametrize("make", [
+    lambda x: Delta(x),
+    lambda x: Box(center=x, width=0.1),
+    lambda x: Box(center=1.0, width=x),
+    lambda x: Gaussian(mu=x, sd=0.1),
+    lambda x: Gaussian(mu=1.0, sd=x),
+    lambda x: DeltaMixture(((x, 0.5), (1.0, 0.5))),
+    lambda x: DeltaMixture(((0.9, x), (1.0, 0.5))),
+])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_rejects_non_finite_parameters(make, value):
+    with pytest.raises(ValueError, match="must be finite"):
+        make(value)
 
 
 class TestDeltaMixture:
