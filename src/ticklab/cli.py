@@ -40,7 +40,6 @@ COLUMNS = ["experiment", "protocol", "d", "eta", "eps", "eps0", "eps_ec",
 
 _PROTOCOLS = {"1": Protocol.DYN_SWITCH, "2": Protocol.DYN_SWITCH_FEEDBACK,
               "3": Protocol.INPUT_BUNCH, "4": Protocol.EC_BUNCH}
-_PROTOCOL_NAMES = {v: k for k, v in _PROTOCOLS.items()}
 
 
 class ConfigError(ValueError):
@@ -197,14 +196,15 @@ def _protocol_rows(experiment: str, cfg: dict, name: str, d: int,
     eps, eps0 = float(cfg["eps"]), float(cfg["eps0"])
     eps_ec, eta = float(cfg["eps_ec"]), float(cfg["eta"])
     trials, seed = int(cfg["trials"]), int(cfg["seed"])
+    # built for every protocol, so a bad eps_ec is rejected even where
+    # input bunching leaves it unused
+    ec = QuasiIdealSpec(d=d, eta=eta, eps_tail=eps_ec)
     if protocol is Protocol.INPUT_BUNCH:
         pc = ProtocolConfig(protocol=protocol, input_dist=dist, eps=eps,
                             n_ticks=n_ticks, bunch=bunch)
     else:
         pc = ProtocolConfig(protocol=protocol, input_dist=dist, eps=eps,
-                            n_ticks=n_ticks,
-                            ec=QuasiIdealSpec(d=d, eta=eta, eps_tail=eps_ec),
-                            period_tick=period_tick)
+                            n_ticks=n_ticks, ec=ec, period_tick=period_tick)
     matrix = monte_carlo(pc, trials, seed)
     prep = matrix.prep
     rows = []

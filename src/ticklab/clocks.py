@@ -1,8 +1,8 @@
 """Clock models.
 
-Three kinds of clocks appear in the protocols:
+Two clock models live here (the i.i.d. input clock is just its
+waiting-time law, see ``ticklab.distributions``):
 
-* the i.i.d. input clock, a renewal process over a waiting-time law;
 * the switchable enhancing clock (EC), which evolves losslessly and
   periodically while its detector is off and emits a tick whose phase on
   the dial concentrates in a narrow window once the detector is on,
@@ -22,18 +22,12 @@ from enum import Enum
 
 import numpy as np
 
-from .distributions import WaitingTimeDistribution
-from .trace import TickTrace
 
-
-def wrap_phase(x, tau: float):
-    """Map x into the phase domain (-tau/2, tau/2]; elementwise on arrays."""
+def wrap_phase(x, tau: float) -> np.ndarray:
+    """Map x into the phase domain (-tau/2, tau/2], elementwise; a scalar
+    x gives a 0-d array."""
     s = (x + tau / 2) % tau - tau / 2
-    if isinstance(s, np.ndarray):
-        return np.where(s <= -tau / 2, tau / 2, s)
-    if s <= -tau / 2:
-        s = tau / 2
-    return s
+    return np.where(s <= -tau / 2, tau / 2, s)
 
 
 def sample_tick_phase(tau, sigma, eps_tail, rng, size=None):
@@ -84,7 +78,6 @@ class EnhancingClock:
     ``sigma``, tail level ``eps_tail`` and dial phase ``phase``.
 
     Phase 0 is the reset state; the detector sits at phase tau/2.
-    ``dimension`` is metadata only.
     """
 
     tau: float
@@ -92,7 +85,6 @@ class EnhancingClock:
     eps_tail: float
     phase: float = 0.0
     mode: Mode = Mode.NO_TICK
-    dimension: int | None = None
 
     def __post_init__(self):
         if self.tau <= 0:
@@ -110,7 +102,8 @@ class EnhancingClock:
             raise ValueError("advance only applies with the detector off")
         if dt < 0:
             raise ValueError("cannot advance backwards")
-        return replace(self, phase=wrap_phase(self.phase + dt, self.tau))
+        return replace(self,
+                       phase=float(wrap_phase(self.phase + dt, self.tau)))
 
     def switched(self, mode: Mode) -> "EnhancingClock":
         return replace(self, mode=mode)
@@ -127,22 +120,6 @@ class EnhancingClock:
         return duration, replace(self, phase=0.0, mode=Mode.NO_TICK)
 
 
-def free_run(mu, sigma, eps_tail, count, rng) -> TickTrace:
-    """Tick trace of an EC left permanently in tick mode.
-
-    Each tick resets the clock, so inter-tick times are i.i.d. with the
-    phase law taken at the reset state; the mean inter-tick time is mu,
-    half the underlying period.
-    """
-    if count < 1:
-        raise ValueError("need at least one tick")
-    tau = 2.0 * mu
-    if not 0.0 <= sigma < tau:
-        raise ValueError("window width must lie in [0, 2 mu)")
-    gaps = fire_delay(np.zeros(count), tau, sigma, eps_tail, rng)
-    return TickTrace(np.cumsum(gaps))
-
-
 @dataclass(frozen=True)
 class QuasiIdealParams:
     """Phenomenological window parameters of a d-dimensional Quasi-Ideal
@@ -156,10 +133,6 @@ class QuasiIdealParams:
     gamma: float
     x_vr: float
     sigma: float
-
-    def clock(self, phase=0.0, mode=Mode.NO_TICK) -> EnhancingClock:
-        return EnhancingClock(self.tau, self.sigma, self.eps_tail,
-                              phase=phase, mode=mode, dimension=self.d)
 
 
 def _quasi_ideal_window(d: int, eta: float) -> tuple[float, float, float]:
@@ -190,62 +163,6 @@ def quasi_ideal_params(d: int, eta: float, tau: float = 1.0,
             f"for eta={eta}")
     return QuasiIdealParams(d=d, eta=eta, tau=tau, eps_tail=eps_tail,
                             gamma=gamma, x_vr=x_vr, sigma=sigma)
-
-
-@dataclass(frozen=True)
-class InputClock:
-    """Specification of an i.i.d. input clock."""
-
-    dist: WaitingTimeDistribution
-
-    def process(self, rng, start: float = 0.0) -> "RenewalProcess":
-        return RenewalProcess(self, rng, start=start)
-
-
-class RenewalProcess:
-    """Stateful tick generator for an input clock.
-
-    Waiting times are drawn in blocks for speed; the draw sequence per rng
-    is fixed, so runs are reproducible.
-    """
-
-    _BLOCK = 64
-
-    def __init__(self, clock: InputClock, rng, start: float = 0.0):
-        self.clock = clock
-        self._rng = rng
-        self.t = start
-        self.n_ticks = 0
-        self.n_skipped = 0
-        self._buf = np.empty(0)
-        self._i = 0
-
-    def _draw(self) -> float:
-        if self._i >= self._buf.size:
-            self._buf = np.atleast_1d(
-                self.clock.dist.sample(self._rng, self._BLOCK))
-            self._i = 0
-        v = self._buf[self._i]
-        self._i += 1
-        return float(v)
-
-    def next_tick(self) -> float:
-        self.t += self._draw()
-        self.n_ticks += 1
-        return self.t
-
-    def next_after(self, t: float) -> float:
-        """First tick strictly after t; earlier ticks are consumed and
-        counted as skipped."""
-        tick = self.next_tick()
-        while tick <= t:
-            self.n_skipped += 1
-            tick = self.next_tick()
-        return tick
-
-    def reset(self, t: float):
-        """Restart the renewal process at time t."""
-        self.t = t
 
 
 @dataclass(frozen=True)

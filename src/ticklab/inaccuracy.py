@@ -46,10 +46,6 @@ class ConfidenceInterval:
     def right(self) -> float:
         return self.mu + self.sigma / 2
 
-    def contains(self, t) -> np.ndarray:
-        t = np.asarray(t)
-        return (t >= self.left) & (t <= self.right)
-
 
 @dataclass(frozen=True)
 class InaccuracyEstimate:

@@ -17,8 +17,7 @@ import numpy as np
 from .clocks import (delay_to_phase, quasi_ideal_ratio, sample_tick_phase,
                      wrap_phase)
 from .distributions import Box, WaitingTimeDistribution
-from .protocols import ExplicitEC
-from .trace import TickTrace, check_rows
+from .protocols import ExplicitEC, check_rows
 
 _PHASE_MARGIN = 0.75  # fraction of the safe phase band a node may use
 _BLOCK = 128          # trials per block; peak memory grows with it
@@ -80,7 +79,7 @@ def _check_node(scenario: NetworkScenario, node: NodeConfig, i: int):
         jitter_half = (hi - lo) / 2
     band = (ec.tau - ec.sigma) / 2
     # expected arrival phase relative to the pre-synchronized EC grid
-    s0 = wrap_phase(central.mu + node.delay, ec.tau)
+    s0 = float(wrap_phase(central.mu + node.delay, ec.tau))
     slack = central.sigma / 2 + jitter_half
     if abs(s0) + slack > _PHASE_MARGIN * band:
         raise ValueError(
@@ -166,17 +165,18 @@ def _blocks(scenario: NetworkScenario, trials: int, seed: int):
 
 @dataclass(frozen=True)
 class NetworkResult:
-    outputs: tuple      # per-node enhanced TickTrace
-    arrivals: tuple     # per-node raw arrival TickTrace
+    outputs: np.ndarray     # enhanced ticks, one row per node
+    arrivals: np.ndarray    # raw arrival ticks, one row per node
 
 
 def run_network(scenario: NetworkScenario, seed: int) -> NetworkResult:
     """Simulate one scenario trial, the single trial of
     ``network_spreads(scenario, 1, seed, k)``.  Nodes only see their own
-    arrival trace, never each other's state."""
+    arrivals, never each other's state.  The result holds arrays of shape
+    (nodes, n_outputs) and (nodes, n), n > n_outputs."""
     out, arr = next(_blocks(scenario, 1, seed))
-    return NetworkResult(outputs=tuple(map(TickTrace, out[0])),
-                         arrivals=tuple(map(TickTrace, arr[0])))
+    check_rows(arr[0])
+    return NetworkResult(outputs=out[0], arrivals=arr[0])
 
 
 def network_spreads(scenario: NetworkScenario, trials: int, seed: int,
@@ -259,7 +259,8 @@ def plan_scenario(central: WaitingTimeDistribution, n_nodes: int,
 
 
 def cross_node_spread(traces, k: int, eps: float = 0.0):
-    """Spread of the k-th tick (0-based) across nodes.
+    """Spread of the k-th tick (0-based) across nodes; ``traces`` holds
+    one sequence of tick times per node.
 
     Returns (range, trimmed width), where the trimmed width is that of the
     narrowest interval containing at least ceil((1 - eps) n) of the n

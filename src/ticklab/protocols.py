@@ -26,7 +26,6 @@ import numpy as np
 from .clocks import fire_delay, quasi_ideal_ratio, wrap_phase
 from .distributions import WaitingTimeDistribution
 from .inaccuracy import InaccuracyEstimate, empirical_inaccuracy
-from .trace import TickTrace, check_rows
 
 _M_CAP = 10 ** 6
 _BLOCK = 4096        # trials per random stream
@@ -169,6 +168,13 @@ class Protocol(Enum):
     EC_BUNCH = "ec-bunch"
 
 
+def _check_ec_tail(eps_tail: float):
+    """Reject an EC tail level outside [0, 1), nan included."""
+    if not 0.0 <= eps_tail < 1.0:
+        raise ValueError(
+            f"EC tail level must lie in [0, 1), got {eps_tail!r}")
+
+
 @dataclass(frozen=True)
 class QuasiIdealSpec:
     """EC given by its dimension; the period is chosen by the protocol."""
@@ -177,24 +183,21 @@ class QuasiIdealSpec:
     eta: float = 0.1
     eps_tail: float = 0.001
 
+    def __post_init__(self):
+        _check_ec_tail(self.eps_tail)
+
 
 @dataclass(frozen=True)
 class ExplicitEC:
-    """EC with a caller-fixed period and window width."""
+    """EC with a caller-fixed period and window width.  Under EC bunching
+    it free-runs, so its mean tick gap is tau / 2."""
 
     tau: float
     sigma: float
     eps_tail: float
 
-
-@dataclass(frozen=True)
-class FreeRunEC:
-    """Free-running EC for the EC-bunching protocol: mean tick gap mu,
-    window width sigma, tail eps_tail."""
-
-    mu: float
-    sigma: float
-    eps_tail: float
+    def __post_init__(self):
+        _check_ec_tail(self.eps_tail)
 
 
 @dataclass(frozen=True)
@@ -203,7 +206,7 @@ class ProtocolConfig:
     input_dist: WaitingTimeDistribution
     eps: float
     n_ticks: int
-    ec: QuasiIdealSpec | ExplicitEC | FreeRunEC | None = None
+    ec: QuasiIdealSpec | ExplicitEC | None = None
     bunch: int | None = None          # counter capacity of input bunching
     period_tick: int = 1              # j targeted by the period chooser
     horizon: float | None = None
@@ -281,10 +284,8 @@ def prepare(cfg: ProtocolConfig) -> PreparedRun:
                 m, tau = choose_period_feedback(mu_in, sigma_in)
             sigma_ec = quasi_ideal_ratio(cfg.ec.d, cfg.ec.eta) * tau
             eps_ec = cfg.ec.eps_tail
-        elif isinstance(cfg.ec, ExplicitEC):
-            tau, sigma_ec, eps_ec = cfg.ec.tau, cfg.ec.sigma, cfg.ec.eps_tail
         else:
-            raise ValueError("dynamics switching needs a switchable EC")
+            tau, sigma_ec, eps_ec = cfg.ec.tau, cfg.ec.sigma, cfg.ec.eps_tail
         if sigma_ec >= tau:
             raise ValueError("EC window width reaches the chosen period")
         if cfg.protocol is Protocol.DYN_SWITCH_FEEDBACK \
@@ -301,9 +302,7 @@ def prepare(cfg: ProtocolConfig) -> PreparedRun:
         horizon = cfg.horizon or 4.0 * mu_in * cfg.bunch * (cfg.n_ticks + 1)
 
     else:  # EC_BUNCH
-        if isinstance(cfg.ec, FreeRunEC):
-            mu_ec, sigma_ec, eps_ec = cfg.ec.mu, cfg.ec.sigma, cfg.ec.eps_tail
-        elif isinstance(cfg.ec, QuasiIdealSpec):
+        if isinstance(cfg.ec, QuasiIdealSpec):
             ratio = quasi_ideal_ratio(cfg.ec.d, cfg.ec.eta)
             lo, hi = cfg.input_dist.support() or (mu_in - sigma_in / 2,
                                                   mu_in + sigma_in / 2)
@@ -311,7 +310,8 @@ def prepare(cfg: ProtocolConfig) -> PreparedRun:
             sigma_ec = 2.0 * ratio * mu_ec
             eps_ec = cfg.ec.eps_tail
         else:
-            raise ValueError("EC bunching needs a free-running EC")
+            mu_ec = cfg.ec.tau / 2
+            sigma_ec, eps_ec = cfg.ec.sigma, cfg.ec.eps_tail
         if sigma_in >= mu_ec:
             raise ValueError(
                 "input confidence width must stay below the EC tick gap")
@@ -321,6 +321,15 @@ def prepare(cfg: ProtocolConfig) -> PreparedRun:
                        m=m, sigma_ec=sigma_ec, eps_ec=eps_ec, mu_ec=mu_ec,
                        horizon=horizon, theorem_j_limit=theorem_j,
                        cond_j_limit=cond_j)
+
+
+def check_rows(times: np.ndarray):
+    """The tick-time invariant for a block of nonempty tick traces, one
+    per row: raise ``ValueError`` unless every row is nonnegative and
+    strictly increasing."""
+    if (times[:, 0] < 0).any() or (np.diff(times, axis=1) <= 0).any():
+        raise ValueError(
+            "tick times must be nonnegative and strictly increasing")
 
 
 def _next_after(t_in, t, dist, rng, n_ignored):
@@ -387,14 +396,6 @@ def _simulate(prep: PreparedRun, rng, size: int):
     return out, n_ignored
 
 
-def run_protocol(prep: PreparedRun, rng) -> TickTrace:
-    """One trial: the output ticks up to the horizon."""
-    out, n_ignored = _simulate(prep, rng, 1)
-    keep = out[0] <= prep.horizon
-    return TickTrace(out[0, keep], truncated=not keep.all(),
-                     n_ignored_inputs=int(n_ignored[0]))
-
-
 @dataclass(frozen=True)
 class TrialMatrix:
     """Per-trial output tick times, referenced to the trial origin.
@@ -410,10 +411,6 @@ class TrialMatrix:
     data: np.ndarray
     truncated: np.ndarray
     n_ignored: np.ndarray
-
-    @property
-    def n_trials(self) -> int:
-        return self.data.shape[0]
 
     @property
     def n_truncated(self) -> int:

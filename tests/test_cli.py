@@ -299,6 +299,17 @@ class TestCommands:
         assert captured.out == ""
         assert "must be finite" in captured.err
 
+    @pytest.mark.parametrize("experiment", ["run", "sweep", "network"])
+    @pytest.mark.parametrize("eps_ec", ["2", "-0.5", "nan"])
+    def test_ec_tail_level_outside_unit_interval(self, capsys, tmp_path,
+                                                 experiment, eps_ec):
+        cfg = _ini(tmp_path, experiment, f"eps_ec = {eps_ec}\ntrials = 10\n")
+        code = main([experiment, "--config", cfg])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "EC tail level must lie in [0, 1)" in captured.err
+
     def test_json_format(self, capsys):
         code, text = _run(capsys, "bounds", "--format", "json")
         payload = json.loads(text)

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ticklab import (Box, EnhancingClock, InputClock, MarkovTwoState, Mode,
-                     free_run, quasi_ideal_params, quasi_ideal_ratio,
+from ticklab import (EnhancingClock, MarkovTwoState, Mode,
+                     quasi_ideal_params, quasi_ideal_ratio,
                      sample_tick_phase, wrap_phase)
+from ticklab.clocks import fire_delay
 
 
 class TestWrapPhase:
@@ -76,19 +77,23 @@ class TestEnhancingClock:
 
 
 class TestFreeRun:
+    """A free-running EC of period 2 mu: every tick resets it, so its
+    gaps are i.i.d. fire delays from phase 0, with mean mu."""
+
     def test_deterministic_grid(self):
-        trace = free_run(0.5, 0.0, 0.0, 4, np.random.default_rng(0))
-        assert trace.times == pytest.approx([0.5, 1.0, 1.5, 2.0])
+        gaps = fire_delay(np.zeros(4), 1.0, 0.0, 0.0,
+                          np.random.default_rng(0))
+        assert np.cumsum(gaps) == pytest.approx([0.5, 1.0, 1.5, 2.0])
 
     def test_single_tick(self):
-        trace = free_run(0.5, 0.0, 0.0, 1, np.random.default_rng(0))
-        assert len(trace) == 1
+        gap = fire_delay(np.zeros(1), 1.0, 0.0, 0.0,
+                         np.random.default_rng(0))
+        assert gap.tolist() == [0.5]
 
     def test_gap_statistics(self):
         rng = np.random.default_rng(2)
         mu, sigma, eps = 0.5, 0.02, 0.001
-        trace = free_run(mu, sigma, eps, 10 ** 5, rng)
-        gaps = np.concatenate([[trace[0]], trace.gaps])
+        gaps = fire_delay(np.zeros(10 ** 5), 2 * mu, sigma, eps, rng)
         assert gaps.mean() == pytest.approx(mu, abs=3 * sigma)
         covered = np.abs(gaps - mu) < sigma / 2
         assert covered.mean() >= 1 - eps - 3 * np.sqrt(eps / gaps.size)
@@ -114,24 +119,6 @@ class TestQuasiIdeal:
         ratios = [quasi_ideal_ratio(d, 0.1) for d in ds]
         slope = np.polyfit(np.log(ds), np.log(ratios), 1)[0]
         assert slope == pytest.approx(-0.9, abs=0.02)
-
-    def test_clock_factory(self):
-        ec = quasi_ideal_params(100, 0.1, 1.0).clock()
-        assert ec.dimension == 100
-        assert ec.mode is Mode.NO_TICK
-
-
-class TestRenewalProcess:
-    def test_strictly_increasing(self):
-        proc = InputClock(Box(1.0, 0.5)).process(np.random.default_rng(0))
-        ticks = [proc.next_tick() for _ in range(200)]
-        assert np.all(np.diff(ticks) > 0)
-
-    def test_next_after_counts_skipped(self):
-        proc = InputClock(Box(1.0, 0.1)).process(np.random.default_rng(1))
-        t = proc.next_after(3.5)
-        assert t > 3.5
-        assert proc.n_skipped == 3
 
 
 class TestMarkovTwoState:

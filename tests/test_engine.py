@@ -1,7 +1,8 @@
 """The lockstep Monte-Carlo engine against a scalar oracle.
 
 The oracle runs one trial at a time on the ``EnhancingClock`` state
-machine (``tick`` / ``advance``) and a ``RenewalProcess``.
+machine (``tick`` / ``advance``) and the scalar input clock
+``RenewalProcess`` below.
 It draws its random numbers in a different order than the engine, so the
 two agree exactly only where nothing is random (Delta input, zero-width
 EC) and in distribution otherwise.
@@ -14,20 +15,65 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from ticklab import (Box, Delta, EnhancingClock, ExplicitEC, FreeRunEC,
-                     Gaussian, InputClock, Mode, Protocol, ProtocolConfig,
-                     QuasiIdealSpec, RenewalProcess, monte_carlo, prepare,
-                     run_protocol)
-from ticklab.protocols import _BLOCK
+from ticklab import (Box, Delta, EnhancingClock, ExplicitEC, Gaussian, Mode,
+                     Protocol, ProtocolConfig, QuasiIdealSpec, monte_carlo,
+                     prepare)
+from ticklab.protocols import _BLOCK, _simulate
 
 SWITCHING = (Protocol.DYN_SWITCH, Protocol.DYN_SWITCH_FEEDBACK)
+
+
+class RenewalProcess:
+    """Scalar input clock: the ticks of a renewal process over ``dist``,
+    from time 0.
+
+    Waits are drawn 64 at a time, so the draw sequence per rng is fixed.
+    ``n_skipped`` counts the ticks that ``next_after`` passed over.
+    """
+
+    def __init__(self, dist, rng):
+        self._dist = dist
+        self._rng = rng
+        self.t = 0.0
+        self.n_skipped = 0
+        self._buf = np.empty(0)
+        self._i = 0
+
+    def next_tick(self) -> float:
+        if self._i >= self._buf.size:
+            self._buf = np.atleast_1d(self._dist.sample(self._rng, 64))
+            self._i = 0
+        self.t += float(self._buf[self._i])
+        self._i += 1
+        return self.t
+
+    def next_after(self, t: float) -> float:
+        """First tick strictly after t."""
+        tick = self.next_tick()
+        while tick <= t:
+            self.n_skipped += 1
+            tick = self.next_tick()
+        return tick
+
+
+class TestRenewalProcess:
+    def test_strictly_increasing(self):
+        proc = RenewalProcess(Box(1.0, 0.5), np.random.default_rng(0))
+        ticks = [proc.next_tick() for _ in range(200)]
+        assert np.all(np.diff(ticks) > 0)
+
+    def test_next_after_counts_skipped(self):
+        proc = RenewalProcess(Box(1.0, 0.1), np.random.default_rng(1))
+        t = proc.next_after(3.5)
+        assert t > 3.5
+        assert proc.n_skipped == 3
 
 
 def oracle_trial(prep, rng):
     """One trial of ``prep``'s protocol, tick by tick.  Returns the
     absolute output ticks and the number of ignored input ticks."""
     cfg = prep.cfg
-    proc = RenewalProcess(InputClock(cfg.input_dist), rng)
+    proc = RenewalProcess(cfg.input_dist, rng)
     out = []
     if cfg.protocol is Protocol.INPUT_BUNCH:
         for _ in range(cfg.n_ticks):
@@ -56,7 +102,7 @@ def oracle_trial(prep, rng):
             if k + 1 == cfg.n_ticks:
                 break
             if cfg.protocol is Protocol.DYN_SWITCH_FEEDBACK:
-                proc.reset(t_out)
+                proc.t = t_out  # restart the input clock
                 t_in = proc.next_tick()
             else:
                 t_in = proc.next_after(t_out)
@@ -80,13 +126,13 @@ def _delta_cfg(protocol, mu, m, n_ticks):
     if protocol is Protocol.INPUT_BUNCH:
         return ProtocolConfig(protocol=protocol, input_dist=Delta(mu),
                               eps=0.0, n_ticks=n_ticks, bunch=m)
-    if protocol is Protocol.EC_BUNCH:
-        ec = FreeRunEC(mu=mu / (m + 0.5), sigma=0.0, eps_tail=0.0)
+    if protocol is Protocol.EC_BUNCH:  # free-running: mean gap tau / 2
+        tau = 2 * (mu / (m + 0.5))
     else:
         tau = mu / (m + 0.5) if protocol is Protocol.DYN_SWITCH else mu / m
-        ec = ExplicitEC(tau=tau, sigma=0.0, eps_tail=0.0)
     return ProtocolConfig(protocol=protocol, input_dist=Delta(mu), eps=0.0,
-                          n_ticks=n_ticks, ec=ec)
+                          n_ticks=n_ticks,
+                          ec=ExplicitEC(tau=tau, sigma=0.0, eps_tail=0.0))
 
 
 class TestExactAgreement:
@@ -98,11 +144,11 @@ class TestExactAgreement:
     def test_delta_input_zero_width_ec(self, protocol, mu, m, n_ticks):
         cfg = _delta_cfg(protocol, mu, m, n_ticks)
         prep = prepare(cfg)
-        trace = run_protocol(prep, np.random.default_rng(0))
-        times, n_ignored = oracle_trial(prep, np.random.default_rng(1))
-        assert not trace.truncated
-        assert trace.times == pytest.approx(times, rel=1e-12)
-        assert trace.n_ignored_inputs == n_ignored
+        out, n_ignored = _simulate(prep, np.random.default_rng(0), 1)
+        times, oracle_ignored = oracle_trial(prep, np.random.default_rng(1))
+        assert (out[0] <= prep.horizon).all()
+        assert out[0] == pytest.approx(times, rel=1e-12)
+        assert n_ignored[0] == oracle_ignored
         matrix = monte_carlo(cfg, 3, 0)
         expected = oracle_matrix(cfg, 1, 0)[0]
         for row in matrix.data:
@@ -113,12 +159,12 @@ class TestExactAgreement:
         # is not strictly after the previous output, so it is skipped
         cfg = ProtocolConfig(protocol=Protocol.EC_BUNCH,
                              input_dist=Delta(1.0), eps=0.0, n_ticks=5,
-                             ec=FreeRunEC(mu=1.5, sigma=0.0, eps_tail=0.0))
-        trace = run_protocol(prepare(cfg), np.random.default_rng(0))
-        assert trace.times == pytest.approx([1.5, 3.0, 4.5, 6.0, 7.5])
-        assert trace.n_ignored_inputs == 2
+                             ec=ExplicitEC(tau=3.0, sigma=0.0, eps_tail=0.0))
+        out, n_ignored = _simulate(prepare(cfg), np.random.default_rng(0), 1)
+        assert out[0] == pytest.approx([1.5, 3.0, 4.5, 6.0, 7.5])
+        assert n_ignored[0] == 2
         assert oracle_trial(prepare(cfg), np.random.default_rng(0)) == (
-            pytest.approx(trace.times), 2)
+            pytest.approx(out[0]), 2)
 
 
 # Box and Gaussian inputs, two-sample KS per output column.  The family is

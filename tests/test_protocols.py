@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from ticklab import (Box, Delta, ExplicitEC, FreeRunEC, Protocol,
-                     ProtocolConfig, QuasiIdealSpec,
-                     choose_period_feedback, choose_period_no_feedback,
-                     corollary_bounds, ec_bar_sigma, monte_carlo,
-                     output_epsilon_budget, prepare, run_protocol,
-                     theorem1_bound, theorem2_bound, theorem_bound)
+from ticklab import (Box, Delta, ExplicitEC, Protocol, ProtocolConfig,
+                     QuasiIdealSpec, choose_period_feedback,
+                     choose_period_no_feedback, corollary_bounds,
+                     ec_bar_sigma, monte_carlo, output_epsilon_budget,
+                     prepare, theorem1_bound, theorem2_bound, theorem_bound)
+from ticklab.protocols import _simulate
 
 BOX_THIRD = Box(center=1.0, width=0.3333333333)
 
@@ -169,45 +169,52 @@ def _delta_prep(protocol, mu_in=1.0, tau=0.2, n_ticks=5, **kw):
     return prepare(cfg)
 
 
+def _one_trial(prep):
+    """The absolute output ticks of one trial of ``prep``."""
+    return _simulate(prep, np.random.default_rng(0), 1)[0][0]
+
+
 class TestDeterministicTraces:
     def test_dyn_switch_delta_pipeline(self):
         # mu_in = (m + 1/2) tau with m=4, tau=2/9
         tau = 2.0 / 9.0
         prep = _delta_prep(Protocol.DYN_SWITCH, tau=tau)
-        trace = run_protocol(prep, np.random.default_rng(0))
+        times = _one_trial(prep)
         expected = [1.0 + tau / 2 + k for k in range(5)]
-        assert trace.times == pytest.approx(expected)
-        assert np.all(np.diff(trace.times) > 0)
+        assert times == pytest.approx(expected)
+        assert np.all(np.diff(times) > 0)
 
     def test_dyn_switch_feedback_delta_pipeline(self):
         # mu_in = m tau with m=5; spacing mu_in + tau/2 after the first tick
         tau = 0.2
         prep = _delta_prep(Protocol.DYN_SWITCH_FEEDBACK, tau=tau)
-        trace = run_protocol(prep, np.random.default_rng(0))
-        gaps = np.diff(trace.times)
-        assert trace[0] == pytest.approx(1.0 + tau / 2)
+        times = _one_trial(prep)
+        gaps = np.diff(times)
+        assert times[0] == pytest.approx(1.0 + tau / 2)
         assert gaps == pytest.approx([1.0 + tau / 2] * 4)
 
     def test_input_bunch_counts(self):
         cfg = ProtocolConfig(protocol=Protocol.INPUT_BUNCH,
                              input_dist=Delta(1.0), eps=0.0, n_ticks=3,
                              bunch=3)
-        trace = run_protocol(prepare(cfg), np.random.default_rng(0))
-        assert trace.times == pytest.approx([3.0, 6.0, 9.0])
+        assert _one_trial(prepare(cfg)) == pytest.approx([3.0, 6.0, 9.0])
 
     def test_ec_bunch_ceiling(self):
         cfg = ProtocolConfig(protocol=Protocol.EC_BUNCH,
                              input_dist=Delta(1.0), eps=0.0, n_ticks=2,
-                             ec=FreeRunEC(mu=0.3, sigma=0.0, eps_tail=0.0))
-        trace = run_protocol(prepare(cfg), np.random.default_rng(0))
-        # first EC tick at or after 1.0 is ceil(1.0 / 0.3) * 0.3
-        assert trace[0] == pytest.approx(4 * 0.3)
-        assert trace[1] == pytest.approx(7 * 0.3)
+                             ec=ExplicitEC(tau=2 * 0.3, sigma=0.0,
+                                           eps_tail=0.0))
+        times = _one_trial(prepare(cfg))
+        # the free-running EC ticks every tau / 2; the first EC tick at or
+        # after 1.0 is ceil(1.0 / 0.3) * 0.3
+        assert times[0] == pytest.approx(4 * 0.3)
+        assert times[1] == pytest.approx(7 * 0.3)
 
     def test_minimal_single_output(self):
         prep = _delta_prep(Protocol.DYN_SWITCH, tau=2.0 / 9.0, n_ticks=1)
-        trace = run_protocol(prep, np.random.default_rng(0))
-        assert len(trace) == 1
+        times = _one_trial(prep)
+        assert times.shape == (1,)
+        assert times[0] <= prep.horizon
 
 
 class TestPrepare:
@@ -222,7 +229,7 @@ class TestPrepare:
         cfg = ProtocolConfig(
             protocol=Protocol.EC_BUNCH, input_dist=Box(1.0, 0.9),
             eps=0.01, n_ticks=1,
-            ec=FreeRunEC(mu=0.4, sigma=0.001, eps_tail=0.0))
+            ec=ExplicitEC(tau=2 * 0.4, sigma=0.001, eps_tail=0.0))
         with pytest.raises(ValueError):
             prepare(cfg)
 
