@@ -1,7 +1,7 @@
 """Monte-Carlo simulator and statistics toolkit for tick-signal accuracy
 enhancing protocols."""
 
-from .clocks import (EnhancingClock, MarkovTwoState, Mode, QuasiIdealParams,
+from .clocks import (EnhancingClock, ExplicitEC, MarkovTwoState, Mode,
                      quasi_ideal_params, quasi_ideal_ratio, sample_tick_phase,
                      wrap_phase)
 from .distributions import (Box, Delta, DeltaMixture, Gaussian,
@@ -13,7 +13,7 @@ from .inaccuracy import (ConfidenceInterval, InaccuracyEstimate,
                          r_accuracy)
 from .network import (NetworkScenario, NodeConfig, cross_node_spread,
                       network_spreads, plan_scenario, run_network)
-from .protocols import (ExplicitEC, PreparedRun, Protocol, ProtocolConfig,
+from .protocols import (PreparedRun, Protocol, ProtocolConfig,
                         QuasiIdealSpec, TrialMatrix, choose_period_feedback,
                         choose_period_no_feedback, corollary_bounds,
                         ec_bar_sigma, monte_carlo, output_epsilon_budget,
@@ -24,7 +24,7 @@ __all__ = [
     "Box", "ConfidenceInterval", "Delta", "DeltaMixture", "EnhancingClock",
     "ExplicitEC", "Gaussian", "InaccuracyEstimate", "MarkovTwoState",
     "Mode", "NetworkScenario", "NodeConfig", "PreparedRun", "Protocol",
-    "ProtocolConfig", "QuasiIdealParams", "QuasiIdealSpec", "TrialMatrix",
+    "ProtocolConfig", "QuasiIdealSpec", "TrialMatrix",
     "WaitingTimeDistribution", "ZeroVarianceError",
     "bruteforce_inaccuracy", "chebyshev_bound", "choose_period_feedback",
     "choose_period_no_feedback", "corollary_bounds", "cross_node_spread",

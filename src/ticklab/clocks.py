@@ -30,35 +30,64 @@ def wrap_phase(x, tau: float) -> np.ndarray:
     return np.where(s <= -tau / 2, tau / 2, s)
 
 
-def sample_tick_phase(tau, sigma, eps_tail, rng, size=None):
-    """Draw the dial phase at which the detector fires.
+def _check_ec_tail(eps_tail: float):
+    """Reject an EC tail level outside [0, 1), nan included."""
+    if not 0.0 <= eps_tail < 1.0:
+        raise ValueError(
+            f"EC tail level must lie in [0, 1), got {eps_tail!r}")
+
+
+@dataclass(frozen=True)
+class ExplicitEC:
+    """EC with period ``tau``, detector-window width ``sigma`` and tail
+    level ``eps_tail``.  Under EC bunching it free-runs, so its mean tick
+    gap is tau / 2."""
+
+    tau: float
+    sigma: float
+    eps_tail: float
+
+    def __post_init__(self):
+        if not 0.0 < self.tau < math.inf:
+            raise ValueError(
+                f"EC period must lie in (0, inf), got {self.tau!r}")
+        if not 0.0 <= self.sigma < self.tau:
+            raise ValueError(
+                f"EC window width {self.sigma!r} must lie in [0, tau) "
+                f"for tau = {self.tau!r}")
+        _check_ec_tail(self.eps_tail)
+
+
+def sample_tick_phase(ec: ExplicitEC, rng, size=None):
+    """Draw the dial phase at which the detector of ``ec`` fires.
 
     With probability 1 - eps_tail the phase is uniform on the detector
     window ((tau - sigma)/2, (tau + sigma)/2); otherwise it is uniform over
     the whole period.  The law does not depend on the switch-on phase.
     """
-    lo = (tau - sigma) / 2
-    hi = (tau + sigma) / 2
+    tau = ec.tau
+    lo = (tau - ec.sigma) / 2
+    hi = (tau + ec.sigma) / 2
     if size is None:
-        if rng.random() < 1.0 - eps_tail:
+        if rng.random() < 1.0 - ec.eps_tail:
             return rng.uniform(lo, hi)
         return rng.uniform(-tau / 2, tau / 2)
     u = rng.random(size)
     win = rng.uniform(lo, hi, size)
     tail = rng.uniform(-tau / 2, tau / 2, size)
-    return np.where(u < 1.0 - eps_tail, win, tail)
+    return np.where(u < 1.0 - ec.eps_tail, win, tail)
 
 
-def fire_delay(s: np.ndarray, tau, sigma, eps_tail, rng) -> np.ndarray:
-    """Times until the detector fires for ECs switched on at the dial
-    phases ``s``, one independent draw per phase.
+def fire_delay(s: np.ndarray, ec: ExplicitEC, rng) -> np.ndarray:
+    """Times until the detector of ``ec`` fires when switched on at the
+    dial phases ``s``, one independent draw per phase.
 
     The hand must reach the drawn tick phase forwards, so a phase at or
     behind ``s`` costs one more period.  From the reset state (s = 0)
     this is the tick gap of a free-running EC.
     """
-    phi = sample_tick_phase(tau, sigma, eps_tail, rng, np.shape(s))
-    return delay_to_phase(s, phi, tau)
+    phi = sample_tick_phase(ec, rng, np.shape(s))
+    return delay_to_phase(s, phi, ec.tau)
 
 
 def delay_to_phase(s: np.ndarray, phi: np.ndarray, tau) -> np.ndarray:
@@ -73,26 +102,18 @@ class Mode(Enum):
 
 
 @dataclass(frozen=True)
-class EnhancingClock:
-    """Switchable clock with period ``tau``, detector-window width
-    ``sigma``, tail level ``eps_tail`` and dial phase ``phase``.
+class EnhancingClock(ExplicitEC):
+    """Switchable EC at dial phase ``phase`` with its detector in
+    ``mode``.
 
     Phase 0 is the reset state; the detector sits at phase tau/2.
     """
 
-    tau: float
-    sigma: float
-    eps_tail: float
     phase: float = 0.0
     mode: Mode = Mode.NO_TICK
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError("period must be positive")
-        if not 0.0 <= self.sigma < self.tau:
-            raise ValueError("window width must lie in [0, tau)")
-        if not 0.0 <= self.eps_tail < 1.0:
-            raise ValueError("tail level must lie in [0, 1)")
+        super().__post_init__()
         if not -self.tau / 2 < self.phase <= self.tau / 2:
             raise ValueError("phase must lie in (-tau/2, tau/2]")
 
@@ -113,56 +134,28 @@ class EnhancingClock:
         switch-on phase.  Returns the duration and the reset clock."""
         if self.mode is not Mode.TICK:
             raise ValueError("tick requires the detector to be on")
-        phi = sample_tick_phase(self.tau, self.sigma, self.eps_tail, rng)
+        phi = sample_tick_phase(self, rng)
         duration = phi - self.phase
         if phi <= self.phase:  # the hand must reach the detector forwards
             duration += self.tau
-        return duration, replace(self, phase=0.0, mode=Mode.NO_TICK)
+        return duration, EnhancingClock(self.tau, self.sigma, self.eps_tail)
 
 
-@dataclass(frozen=True)
-class QuasiIdealParams:
-    """Phenomenological window parameters of a d-dimensional Quasi-Ideal
-    Clock: gamma = d^(eta-1), x_vr = d^(3 eta/4 - 1) / pi and
-    sigma = (gamma + x_vr / pi) * tau."""
-
-    d: int
-    eta: float
-    tau: float
-    eps_tail: float
-    gamma: float
-    x_vr: float
-    sigma: float
-
-
-def _quasi_ideal_window(d: int, eta: float) -> tuple[float, float, float]:
-    """gamma, x_vr and sigma / tau of the d-dimensional Quasi-Ideal Clock."""
+def quasi_ideal_ratio(d: int, eta: float) -> float:
+    """sigma / tau = d^(eta-1) + d^(3 eta/4 - 1) / pi^2 of the
+    d-dimensional Quasi-Ideal Clock."""
     if d < 2:
         raise ValueError("dimension must be at least 2")
     if not 0.0 < eta < 1.0:
         raise ValueError("eta must lie in (0, 1)")
-    gamma = d ** (eta - 1.0)
-    x_vr = d ** (0.75 * eta - 1.0) / math.pi
-    return gamma, x_vr, gamma + x_vr / math.pi
-
-
-def quasi_ideal_ratio(d: int, eta: float) -> float:
-    """sigma / tau of the d-dimensional Quasi-Ideal Clock."""
-    return _quasi_ideal_window(d, eta)[2]
+    return d ** (eta - 1.0) + d ** (0.75 * eta - 1.0) / math.pi / math.pi
 
 
 def quasi_ideal_params(d: int, eta: float, tau: float = 1.0,
-                       eps_tail: float = 0.001) -> QuasiIdealParams:
-    if tau <= 0:
-        raise ValueError("period must be positive")
-    gamma, x_vr, ratio = _quasi_ideal_window(d, eta)
-    sigma = ratio * tau
-    if sigma >= tau:
-        raise ValueError(
-            f"window width {sigma:g} reaches the period; d={d} too small "
-            f"for eta={eta}")
-    return QuasiIdealParams(d=d, eta=eta, tau=tau, eps_tail=eps_tail,
-                            gamma=gamma, x_vr=x_vr, sigma=sigma)
+                       eps_tail: float = 0.001) -> ExplicitEC:
+    """The EC of period ``tau`` whose window is that of the
+    d-dimensional Quasi-Ideal Clock."""
+    return ExplicitEC(tau, quasi_ideal_ratio(d, eta) * tau, eps_tail)
 
 
 @dataclass(frozen=True)

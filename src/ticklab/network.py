@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clocks import (delay_to_phase, quasi_ideal_ratio, sample_tick_phase,
-                     wrap_phase)
+from .clocks import (ExplicitEC, delay_to_phase, quasi_ideal_ratio,
+                     sample_tick_phase, wrap_phase)
 from .distributions import Box, WaitingTimeDistribution
-from .protocols import ExplicitEC, check_rows
+from .protocols import check_rows
 
 _PHASE_MARGIN = 0.75  # fraction of the safe phase band a node may use
 _BLOCK = 128          # trials per block; peak memory grows with it
@@ -122,8 +122,7 @@ def _simulate(scenario: NetworkScenario, seq: np.random.SeedSequence,
                     seq.spawn(1 + len(scenario.nodes))]
     n_out = scenario.n_outputs
     tau = scenario.nodes[0].ec.tau  # common to all nodes
-    phi = np.stack([sample_tick_phase(tau, node.ec.sigma, node.ec.eps_tail,
-                                      rng, (size, n_out))
+    phi = np.stack([sample_tick_phase(node.ec, rng, (size, n_out))
                     for node, rng in zip(scenario.nodes, rngs)], axis=1)
     width = n_out + 2  # each output uses up at least one arrival
     broadcast = np.cumsum(scenario.central.sample(rng_c, (size, width)),

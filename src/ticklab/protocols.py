@@ -23,7 +23,8 @@ from enum import Enum
 
 import numpy as np
 
-from .clocks import fire_delay, quasi_ideal_ratio, wrap_phase
+from .clocks import (ExplicitEC, _check_ec_tail, fire_delay,
+                     quasi_ideal_params, quasi_ideal_ratio, wrap_phase)
 from .distributions import WaitingTimeDistribution
 from .inaccuracy import InaccuracyEstimate, empirical_inaccuracy
 
@@ -168,11 +169,7 @@ class Protocol(Enum):
     EC_BUNCH = "ec-bunch"
 
 
-def _check_ec_tail(eps_tail: float):
-    """Reject an EC tail level outside [0, 1), nan included."""
-    if not 0.0 <= eps_tail < 1.0:
-        raise ValueError(
-            f"EC tail level must lie in [0, 1), got {eps_tail!r}")
+_SWITCHING = (Protocol.DYN_SWITCH, Protocol.DYN_SWITCH_FEEDBACK)
 
 
 @dataclass(frozen=True)
@@ -182,19 +179,6 @@ class QuasiIdealSpec:
     d: int
     eta: float = 0.1
     eps_tail: float = 0.001
-
-    def __post_init__(self):
-        _check_ec_tail(self.eps_tail)
-
-
-@dataclass(frozen=True)
-class ExplicitEC:
-    """EC with a caller-fixed period and window width.  Under EC bunching
-    it free-runs, so its mean tick gap is tau / 2."""
-
-    tau: float
-    sigma: float
-    eps_tail: float
 
     def __post_init__(self):
         _check_ec_tail(self.eps_tail)
@@ -227,16 +211,14 @@ class ProtocolConfig:
 
 @dataclass(frozen=True)
 class PreparedRun:
-    """Resolved parameters of one protocol configuration."""
+    """Resolved parameters of one protocol configuration; ``ec`` is the
+    EC the protocol runs, None for input bunching."""
 
     cfg: ProtocolConfig
     mu_in: float
     sigma_in: float
-    tau: float | None
+    ec: ExplicitEC | None
     m: int | None
-    sigma_ec: float | None
-    eps_ec: float | None
-    mu_ec: float | None
     horizon: float
     # j up to which each theorem hypothesis admits the run
     theorem_j_limit: float | None = None
@@ -246,9 +228,9 @@ class PreparedRun:
     def bar_sigma_ec(self) -> float | None:
         """Inaccuracy bound of the switchable EC; None for the bunching
         protocols, which have none."""
-        if self.tau is None:
+        if self.cfg.protocol not in _SWITCHING:
             return None
-        return ec_bar_sigma(self.sigma_ec, self.tau)
+        return ec_bar_sigma(self.ec.sigma, self.ec.tau)
 
 
 def _ec_bunch_mean(mu_in: float, sigma_in: float, ratio: float) -> float:
@@ -272,53 +254,45 @@ def prepare(cfg: ProtocolConfig) -> PreparedRun:
     """Resolve periods, widths and diagnostics before running trials."""
     interval = cfg.input_dist.confidence(cfg.eps)
     mu_in, sigma_in = interval.mu, interval.sigma
-    tau = m = sigma_ec = eps_ec = mu_ec = None
+    ec, m = cfg.ec, None
     theorem_j = cond_j = None
 
-    if cfg.protocol in (Protocol.DYN_SWITCH, Protocol.DYN_SWITCH_FEEDBACK):
-        if isinstance(cfg.ec, QuasiIdealSpec):
+    if cfg.protocol in _SWITCHING:
+        if isinstance(ec, QuasiIdealSpec):
             if cfg.protocol is Protocol.DYN_SWITCH:
                 m, tau = choose_period_no_feedback(mu_in, sigma_in,
                                                    cfg.period_tick)
             else:
                 m, tau = choose_period_feedback(mu_in, sigma_in)
-            sigma_ec = quasi_ideal_ratio(cfg.ec.d, cfg.ec.eta) * tau
-            eps_ec = cfg.ec.eps_tail
-        else:
-            tau, sigma_ec, eps_ec = cfg.ec.tau, cfg.ec.sigma, cfg.ec.eps_tail
-        if sigma_ec >= tau:
-            raise ValueError("EC window width reaches the chosen period")
+            ec = quasi_ideal_params(ec.d, ec.eta, tau, ec.eps_tail)
         if cfg.protocol is Protocol.DYN_SWITCH_FEEDBACK \
-                and sigma_in >= tau - sigma_ec:
+                and sigma_in >= ec.tau - ec.sigma:
             raise ValueError(
                 "input confidence width must stay below tau - sigma_ec")
         if sigma_in > 0:
             theorem_j = 2.0 * mu_in / (3.0 * sigma_in)
-        if sigma_ec + sigma_in > 0:
-            cond_j = (tau - sigma_ec) / (sigma_ec + sigma_in)
-        horizon = cfg.horizon or 4.0 * (mu_in + tau) * (cfg.n_ticks + 2)
+        if ec.sigma + sigma_in > 0:
+            cond_j = (ec.tau - ec.sigma) / (ec.sigma + sigma_in)
+        horizon = cfg.horizon or 4.0 * (mu_in + ec.tau) * (cfg.n_ticks + 2)
 
     elif cfg.protocol is Protocol.INPUT_BUNCH:
+        ec = None
         horizon = cfg.horizon or 4.0 * mu_in * cfg.bunch * (cfg.n_ticks + 1)
 
     else:  # EC_BUNCH
-        if isinstance(cfg.ec, QuasiIdealSpec):
-            ratio = quasi_ideal_ratio(cfg.ec.d, cfg.ec.eta)
+        if isinstance(ec, QuasiIdealSpec):
             lo, hi = cfg.input_dist.support() or (mu_in - sigma_in / 2,
                                                   mu_in + sigma_in / 2)
-            mu_ec = _ec_bunch_mean(mu_in, hi - lo, ratio)
-            sigma_ec = 2.0 * ratio * mu_ec
-            eps_ec = cfg.ec.eps_tail
-        else:
-            mu_ec = cfg.ec.tau / 2
-            sigma_ec, eps_ec = cfg.ec.sigma, cfg.ec.eps_tail
-        if sigma_in >= mu_ec:
+            mu_ec = _ec_bunch_mean(mu_in, hi - lo,
+                                   quasi_ideal_ratio(ec.d, ec.eta))
+            ec = quasi_ideal_params(ec.d, ec.eta, 2 * mu_ec, ec.eps_tail)
+        if sigma_in >= ec.tau / 2:
             raise ValueError(
                 "input confidence width must stay below the EC tick gap")
-        horizon = cfg.horizon or 4.0 * (mu_in + mu_ec) * (cfg.n_ticks + 2)
+        horizon = cfg.horizon or \
+            4.0 * (mu_in + ec.tau / 2) * (cfg.n_ticks + 2)
 
-    return PreparedRun(cfg=cfg, mu_in=mu_in, sigma_in=sigma_in, tau=tau,
-                       m=m, sigma_ec=sigma_ec, eps_ec=eps_ec, mu_ec=mu_ec,
+    return PreparedRun(cfg=cfg, mu_in=mu_in, sigma_in=sigma_in, ec=ec, m=m,
                        horizon=horizon, theorem_j_limit=theorem_j,
                        cond_j_limit=cond_j)
 
@@ -365,15 +339,14 @@ def _simulate(prep: PreparedRun, rng, size: int):
             out[r:r + n] = np.cumsum(waits, axis=1)[:, d - 1::d]
     elif cfg.protocol is Protocol.EC_BUNCH:
         # the EC free-runs from its reset state at time 0
-        tau = 2.0 * prep.mu_ec
         ec = np.zeros(size)
         t_in = np.zeros(size)
         for k in range(n_out):
             t_in = _next_after(t_in, ec, dist, rng, n_ignored)
             behind = np.flatnonzero(ec < t_in)
             while behind.size:
-                ec[behind] += fire_delay(np.zeros(behind.size), tau,
-                                         prep.sigma_ec, prep.eps_ec, rng)
+                ec[behind] += fire_delay(np.zeros(behind.size), prep.ec,
+                                         rng)
                 behind = behind[ec[behind] < t_in[behind]]
             out[:, k] = ec
     else:
@@ -381,8 +354,7 @@ def _simulate(prep: PreparedRun, rng, size: int):
         t_in = dist.sample(rng, size)
         s = np.zeros(size)  # EC reset when the first input tick arrives
         for k in range(n_out):
-            t_out = t_in + fire_delay(s, prep.tau, prep.sigma_ec,
-                                      prep.eps_ec, rng)
+            t_out = t_in + fire_delay(s, prep.ec, rng)
             out[:, k] = t_out
             if k + 1 == n_out:
                 break
@@ -391,7 +363,7 @@ def _simulate(prep: PreparedRun, rng, size: int):
             else:
                 t_in = _next_after(t_in, t_out, dist, rng, n_ignored)
             # the EC idles from its reset at t_out until the next input tick
-            s = wrap_phase(t_in - t_out, prep.tau)
+            s = wrap_phase(t_in - t_out, prep.ec.tau)
     check_rows(out)
     return out, n_ignored
 
@@ -438,8 +410,7 @@ def monte_carlo(cfg: ProtocolConfig, trials: int,
     if trials < 1:
         raise ValueError("need at least one trial")
     prep = prepare(cfg)
-    switching = cfg.protocol in (Protocol.DYN_SWITCH,
-                                 Protocol.DYN_SWITCH_FEEDBACK)
+    switching = cfg.protocol in _SWITCHING
     n_out = cfg.n_ticks + 1 if switching else cfg.n_ticks
     run_prep = replace(prep, cfg=replace(cfg, n_ticks=n_out))
     out = np.empty((trials, n_out))

@@ -54,6 +54,7 @@ def _ini(tmp_path, experiment, body):
     return str(path)
 
 
+WIDE_WINDOW = "d = 2\neta = 0.9\ntrials = 10\n"
 SMALL_SWEEP = ("sweep", "--d", "16,32", "--trials", "60", "--seed", "7")
 
 
@@ -310,6 +311,18 @@ class TestCommands:
         assert captured.out == ""
         assert "EC tail level must lie in [0, 1)" in captured.err
 
+    @pytest.mark.parametrize("experiment,key", [("run", "protocol"),
+                                                ("sweep", "protocols")])
+    def test_ec_bunch_window_reaching_the_period(self, capsys, tmp_path,
+                                                 experiment, key):
+        # quasi_ideal_ratio(2, 0.9) = 1.014: the window outgrows the period
+        cfg = _ini(tmp_path, experiment, f"{key} = 4\n{WIDE_WINDOW}")
+        code = main([experiment, "--config", cfg])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "EC window width" in captured.err
+
     def test_json_format(self, capsys):
         code, text = _run(capsys, "bounds", "--format", "json")
         payload = json.loads(text)
@@ -330,6 +343,17 @@ def test_parser_rejects_missing_subcommand():
 RUN_T20 = Path(__file__).resolve().parents[1] / "perfbench" / "run_t20.ini"
 
 
+def _python(*args, check=True):
+    """Run a fresh interpreter that imports this ticklab."""
+    src = str(Path(ticklab.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH"))
+                           if p)
+    return subprocess.run([sys.executable, *args],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120,
+                          check=check)
+
+
 def test_gaussian_run_loads_no_scipy():
     # scipy is a test-only dependency: the runtime must not import it
     script = (
@@ -339,11 +363,15 @@ def test_gaussian_run_loads_no_scipy():
         "'--trials', '50', '--out', os.devnull])\n"
         "print(code, sorted(m for m in sys.modules if m.split('.')[0] "
         "== 'scipy'))\n")
-    src = str(Path(ticklab.__file__).resolve().parents[1])
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH"))
-                           if p)
-    done = subprocess.run([sys.executable, "-c", script],
-                          env=dict(os.environ, PYTHONPATH=path),
-                          capture_output=True, text=True, timeout=120,
-                          check=True)
+    done = _python("-c", script)
     assert done.stdout.split() == ["0", "[]"]
+
+
+def test_ec_window_check_survives_optimize(tmp_path):
+    # the EC checks are raises, not asserts, so python -O keeps them
+    cfg = _ini(tmp_path, "run", f"protocol = 4\n{WIDE_WINDOW}")
+    done = _python("-O", "-m", "ticklab.cli", "run", "--config", cfg,
+                   check=False)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert "EC window width" in done.stderr

@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ticklab import (EnhancingClock, MarkovTwoState, Mode,
+from ticklab import (EnhancingClock, ExplicitEC, MarkovTwoState, Mode,
                      quasi_ideal_params, quasi_ideal_ratio,
                      sample_tick_phase, wrap_phase)
 from ticklab.clocks import fire_delay
@@ -63,7 +65,7 @@ class TestEnhancingClock:
     def test_tick_phase_coverage(self):
         rng = np.random.default_rng(1)
         tau, sigma, eps = 1.0, 0.05, 0.001
-        phi = sample_tick_phase(tau, sigma, eps, rng, 20000)
+        phi = sample_tick_phase(ExplicitEC(tau, sigma, eps), rng, 20000)
         inside = (phi > (tau - sigma) / 2) & (phi < (tau + sigma) / 2)
         assert inside.mean() >= 1 - eps - 3 * np.sqrt(eps / 20000)
 
@@ -76,24 +78,38 @@ class TestEnhancingClock:
             EnhancingClock(tau=0.0, sigma=0.0, eps_tail=0.0)
 
 
+class TestExplicitEC:
+    @pytest.mark.parametrize("tau", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_period_outside_positive_reals(self, tau):
+        with pytest.raises(ValueError, match="EC period"):
+            ExplicitEC(tau=tau, sigma=0.0, eps_tail=0.0)
+
+    @pytest.mark.parametrize("sigma", [-0.5, math.nan, 1.0, 1.5])
+    def test_rejects_window_outside_period(self, sigma):
+        # the window must lie in [0, tau), here tau = 1
+        with pytest.raises(ValueError, match="EC window width"):
+            ExplicitEC(tau=1.0, sigma=sigma, eps_tail=0.0)
+
+
 class TestFreeRun:
     """A free-running EC of period 2 mu: every tick resets it, so its
     gaps are i.i.d. fire delays from phase 0, with mean mu."""
 
     def test_deterministic_grid(self):
-        gaps = fire_delay(np.zeros(4), 1.0, 0.0, 0.0,
+        gaps = fire_delay(np.zeros(4), ExplicitEC(1.0, 0.0, 0.0),
                           np.random.default_rng(0))
         assert np.cumsum(gaps) == pytest.approx([0.5, 1.0, 1.5, 2.0])
 
     def test_single_tick(self):
-        gap = fire_delay(np.zeros(1), 1.0, 0.0, 0.0,
+        gap = fire_delay(np.zeros(1), ExplicitEC(1.0, 0.0, 0.0),
                          np.random.default_rng(0))
         assert gap.tolist() == [0.5]
 
     def test_gap_statistics(self):
         rng = np.random.default_rng(2)
         mu, sigma, eps = 0.5, 0.02, 0.001
-        gaps = fire_delay(np.zeros(10 ** 5), 2 * mu, sigma, eps, rng)
+        gaps = fire_delay(np.zeros(10 ** 5), ExplicitEC(2 * mu, sigma, eps),
+                          rng)
         assert gaps.mean() == pytest.approx(mu, abs=3 * sigma)
         covered = np.abs(gaps - mu) < sigma / 2
         assert covered.mean() >= 1 - eps - 3 * np.sqrt(eps / gaps.size)
@@ -101,9 +117,9 @@ class TestFreeRun:
 
 class TestQuasiIdeal:
     def test_reference_values(self):
+        assert quasi_ideal_ratio(100, 0.1) == pytest.approx(
+            100 ** -0.9 + 100 ** -0.925 / math.pi ** 2, abs=1e-12)
         p = quasi_ideal_params(100, 0.1, 1.0)
-        assert p.gamma == pytest.approx(100 ** -0.9, abs=1e-12)
-        assert p.gamma == pytest.approx(0.015849, abs=1e-6)
         assert p.sigma == pytest.approx(0.017281, abs=1e-6)
 
     def test_boundary_dimensions(self):

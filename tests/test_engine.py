@@ -75,14 +75,15 @@ def oracle_trial(prep, rng):
     cfg = prep.cfg
     proc = RenewalProcess(cfg.input_dist, rng)
     out = []
+    if prep.ec is not None:  # the EC starts reset, detector on
+        clock = EnhancingClock(prep.ec.tau, prep.ec.sigma, prep.ec.eps_tail,
+                               mode=Mode.TICK)
     if cfg.protocol is Protocol.INPUT_BUNCH:
         for _ in range(cfg.n_ticks):
             for _ in range(cfg.bunch):
                 t = proc.next_tick()
             out.append(t)
     elif cfg.protocol is Protocol.EC_BUNCH:
-        clock = EnhancingClock(2.0 * prep.mu_ec, prep.sigma_ec, prep.eps_ec,
-                               mode=Mode.TICK)
         t_ec = 0.0
         for _ in range(cfg.n_ticks):
             t_in = proc.next_after(t_ec)
@@ -92,8 +93,6 @@ def oracle_trial(prep, rng):
                 t_ec += gap
             out.append(t_ec)
     else:
-        clock = EnhancingClock(prep.tau, prep.sigma_ec, prep.eps_ec,
-                               mode=Mode.TICK)
         t_in = proc.next_tick()
         for k in range(cfg.n_ticks):
             duration, clock = clock.tick(rng)

@@ -16,13 +16,13 @@ def oracle_node(arrivals, ec, n_outputs, rng):
     The EC is not reset at the first arrival: it free-evolved from phase 0
     at time 0.  After each output the EC is reset as usual.
     """
-    tau, sigma, eps_tail = ec.tau, ec.sigma, ec.eps_tail
+    tau = ec.tau
     out = []
     idx = 0
     t_in = arrivals[idx]
     s = wrap_phase(t_in, tau)
     while len(out) < n_outputs:
-        phi = sample_tick_phase(tau, sigma, eps_tail, rng)
+        phi = sample_tick_phase(ec, rng)
         duration = phi - s
         if phi <= s:
             duration += tau

@@ -6,7 +6,7 @@ from ticklab import (Box, Delta, ExplicitEC, Protocol, ProtocolConfig,
                      choose_period_no_feedback, corollary_bounds,
                      ec_bar_sigma, monte_carlo, output_epsilon_budget,
                      prepare, theorem1_bound, theorem2_bound, theorem_bound)
-from ticklab.protocols import _simulate
+from ticklab.protocols import _simulate, check_rows
 
 BOX_THIRD = Box(center=1.0, width=0.3333333333)
 
@@ -174,6 +174,24 @@ def _one_trial(prep):
     return _simulate(prep, np.random.default_rng(0), 1)[0][0]
 
 
+class TestCheckRows:
+    """The tick-time invariant ``check_rows``: each row of a block is one
+    tick trace, nonnegative and strictly increasing."""
+
+    @pytest.mark.parametrize("times", [[-0.1], [-0.1, 1.0], [1.0, 1.0],
+                                       [1.0, 2.0, 1.5]])
+    def test_rejects_negative_or_non_increasing(self, times):
+        with pytest.raises(ValueError, match="nonnegative and strictly"):
+            check_rows(np.array([times]))
+
+    def test_check_rows_checks_every_row(self):
+        check_rows(np.array([[0.0, 1.0], [2.0, 3.0]]))
+        with pytest.raises(ValueError):
+            check_rows(np.array([[0.0, 1.0], [3.0, 3.0]]))
+        with pytest.raises(ValueError):
+            check_rows(np.array([[0.0, 1.0], [-1.0, 3.0]]))
+
+
 class TestDeterministicTraces:
     def test_dyn_switch_delta_pipeline(self):
         # mu_in = (m + 1/2) tau with m=4, tau=2/9
@@ -251,7 +269,7 @@ class TestPrepare:
         assert prep.theorem_j_limit == pytest.approx(
             2 * prep.mu_in / (3 * prep.sigma_in))
         assert prep.cond_j_limit == pytest.approx(
-            (prep.tau - prep.sigma_ec) / (prep.sigma_ec + prep.sigma_in))
+            (prep.ec.tau - prep.ec.sigma) / (prep.ec.sigma + prep.sigma_in))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
