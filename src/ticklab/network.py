@@ -17,7 +17,7 @@ import numpy as np
 from .clocks import (ExplicitEC, delay_to_phase, quasi_ideal_ratio,
                      sample_tick_phase, wrap_phase)
 from .distributions import Box, WaitingTimeDistribution
-from .protocols import check_rows
+from .protocols import check_rows, largest_period
 
 _PHASE_MARGIN = 0.75  # fraction of the safe phase band a node may use
 _BLOCK = 128          # trials per block; peak memory grows with it
@@ -215,9 +215,9 @@ def plan_scenario(central: WaitingTimeDistribution, n_nodes: int,
     All nodes get the same EC (dimension d, common period) and link delays
     near half an EC period, staggered slightly, so the expected first
     arrival sits at phase 0 of the pre-synchronized EC grid.  The period
-    is the largest admissible one (smallest half-integer divisor of the
-    central mean) whose safe phase band comfortably absorbs the central
-    spread plus the link jitter.  ``sigma_scale`` shrinks the EC window
+    is tau = mu / (m + 1/2) for the largest m (at most 64) whose safe
+    phase band comfortably absorbs the central spread, the link jitter
+    and the delay stagger.  ``sigma_scale`` shrinks the EC window
     width without touching anything else.
     """
     if n_nodes < 2:
@@ -230,19 +230,20 @@ def plan_scenario(central: WaitingTimeDistribution, n_nodes: int,
     # the period is planned with the unscaled window so that shrinking
     # the window afterwards never changes the tick grid
     ratio = quasi_ideal_ratio(d, eta)
-    chosen = None
-    for m in range(64, 0, -1):
-        tau = conf.mu / (m + 0.5)
-        band = (tau - ratio * tau) / 2
-        off_span = 0.1 * band
-        if conf.sigma / 2 + jitter_width / 2 + off_span / 2 \
-                <= _PHASE_MARGIN * band:
-            chosen = (m, tau, band, off_span)
-            break
-    if chosen is None:
+
+    def band(tau):
+        return (tau - ratio * tau) / 2
+
+    def fits(m, tau):  # the central spread, jitter and offsets fit
+        return conf.sigma / 2 + jitter_width / 2 + 0.1 * band(tau) / 2 \
+            <= _PHASE_MARGIN * band(tau)
+
+    cell = largest_period(conf.mu, 0.5, fits, 64)
+    if cell is None:
         raise ValueError(
             "no EC period accommodates this central spread and jitter")
-    m, tau, band, off_span = chosen
+    tau = cell[1]
+    off_span = 0.1 * band(tau)
     ec = ExplicitEC(tau=tau, sigma=ratio * sigma_scale * tau,
                     eps_tail=eps_ec)
     jitter = None

@@ -11,8 +11,8 @@ accurate output tick signal:
 4. EC bunching: the EC free-runs and the first EC tick at or after each
    input tick is the output tick.
 
-The module also houses the period-selection rules for protocols 1 and 2,
-the closed-form inaccuracy bounds for the first two protocols, and the
+The module also houses the period chooser ``largest_period``, the
+closed-form inaccuracy bounds for the first two protocols, and the
 Monte-Carlo engine, which runs a block of trials in lockstep as arrays.
 """
 from __future__ import annotations
@@ -33,68 +33,60 @@ _BLOCK = 4096        # trials per random stream
 _CHUNK = 1 << 16     # waits per input-bunching cumsum chunk
 
 
+def largest_period(mu: float, offset: float, fits,
+                   m_max: int) -> tuple[int, float] | None:
+    """The EC period cell (m, mu / (m + offset)) for the largest m in
+    [1, m_max] with ``fits(m, tau)``, found by bisection; None when m = 1
+    does not fit.
+
+    Precondition: ``fits`` holds for every m below one it holds for.
+    """
+    if not fits(1, mu / (1 + offset)):
+        return None
+    lo, hi = 1, m_max + 1  # fits at lo; hi is past the cap or does not fit
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if fits(mid, mu / (mid + offset)) else (lo, mid)
+    return lo, mu / (lo + offset)
+
+
 def choose_period_no_feedback(mu_in: float, sigma_in: float,
                               j: int = 1) -> tuple[int, float]:
-    """Pick the EC period for dynamics switching without feedback.
-
-    Solves mu_in = (m + 1/2) tau for the largest integer m such that
-    j * sigma_in lies in [mu_in / (m + 3/2), mu_in / (m + 1/2)); then the
-    input confidence interval up to tick j still fits inside one EC period.
+    """Pick the EC period for dynamics switching without feedback: the
+    largest m <= ``_M_CAP`` with j sigma_in < tau = mu_in / (m + 1/2).
+    Then j sigma_in lies in [mu_in / (m + 3/2), tau), so the input
+    confidence interval up to tick j still fits inside one EC period.
     """
-    if mu_in <= 0 or sigma_in < 0:
-        raise ValueError("need mu_in > 0 and sigma_in >= 0")
+    if not (0.0 < mu_in < math.inf and sigma_in >= 0.0):
+        raise ValueError("need 0 < mu_in < inf and sigma_in >= 0")
     if j < 1:
         raise ValueError("tick index must be a positive integer")
     if sigma_in >= 2.0 * mu_in / 3.0:
         raise ValueError("input inaccuracy must be below 2/3")
-    if sigma_in > 0 and j >= 2.0 * mu_in / (3.0 * sigma_in):
+    cell = largest_period(mu_in, 0.5, lambda m, tau: j * sigma_in < tau,
+                          _M_CAP)
+    if cell is None or sigma_in > 0 and j >= 2.0 * mu_in / (3.0 * sigma_in):
         raise ValueError("tick index too large for this input inaccuracy")
-    if sigma_in == 0:
-        m = _M_CAP
-    else:
-        x = mu_in / (j * sigma_in)
-        m = max(1, math.ceil(x - 1.5))
-        if m > 1 and j * sigma_in >= mu_in / (m + 0.5):
-            m -= 1  # x rounded up across the open edge of the cell
-        if m > _M_CAP:
-            m = _M_CAP
-        elif not (mu_in / (m + 1.5) <= j * sigma_in * (1 + 1e-12)
-                  and j * sigma_in < mu_in / (m + 0.5)):
-            # bracket check, with a little float slack on the closed end
-            raise ValueError(
-                f"period m={m} does not bracket j sigma_in={j * sigma_in!r}")
-    return m, mu_in / (m + 0.5)
+    return cell
 
 
 def choose_period_feedback(mu_in: float,
                            sigma_in: float) -> tuple[int, float]:
-    """Pick the EC period for dynamics switching with feedback.
-
-    Solves mu_in = m tau for the integer m with sigma_in in
-    [mu_in / (m + 1), mu_in / m).
+    """Pick the EC period for dynamics switching with feedback: the
+    largest m <= ``_M_CAP`` with sigma_in < tau = mu_in / m, so sigma_in
+    lies in [mu_in / (m + 1), tau).
     """
-    if mu_in <= 0 or sigma_in < 0:
-        raise ValueError("need mu_in > 0 and sigma_in >= 0")
-    if sigma_in >= mu_in:
+    if not (0.0 < mu_in < math.inf and sigma_in >= 0.0):
+        raise ValueError("need 0 < mu_in < inf and sigma_in >= 0")
+    cell = largest_period(mu_in, 0.0, lambda m, tau: sigma_in < tau, _M_CAP)
+    if cell is None:
         raise ValueError("input inaccuracy must be below 1")
-    if sigma_in == 0:
-        m = _M_CAP
-    else:
-        m = max(1, math.ceil(mu_in / sigma_in) - 1)
-        if m > _M_CAP:
-            m = _M_CAP
-        elif not (mu_in / (m + 1) <= sigma_in * (1 + 1e-12)
-                  and sigma_in < mu_in / m * (1 + 1e-12)):
-            raise ValueError(
-                f"period m={m} does not bracket sigma_in={sigma_in!r}")
-    return m, mu_in / m
+    return cell
 
 
-def ec_bar_sigma(sigma_ec: float, tau: float) -> float:
+def ec_bar_sigma(ec: ExplicitEC) -> float:
     """Inaccuracy upper bound 2 sigma / tau of an enhancing clock."""
-    if not 0.0 < sigma_ec < tau:
-        raise ValueError("need 0 < sigma_ec < tau")
-    return 2.0 * sigma_ec / tau
+    return 2.0 * ec.sigma / ec.tau
 
 
 def theorem1_bound(sigma_in: float, bar_sigma_ec: float, j: int) -> float:
@@ -230,24 +222,23 @@ class PreparedRun:
         protocols, which have none."""
         if self.cfg.protocol not in _SWITCHING:
             return None
-        return ec_bar_sigma(self.ec.sigma, self.ec.tau)
+        return ec_bar_sigma(self.ec)
 
 
 def _ec_bunch_mean(mu_in: float, sigma_in: float, ratio: float) -> float:
     """Mean EC tick gap for EC bunching with a d-dimensional EC.
 
     Uses mu_ec = mu_in / (m + 1/2) so the input confidence interval sits
-    mid-gap on the EC tick grid, with the largest m whose accumulated EC
-    jitter over a cycle stays well clear of the grid spacing.
+    mid-gap on the EC tick grid, with the largest m <= 63 where mu_ec >
+    sigma_in and the EC jitter over a cycle, (m + 1) 2 ratio mu_ec, stays
+    within 0.9 (mu_ec - sigma_in); m = 1 when no m qualifies.
     """
-    best = 1
-    for m in range(1, 64):
-        mu_ec = mu_in / (m + 0.5)
-        sigma_tick = 2.0 * ratio * mu_ec
-        if mu_ec > sigma_in and \
-                (m + 1) * sigma_tick <= 0.9 * (mu_ec - sigma_in):
-            best = m
-    return mu_in / (best + 0.5)
+    def fits(m, mu_ec):
+        return mu_ec > sigma_in and \
+            (m + 1) * (2.0 * ratio * mu_ec) <= 0.9 * (mu_ec - sigma_in)
+
+    cell = largest_period(mu_in, 0.5, fits, 63)
+    return cell[1] if cell else mu_in / 1.5
 
 
 def prepare(cfg: ProtocolConfig) -> PreparedRun:

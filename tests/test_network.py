@@ -6,8 +6,9 @@ from scipy import stats
 
 from ticklab import (Box, Delta, ExplicitEC, NetworkScenario, NodeConfig,
                      cross_node_spread, network_spreads, plan_scenario,
-                     run_network, sample_tick_phase, wrap_phase)
-from ticklab.network import _BLOCK, _blocks
+                     quasi_ideal_ratio, run_network, sample_tick_phase,
+                     wrap_phase)
+from ticklab.network import _BLOCK, _PHASE_MARGIN, _blocks
 
 
 def oracle_node(arrivals, ec, n_outputs, rng):
@@ -121,7 +122,47 @@ class TestRunNetwork:
         assert np.array_equal(a.arrivals[0], b.arrivals[0])
 
 
+def _plan_scan(mu, sigma, jitter_width, ratio):
+    """Slow reference for the period of ``plan_scenario``: the downward
+    scan over m = 64..1 that the bisection replaced.  Returns (tau,
+    off_span) for the first m whose band fits, or None."""
+    for m in range(64, 0, -1):
+        tau = mu / (m + 0.5)
+        band = (tau - ratio * tau) / 2
+        off_span = 0.1 * band
+        if sigma / 2 + jitter_width / 2 + off_span / 2 \
+                <= _PHASE_MARGIN * band:
+            return tau, off_span
+    return None
+
+
 class TestPlanScenario:
+    def test_period_matches_scan(self):
+        taus = set()
+        for mu in (0.3, 1.0, 2.7, 10.0):
+            for width in np.linspace(0.01, 0.6, 12) * mu:
+                central = Box(mu, width)
+                conf = central.confidence(0.01)
+                for jitter in np.array([0.0, 0.001, 0.01, 0.05, 0.1]) * mu:
+                    for d in (2, 16, 256, 4096):
+                        expected = _plan_scan(conf.mu, conf.sigma, jitter,
+                                              quasi_ideal_ratio(d, 0.1))
+                        if expected is None:
+                            with pytest.raises(ValueError,
+                                               match="no EC period"):
+                                plan_scenario(central, 3, jitter, d)
+                            taus.add(None)
+                            continue
+                        tau, off_span = expected
+                        nodes = plan_scenario(central, 3, jitter, d).nodes
+                        assert {n.ec.tau for n in nodes} == {tau}
+                        assert [n.delay for n in nodes] == [
+                            tau / 2 - off_span / 2, tau / 2,
+                            tau / 2 + off_span / 2]
+                        taus.add(round(mu / tau - 0.5))
+        # the grid reaches the cap and the empty plan
+        assert {64, None} <= taus
+
     def test_structure(self):
         scenario = plan_scenario(Box(1.0, 0.1), n_nodes=8, jitter_width=0.1,
                                  d=256)

@@ -1,12 +1,18 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ticklab import (Box, Delta, ExplicitEC, Protocol, ProtocolConfig,
                      QuasiIdealSpec, choose_period_feedback,
                      choose_period_no_feedback, corollary_bounds,
                      ec_bar_sigma, monte_carlo, output_epsilon_budget,
-                     prepare, theorem1_bound, theorem2_bound, theorem_bound)
-from ticklab.protocols import _simulate, check_rows
+                     prepare, quasi_ideal_ratio, theorem1_bound,
+                     theorem2_bound, theorem_bound)
+from ticklab.protocols import (_ec_bunch_mean, _simulate, check_rows,
+                               largest_period)
 
 BOX_THIRD = Box(center=1.0, width=0.3333333333)
 
@@ -69,6 +75,93 @@ class TestPeriodChoosers:
             assert 1 / (m + 1) <= sigma < 1 / m
         with pytest.raises(ValueError):
             choose_period_feedback(1.0, 1.0)
+
+    @pytest.mark.parametrize("mu_in", [0.3, 1.0, 2.7, 10.0])
+    def test_strict_brackets_at_cell_edges(self, mu_in):
+        # at each cell edge and at its float neighbours the chosen period
+        # holds the window and the next cell's does not, with no slack;
+        # at mu_in = 1 this covers sigma_in = 1/49, where tau once equalled
+        # sigma_in, and just below 0.2 and 0.4, where m fell one cell short
+        edges = [mu_in / (k + 1) for k in range(1, 60)] \
+            + [mu_in / (k + 1.5) for k in range(1, 60)]
+        for edge in edges:
+            for x in (math.nextafter(edge, 0), edge,
+                      math.nextafter(edge, math.inf)):
+                for j in (1, 2):
+                    m, tau = choose_period_no_feedback(mu_in, x / j, j)
+                    assert tau == mu_in / (m + 0.5)
+                    assert mu_in / (m + 1.5) <= j * (x / j) < tau
+                m, tau = choose_period_feedback(mu_in, x)
+                assert tau == mu_in / m
+                assert mu_in / (m + 1) <= x < tau
+
+    @pytest.mark.parametrize("mu_in, sigma_in", [
+        (math.inf, 0.1), (-math.inf, 0.1), (math.nan, 0.1), (1.0, math.nan),
+        (0.0, 0.1), (1.0, -0.1), (1.0, math.inf)])
+    def test_choosers_reject_bad_input(self, mu_in, sigma_in):
+        with pytest.raises(ValueError):
+            choose_period_no_feedback(mu_in, sigma_in, 1)
+        with pytest.raises(ValueError):
+            choose_period_feedback(mu_in, sigma_in)
+
+
+def _linear_largest(mu, offset, fits, m_max):
+    """Slow reference for ``largest_period``: scan every m."""
+    cell = None
+    for m in range(1, m_max + 1):
+        if fits(m, mu / (m + offset)):
+            cell = (m, mu / (m + offset))
+    return cell
+
+
+def _ec_bunch_mean_scan(mu_in, sigma_in, ratio):
+    """Slow reference for ``_ec_bunch_mean``: the linear scan over
+    m = 1..63 that the bisection replaced, with its m = 1 fallback."""
+    best = 1
+    for m in range(1, 64):
+        mu_ec = mu_in / (m + 0.5)
+        sigma_tick = 2.0 * ratio * mu_ec
+        if mu_ec > sigma_in and \
+                (m + 1) * sigma_tick <= 0.9 * (mu_ec - sigma_in):
+            best = m
+    return mu_in / (best + 0.5)
+
+
+class TestLargestPeriod:
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(min_value=1e-3, max_value=1e3),
+           st.sampled_from([0.0, 0.5]), st.integers(1, 200),
+           st.booleans(), st.integers(-3, 210),
+           st.floats(min_value=1e-6, max_value=2e3))
+    def test_matches_linear_scan(self, mu, offset, m_max, on_m, m_star,
+                                 tau_star):
+        # a random threshold predicate on m, or on the period tau
+        def fits(m, tau):
+            assert tau == mu / (m + offset)
+            return m <= m_star if on_m else tau > tau_star
+
+        assert largest_period(mu, offset, fits, m_max) \
+            == _linear_largest(mu, offset, fits, m_max)
+
+    def test_none_and_cap(self):
+        assert largest_period(1.0, 0.5, lambda m, tau: False, 10) is None
+        assert largest_period(1.0, 0.5, lambda m, tau: True, 10) \
+            == (10, 1 / 10.5)
+        assert largest_period(1.0, 0.0, lambda m, tau: True, 1) == (1, 1.0)
+
+    def test_ec_bunch_mean_matches_scan(self):
+        ratios = [0.0, 1e-3, 0.01, 0.05, 0.2] + [
+            quasi_ideal_ratio(d, eta) for d in (2, 8, 64, 1024, 2 ** 16)
+            for eta in (0.1, 0.5)]
+        cells = set()
+        for mu_in in (0.3, 1.0, 2.7, 10.0):
+            for width in np.linspace(0.0, 0.7, 36) * mu_in:
+                for ratio in ratios:
+                    mu_ec = _ec_bunch_mean(mu_in, width, ratio)
+                    assert mu_ec == _ec_bunch_mean_scan(mu_in, width, ratio)
+                    cells.add(round(mu_in / mu_ec - 0.5))
+        # the grid reaches both the m = 1 fallback and the cap
+        assert {1, 63} <= cells
 
 
 class TestBoundFormulas:
@@ -150,10 +243,18 @@ class TestBoundFormulas:
         assert theorem_bound(Protocol.EC_BUNCH, 0.33, None, 1) is None
 
     def test_ec_bar_sigma(self):
-        assert ec_bar_sigma(0.1, 2.0) == pytest.approx(0.1)
-        assert ec_bar_sigma(0.5, 1.0) == pytest.approx(1.0)
-        with pytest.raises(ValueError):
-            ec_bar_sigma(1.0, 1.0)
+        assert ec_bar_sigma(ExplicitEC(2.0, 0.1, 0.0)) == pytest.approx(0.1)
+        assert ec_bar_sigma(ExplicitEC(1.0, 0.5, 0.0)) == pytest.approx(1.0)
+        assert ec_bar_sigma(ExplicitEC(1.0, 0.0, 0.0)) == 0.0
+        with pytest.raises(ValueError):  # ExplicitEC is the validator
+            ec_bar_sigma(ExplicitEC(1.0, 1.0, 0.0))
+
+    def test_zero_width_ec_bound(self):
+        # a zero-width EC is valid, and its bound 2 sigma / tau is 0
+        prep = prepare(ProtocolConfig(Protocol.DYN_SWITCH, Box(1.0, 0.1),
+                                      0.01, 1, ec=ExplicitEC(1 / 4.5, 0.0,
+                                                             0.0)))
+        assert prep.bar_sigma_ec == 0.0
 
     def test_epsilon_budget(self):
         assert output_epsilon_budget(0.01, 0.001, 1) == pytest.approx(0.012)
