@@ -91,9 +91,9 @@ def fire_delay(s: np.ndarray, ec: ExplicitEC, rng) -> np.ndarray:
 
 
 def delay_to_phase(s: np.ndarray, phi: np.ndarray, tau) -> np.ndarray:
-    """Time for the hand to turn from dial phase ``s`` to the tick phase
-    ``phi``, elementwise; the hand only turns forwards."""
-    return np.where(phi <= s, phi - s + tau, phi - s)
+    """Time for the hand to turn forwards from dial phase ``s`` to the
+    tick phase ``phi``, elementwise; scalars give a float."""
+    return phi - s + tau * (phi <= s)
 
 
 class Mode(Enum):
@@ -134,10 +134,8 @@ class EnhancingClock(ExplicitEC):
         switch-on phase.  Returns the duration and the reset clock."""
         if self.mode is not Mode.TICK:
             raise ValueError("tick requires the detector to be on")
-        phi = sample_tick_phase(self, rng)
-        duration = phi - self.phase
-        if phi <= self.phase:  # the hand must reach the detector forwards
-            duration += self.tau
+        duration = delay_to_phase(self.phase, sample_tick_phase(self, rng),
+                                  self.tau)
         return duration, EnhancingClock(self.tau, self.sigma, self.eps_tail)
 
 

@@ -25,8 +25,8 @@ class WaitingTimeDistribution(ABC):
     """Law of the i.i.d. waiting time between ticks."""
 
     @abstractmethod
-    def sample(self, rng: np.random.Generator, size=None):
-        """Draw waiting times; scalar when ``size`` is None."""
+    def sample(self, rng: np.random.Generator, size) -> np.ndarray:
+        """Draw an array of waiting times of shape ``size``."""
 
     @property
     @abstractmethod
@@ -59,9 +59,7 @@ class Delta(WaitingTimeDistribution):
         if self.time <= 0:
             raise ValueError("waiting time must be positive")
 
-    def sample(self, rng, size=None):
-        if size is None:
-            return self.time
+    def sample(self, rng, size):
         return np.full(size, self.time, dtype=float)
 
     @property
@@ -91,7 +89,7 @@ class Box(WaitingTimeDistribution):
         if self.width >= 2 * self.center:
             raise ValueError("box support must be strictly positive")
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
         lo = self.center - self.width / 2
         hi = self.center + self.width / 2
         return rng.uniform(lo, hi, size)
@@ -140,15 +138,12 @@ class Gaussian(WaitingTimeDistribution):
             return math.inf
         return self.mu + self.sd * _STD_NORMAL.inv_cdf(p)
 
-    def sample(self, rng, size=None):
-        n = 1 if size is None else int(np.prod(size))
-        out = rng.normal(self.mu, self.sd, n)
+    def sample(self, rng, size):
+        out = rng.normal(self.mu, self.sd, int(np.prod(size)))
         bad = out <= 0
         while bad.any():
             out[bad] = rng.normal(self.mu, self.sd, int(bad.sum()))
             bad = out <= 0
-        if size is None:
-            return float(out[0])
         return out.reshape(size)
 
     @property
@@ -215,12 +210,10 @@ class DeltaMixture(WaitingTimeDistribution):
             raise ValueError("atom probabilities must sum to 1")
         object.__setattr__(self, "atoms", tuple(sorted(atoms)))
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
         times = np.array([t for t, _ in self.atoms])
         probs = np.array([p for _, p in self.atoms])
-        idx = rng.choice(times.size, size=size, p=probs)
-        out = times[idx]
-        return float(out) if size is None else out
+        return times[rng.choice(times.size, size=size, p=probs)]
 
     @property
     def mean(self):

@@ -53,34 +53,37 @@ def largest_period(mu: float, offset: float, fits,
 def choose_period_no_feedback(mu_in: float, sigma_in: float,
                               j: int = 1) -> tuple[int, float]:
     """Pick the EC period for dynamics switching without feedback: the
-    largest m <= ``_M_CAP`` with j sigma_in < tau = mu_in / (m + 1/2).
-    Then j sigma_in lies in [mu_in / (m + 3/2), tau), so the input
-    confidence interval up to tick j still fits inside one EC period.
+    largest m <= ``_M_CAP`` with j sigma_in < tau = mu_in / (m + 1/2), so
+    the input confidence interval up to tick j fits inside one EC period.
     """
     if not (0.0 < mu_in < math.inf and sigma_in >= 0.0):
         raise ValueError("need 0 < mu_in < inf and sigma_in >= 0")
     if j < 1:
         raise ValueError("tick index must be a positive integer")
-    if sigma_in >= 2.0 * mu_in / 3.0:
-        raise ValueError("input inaccuracy must be below 2/3")
     cell = largest_period(mu_in, 0.5, lambda m, tau: j * sigma_in < tau,
                           _M_CAP)
-    if cell is None or sigma_in > 0 and j >= 2.0 * mu_in / (3.0 * sigma_in):
-        raise ValueError("tick index too large for this input inaccuracy")
+    if cell is None:
+        raise ValueError("tick index times input inaccuracy must be below 2/3")
     return cell
 
 
-def choose_period_feedback(mu_in: float,
-                           sigma_in: float) -> tuple[int, float]:
+def _feedback_fits(sigma_in: float, ec: ExplicitEC) -> bool:
+    """The feedback contract: sigma_in < tau - sigma_ec."""
+    return sigma_in < ec.tau - ec.sigma
+
+
+def choose_period_feedback(mu_in: float, sigma_in: float,
+                           ratio: float) -> tuple[int, float]:
     """Pick the EC period for dynamics switching with feedback: the
-    largest m <= ``_M_CAP`` with sigma_in < tau = mu_in / m, so sigma_in
-    lies in [mu_in / (m + 1), tau).
+    largest m <= ``_M_CAP`` whose EC of period tau = mu_in / m and window
+    ``ratio`` tau meets ``_feedback_fits``.
     """
     if not (0.0 < mu_in < math.inf and sigma_in >= 0.0):
         raise ValueError("need 0 < mu_in < inf and sigma_in >= 0")
-    cell = largest_period(mu_in, 0.0, lambda m, tau: sigma_in < tau, _M_CAP)
+    cell = largest_period(mu_in, 0.0, lambda m, tau: _feedback_fits(
+        sigma_in, ExplicitEC(tau, ratio * tau, 0.0)), _M_CAP)
     if cell is None:
-        raise ValueError("input inaccuracy must be below 1")
+        raise ValueError("input inaccuracy must be below 1 - ratio")
     return cell
 
 
@@ -254,10 +257,11 @@ def prepare(cfg: ProtocolConfig) -> PreparedRun:
                 m, tau = choose_period_no_feedback(mu_in, sigma_in,
                                                    cfg.period_tick)
             else:
-                m, tau = choose_period_feedback(mu_in, sigma_in)
+                m, tau = choose_period_feedback(
+                    mu_in, sigma_in, quasi_ideal_ratio(ec.d, ec.eta))
             ec = quasi_ideal_params(ec.d, ec.eta, tau, ec.eps_tail)
         if cfg.protocol is Protocol.DYN_SWITCH_FEEDBACK \
-                and sigma_in >= ec.tau - ec.sigma:
+                and not _feedback_fits(sigma_in, ec):
             raise ValueError(
                 "input confidence width must stay below tau - sigma_ec")
         if sigma_in > 0:

@@ -117,6 +117,28 @@ class TestDeterminism:
         assert code == 2
 
 
+class TestFeedbackRuns:
+    """Dynamics switching with feedback on the default input: its period
+    leaves room in each cycle for the EC window as well as the input."""
+
+    @pytest.mark.parametrize("d", ["2", "16", "64", "128"])
+    def test_run(self, capsys, d):
+        code, text = _run(capsys, "run", "--protocol", "2", "--d", d,
+                          "--trials", "300")
+        assert code == 0
+        assert [row["j"] for row in _table(text)] == list("123456")
+
+    def test_sweep_of_all_protocols_meets_theorem_2(self, capsys):
+        code, text = _run(capsys, "sweep", "--protocol", "1,2,3,4",
+                          "--trials", "300")
+        assert code == 0
+        rows = [row for row in _table(text)
+                if row["experiment"] == "sweep" and row["protocol"] == "2"]
+        assert len(rows) == 7
+        assert all(float(row["Sigma_out"]) <= float(row["bound"])
+                   for row in rows)
+
+
 class TestConfigHandling:
     def test_unknown_key_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "bad.ini"
@@ -315,13 +337,16 @@ class TestCommands:
                                                 ("sweep", "protocols")])
     def test_ec_bunch_window_reaching_the_period(self, capsys, tmp_path,
                                                  experiment, key):
-        # quasi_ideal_ratio(2, 0.9) = 1.014: the window outgrows the period
-        cfg = _ini(tmp_path, experiment, f"{key} = 4\n{WIDE_WINDOW}")
-        code = main([experiment, "--config", cfg])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert "EC window width" in captured.err
+        # quasi_ideal_ratio(2, 0.9) = 1.014: the window outgrows the period,
+        # for EC bunching and for both switching protocols alike
+        for protocol in (1, 2, 4):
+            cfg = _ini(tmp_path, experiment,
+                       f"{key} = {protocol}\n{WIDE_WINDOW}")
+            code = main([experiment, "--config", cfg])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.out == ""
+            assert "EC window width" in captured.err
 
     def test_json_format(self, capsys):
         code, text = _run(capsys, "bounds", "--format", "json")

@@ -12,7 +12,7 @@ class TestDelta:
     def test_sampling_is_constant(self):
         rng = np.random.default_rng(0)
         d = Delta(1.0)
-        assert d.sample(rng) == 1.0
+        assert np.array_equal(d.sample(rng, (2, 3)), np.ones((2, 3)))
         assert np.all(d.sample(rng, 100) == 1.0)
 
     def test_confidence_is_point(self):
@@ -181,6 +181,6 @@ class TestDeltaMixture:
 
 def test_module_helpers():
     rng = np.random.default_rng(4)
-    assert Delta(2.0).sample(rng) == 2.0
+    assert np.array_equal(Delta(2.0).sample(rng, 3), [2.0, 2.0, 2.0])
     c = Delta(2.0).confidence(0.2)
     assert c.mu == 2.0

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,10 +12,17 @@ from ticklab import (Box, Delta, ExplicitEC, Protocol, ProtocolConfig,
                      ec_bar_sigma, monte_carlo, output_epsilon_budget,
                      prepare, quasi_ideal_ratio, theorem1_bound,
                      theorem2_bound, theorem_bound)
+from ticklab.clocks import quasi_ideal_params
 from ticklab.protocols import (_ec_bunch_mean, _simulate, check_rows,
                                largest_period)
 
 BOX_THIRD = Box(center=1.0, width=0.3333333333)
+
+
+def _cell_edges(mu_in):
+    """The period cell edges mu_in / (k + 1) and mu_in / (k + 3/2)."""
+    return [mu_in / (k + 1) for k in range(1, 60)] \
+        + [mu_in / (k + 1.5) for k in range(1, 60)]
 
 
 class TestPeriodChoosers:
@@ -40,10 +48,16 @@ class TestPeriodChoosers:
             choose_period_no_feedback(1.0, 0.2, 4)
 
     def test_feedback_examples(self):
-        assert choose_period_feedback(1.0, 0.2) == (4, pytest.approx(0.25))
-        assert choose_period_feedback(1.0, 0.11) == (9, pytest.approx(1 / 9))
+        assert choose_period_feedback(1.0, 0.2, 0.0) \
+            == (4, pytest.approx(0.25))
+        assert choose_period_feedback(1.0, 0.11, 0.0) \
+            == (9, pytest.approx(1 / 9))
         # sigma = mu / (m + 1) sits on the closed lower edge of the m-cell
-        assert choose_period_feedback(1.0, 0.5) == (1, pytest.approx(1.0))
+        assert choose_period_feedback(1.0, 0.5, 0.0) \
+            == (1, pytest.approx(1.0))
+        # the window takes its share of the period: 0.11 < 0.9 / m
+        assert choose_period_feedback(1.0, 0.11, 0.1) \
+            == (8, pytest.approx(1 / 8))
 
     def test_brackets_on_grid(self):
         # the cell edges mu_in / (k + 3/2) and mu_in / (k + 1) are on the
@@ -64,17 +78,20 @@ class TestPeriodChoosers:
                     assert mu_in / (m + 1.5) <= js * (1 + 1e-12)
                     assert js < mu_in / (m + 0.5)
                     assert tau == pytest.approx(mu_in / (m + 0.5))
-                m, tau = choose_period_feedback(mu_in, x)
+                m, tau = choose_period_feedback(mu_in, x, 0.0)
                 assert mu_in / (m + 1) <= x * (1 + 1e-12)
                 assert x < mu_in / m * (1 + 1e-12)
                 assert tau == pytest.approx(mu_in / m)
 
     def test_feedback_bracket_and_errors(self):
         for sigma in (0.07, 0.13, 0.29, 0.6):
-            m, tau = choose_period_feedback(1.0, sigma)
+            m, tau = choose_period_feedback(1.0, sigma, 0.0)
             assert 1 / (m + 1) <= sigma < 1 / m
         with pytest.raises(ValueError):
-            choose_period_feedback(1.0, 1.0)
+            choose_period_feedback(1.0, 1.0, 0.0)
+        # ExplicitEC rejects a window as wide as the period
+        with pytest.raises(ValueError, match="EC window width"):
+            choose_period_feedback(1.0, 0.01, 1.0)
 
     @pytest.mark.parametrize("mu_in", [0.3, 1.0, 2.7, 10.0])
     def test_strict_brackets_at_cell_edges(self, mu_in):
@@ -82,18 +99,36 @@ class TestPeriodChoosers:
         # holds the window and the next cell's does not, with no slack;
         # at mu_in = 1 this covers sigma_in = 1/49, where tau once equalled
         # sigma_in, and just below 0.2 and 0.4, where m fell one cell short
-        edges = [mu_in / (k + 1) for k in range(1, 60)] \
-            + [mu_in / (k + 1.5) for k in range(1, 60)]
-        for edge in edges:
+        for edge in _cell_edges(mu_in):
             for x in (math.nextafter(edge, 0), edge,
                       math.nextafter(edge, math.inf)):
                 for j in (1, 2):
                     m, tau = choose_period_no_feedback(mu_in, x / j, j)
                     assert tau == mu_in / (m + 0.5)
                     assert mu_in / (m + 1.5) <= j * (x / j) < tau
-                m, tau = choose_period_feedback(mu_in, x)
+                m, tau = choose_period_feedback(mu_in, x, 0.0)
                 assert tau == mu_in / m
                 assert mu_in / (m + 1) <= x < tau
+
+    @pytest.mark.parametrize("ratio", [0.01, 0.3, 0.9])
+    @pytest.mark.parametrize("mu_in", [0.3, 1.0, 2.7, 10.0])
+    def test_feedback_matches_scan_at_cell_edges(self, mu_in, ratio):
+        # the contract sigma_in < tau - sigma_ec, scanned over every m up
+        # to mu_in / sigma_in (it fails beyond); the grid holds the cell
+        # edges with and without the window's share
+        for edge in _cell_edges(mu_in):
+            for base in (edge, (1 - ratio) * edge):
+                for x in (math.nextafter(base, 0), base,
+                          math.nextafter(base, math.inf)):
+                    expected = _linear_largest(
+                        mu_in, 0.0, lambda m, tau: x < tau - ratio * tau,
+                        int(mu_in / x) + 1)
+                    if expected is None:
+                        with pytest.raises(ValueError):
+                            choose_period_feedback(mu_in, x, ratio)
+                    else:
+                        assert choose_period_feedback(mu_in, x, ratio) \
+                            == expected
 
     @pytest.mark.parametrize("mu_in, sigma_in", [
         (math.inf, 0.1), (-math.inf, 0.1), (math.nan, 0.1), (1.0, math.nan),
@@ -102,7 +137,7 @@ class TestPeriodChoosers:
         with pytest.raises(ValueError):
             choose_period_no_feedback(mu_in, sigma_in, 1)
         with pytest.raises(ValueError):
-            choose_period_feedback(mu_in, sigma_in)
+            choose_period_feedback(mu_in, sigma_in, 0.0)
 
 
 def _linear_largest(mu, offset, fits, m_max):
@@ -338,11 +373,22 @@ class TestDeterministicTraces:
 
 class TestPrepare:
     def test_feedback_constraint_enforced(self):
+        box = Box(1.0, 0.1111)
+        sigma_in = box.confidence(0.01).sigma
+        # an explicit EC with tau - sigma_ec = 0.1 < sigma_in is rejected
         cfg = ProtocolConfig(
-            protocol=Protocol.DYN_SWITCH_FEEDBACK, input_dist=Box(1.0, 0.1111),
-            eps=0.01, n_ticks=1, ec=QuasiIdealSpec(d=16))
-        with pytest.raises(ValueError):
+            protocol=Protocol.DYN_SWITCH_FEEDBACK, input_dist=box,
+            eps=0.01, n_ticks=1,
+            ec=ExplicitEC(tau=0.12, sigma=0.02, eps_tail=0.0))
+        with pytest.raises(ValueError, match="tau - sigma_ec"):
             prepare(cfg)
+        # a d = 16 EC resolves to the largest m whose EC meets the contract
+        prep = prepare(replace(cfg, ec=QuasiIdealSpec(d=16)))
+        assert prep.m == 8
+        assert sigma_in < prep.ec.tau - prep.ec.sigma
+        assert prep.ec == quasi_ideal_params(16, 0.1, prep.mu_in / prep.m)
+        shorter = quasi_ideal_params(16, 0.1, prep.mu_in / (prep.m + 1))
+        assert not sigma_in < shorter.tau - shorter.sigma
 
     def test_ec_bunch_needs_narrow_input(self):
         cfg = ProtocolConfig(
@@ -415,7 +461,6 @@ class TestMonteCarlo:
             ProtocolConfig(protocol=Protocol.DYN_SWITCH,
                            input_dist=BOX_THIRD, eps=0.01, n_ticks=j,
                            ec=QuasiIdealSpec(d=256)),
-            # sigma_in low in its period cell, so tau - sigma_ec clears it
             ProtocolConfig(protocol=Protocol.DYN_SWITCH_FEEDBACK,
                            input_dist=Box(1.0, 0.016586), eps=0.01,
                            n_ticks=j, ec=QuasiIdealSpec(d=256)),
