@@ -157,11 +157,14 @@ def resolve_config(args) -> dict:
     return cfg
 
 
-def _int_list(text: str) -> list[int]:
+def _int_list(cfg: dict, key: str) -> list[int]:
     try:
-        return [int(x) for x in text.split(",") if x.strip()]
+        values = [int(x) for x in cfg[key].split(",") if x.strip()]
     except ValueError as exc:
-        raise ConfigError(f"bad integer list {text!r}") from exc
+        raise ConfigError(f"bad integer list {cfg[key]!r}") from exc
+    if not values:
+        raise ConfigError(f"{key} needs at least one entry")
+    return values
 
 
 def _row(**kw) -> dict:
@@ -206,7 +209,6 @@ def _protocol_rows(experiment: str, cfg: dict, name: str, d: int,
         pc = ProtocolConfig(protocol=protocol, input_dist=dist, eps=eps,
                             n_ticks=n_ticks, ec=ec, period_tick=period_tick)
     matrix = monte_carlo(pc, trials, seed)
-    prep = matrix.prep
     rows = []
     for j in js:
         est = matrix.estimate(j, eps0)
@@ -215,18 +217,17 @@ def _protocol_rows(experiment: str, cfg: dict, name: str, d: int,
             eps0=eps0, eps_ec=eps_ec, trials=trials, j=j,
             sigma_out=est.interval.sigma, mu_out=est.interval.mu,
             Sigma_out=est.sigma_ratio,
-            bound=theorem_bound(protocol, prep.sigma_in / prep.mu_in,
-                                prep.bar_sigma_ec, j),
+            bound=theorem_bound(matrix.prep, j),
             truncated_trials=matrix.n_truncated, seed=seed))
     return rows
 
 
 def cmd_sweep(cfg: dict) -> list[dict]:
     j = int(cfg["j"])
-    d_list = _int_list(cfg["d"])
-    if not d_list:
-        raise ConfigError("sweep needs at least one dimension")
+    d_list = _int_list(cfg, "d")
     protocols = [p.strip() for p in cfg["protocols"].split(",") if p.strip()]
+    if not protocols:
+        raise ConfigError("protocols needs at least one entry")
     rows = []
     for name in protocols:
         # input bunching counts d input ticks; the ECs target tick j
@@ -246,8 +247,8 @@ def cmd_bounds(cfg: dict) -> list[dict]:
     nu = float(cfg["nu"])
     seed = int(cfg["seed"])
     rows = []
-    for d in _int_list(cfg["d"]):
-        for j in _int_list(cfg["j"]):
+    for d in _int_list(cfg, "d"):
+        for j in _int_list(cfg, "j"):
             # the table evaluates both theorems at the d-dimensional EC
             # inaccuracy, which is what each corollary states
             no_fb, fb = corollary_bounds(sigma_in, d, nu, j)

@@ -17,6 +17,7 @@ import numpy as np
 from .clocks import (ExplicitEC, delay_to_phase, quasi_ideal_ratio,
                      sample_tick_phase, wrap_phase)
 from .distributions import Box, WaitingTimeDistribution
+from .inaccuracy import ConfidenceInterval
 from .protocols import check_rows, largest_period
 
 _PHASE_MARGIN = 0.75  # fraction of the safe phase band a node may use
@@ -37,8 +38,10 @@ class NodeConfig:
         if self.delay < 0:
             raise ValueError("link delay must be nonnegative")
         if self.jitter is not None:
-            lo, _ = self.jitter.support() or (None, None)
-            if lo is not None and self.delay + lo - self.jitter.mean < 0:
+            support = self.jitter.support()
+            if support is None:
+                raise ValueError("link jitter must have bounded support")
+            if self.delay + support[0] - self.jitter.mean < 0:
                 raise ValueError("jitter can make the link delay negative")
 
 
@@ -61,30 +64,23 @@ class NetworkScenario:
                 "pre-synchronized nodes need a common EC period")
 
 
-def _node_label(node: NodeConfig, i: int) -> str:
-    return node.name or f"node {i}"
+def _arrivals_safe(central: ConfidenceInterval, ec: ExplicitEC,
+                   delay: float,
+                   jitter: WaitingTimeDistribution | None) -> bool:
+    """The band rule: arrivals over a link of mean ``delay``, at phase s0
+    of the pre-synchronized EC grid give or take half the central and
+    jitter widths, keep within ``_PHASE_MARGIN`` of the detector band."""
+    lo, hi = jitter.support() if jitter is not None else (0.0, 0.0)
+    s0 = float(wrap_phase(central.mu + delay, ec.tau))
+    slack = central.sigma / 2 + (hi - lo) / 2
+    return abs(s0) + slack <= _PHASE_MARGIN * ((ec.tau - ec.sigma) / 2)
 
 
-def _check_node(scenario: NetworkScenario, node: NodeConfig, i: int):
-    """Validate that the node's arrivals land inside the safe phase band
-    of its EC, so the switching protocol operates in contract."""
-    ec = node.ec
-    central = scenario.central.confidence(scenario.eps)
-    jitter_half = 0.0
-    if node.jitter is not None:
-        lo, hi = node.jitter.support() or (None, None)
-        if lo is None:
-            raise ValueError(
-                f"{_node_label(node, i)}: jitter must have bounded support")
-        jitter_half = (hi - lo) / 2
-    band = (ec.tau - ec.sigma) / 2
-    # expected arrival phase relative to the pre-synchronized EC grid
-    s0 = float(wrap_phase(central.mu + node.delay, ec.tau))
-    slack = central.sigma / 2 + jitter_half
-    if abs(s0) + slack > _PHASE_MARGIN * band:
-        raise ValueError(
-            f"{_node_label(node, i)}: arrivals (phase {s0:.4g} +- "
-            f"{slack:.4g}) reach the detector band of width {band:.4g}")
+def _check_node(central: ConfidenceInterval, node: NodeConfig, i: int):
+    """Raise ``ValueError`` naming node i unless ``_arrivals_safe``."""
+    if not _arrivals_safe(central, node.ec, node.delay, node.jitter):
+        raise ValueError(f"{node.name or f'node {i}'}: arrivals over delay "
+                         f"{node.delay:.4g} reach its EC's detector band")
 
 
 def _arrivals(broadcast: np.ndarray, scenario: NetworkScenario,
@@ -155,8 +151,9 @@ def _simulate(scenario: NetworkScenario, seq: np.random.SeedSequence,
 def _blocks(scenario: NetworkScenario, trials: int, seed: int):
     """Yield ``_simulate`` results for ``trials`` trials in blocks of
     ``_BLOCK``; block b runs on ``SeedSequence(seed).spawn(n_blocks)[b]``."""
+    central = scenario.central.confidence(scenario.eps)
     for i, node in enumerate(scenario.nodes):
-        _check_node(scenario, node, i)
+        _check_node(central, node, i)
     streams = np.random.SeedSequence(seed).spawn(-(-trials // _BLOCK))
     for b, seq in enumerate(streams):
         yield _simulate(scenario, seq, min(_BLOCK, trials - b * _BLOCK))
@@ -215,45 +212,41 @@ def plan_scenario(central: WaitingTimeDistribution, n_nodes: int,
     All nodes get the same EC (dimension d, common period) and link delays
     near half an EC period, staggered slightly, so the expected first
     arrival sits at phase 0 of the pre-synchronized EC grid.  The period
-    is tau = mu / (m + 1/2) for the largest m (at most 64) whose safe
-    phase band comfortably absorbs the central spread, the link jitter
-    and the delay stagger.  ``sigma_scale`` shrinks the EC window
-    width without touching anything else.
+    is tau = mu / (m + 1/2) for the largest m (at most 64) at which every
+    node, with the unscaled window, meets the band rule ``_arrivals_safe``
+    that its run is checked against.  ``sigma_scale`` shrinks the EC
+    window width without touching anything else.
     """
     if n_nodes < 2:
         raise ValueError("a network needs at least 2 nodes")
-    if jitter_width < 0:
-        raise ValueError("jitter width must be nonnegative")
+    if not 0.0 <= jitter_width < math.inf:
+        raise ValueError("jitter width must be finite and nonnegative")
     if not 0.0 < sigma_scale <= 1.0:
         raise ValueError("sigma_scale must lie in (0, 1]")
     conf = central.confidence(eps)
-    # the period is planned with the unscaled window so that shrinking
-    # the window afterwards never changes the tick grid
     ratio = quasi_ideal_ratio(d, eta)
+    jitter = Box(jitter_width, jitter_width) if jitter_width > 0 else None
 
-    def band(tau):
-        return (tau - ratio * tau) / 2
+    def delays(tau):  # staggered over a tenth of the unscaled band
+        off_span = 0.1 * ((tau - ratio * tau) / 2)
+        return [tau / 2 + off_span * (i / (n_nodes - 1) - 0.5)
+                for i in range(n_nodes)]
 
-    def fits(m, tau):  # the central spread, jitter and offsets fit
-        return conf.sigma / 2 + jitter_width / 2 + 0.1 * band(tau) / 2 \
-            <= _PHASE_MARGIN * band(tau)
+    def all_safe(m, tau):
+        # planned with the unscaled window so that shrinking the window
+        # afterwards never changes the tick grid
+        ec = ExplicitEC(tau, ratio * tau, eps_ec)
+        return all(_arrivals_safe(conf, ec, delay, jitter)
+                   for delay in delays(tau))
 
-    cell = largest_period(conf.mu, 0.5, fits, 64)
+    cell = largest_period(conf.mu, 0.5, all_safe, 64)
     if cell is None:
         raise ValueError(
             "no EC period accommodates this central spread and jitter")
     tau = cell[1]
-    off_span = 0.1 * band(tau)
-    ec = ExplicitEC(tau=tau, sigma=ratio * sigma_scale * tau,
-                    eps_tail=eps_ec)
-    jitter = None
-    if jitter_width > 0:
-        jitter = Box(center=jitter_width, width=jitter_width)
-    nodes = []
-    for i in range(n_nodes):
-        offset = off_span * (i / (n_nodes - 1) - 0.5)
-        nodes.append(NodeConfig(delay=tau / 2 + offset, ec=ec,
-                                jitter=jitter, name=f"node-{i}"))
+    ec = ExplicitEC(tau, ratio * sigma_scale * tau, eps_ec)
+    nodes = [NodeConfig(delay=delay, ec=ec, jitter=jitter, name=f"node-{i}")
+             for i, delay in enumerate(delays(tau))]
     return NetworkScenario(central=central, nodes=tuple(nodes),
                            n_outputs=n_outputs, eps=eps)
 

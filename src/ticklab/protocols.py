@@ -50,18 +50,24 @@ def largest_period(mu: float, offset: float, fits,
     return lo, mu / (lo + offset)
 
 
+def _no_feedback_fits(j: int, sigma_in: float, tau: float) -> bool:
+    """Theorem 1's hypothesis: j sigma_in < tau, the input confidence
+    interval up to tick j fits inside one EC period."""
+    return j * sigma_in < tau
+
+
 def choose_period_no_feedback(mu_in: float, sigma_in: float,
                               j: int = 1) -> tuple[int, float]:
     """Pick the EC period for dynamics switching without feedback: the
-    largest m <= ``_M_CAP`` with j sigma_in < tau = mu_in / (m + 1/2), so
-    the input confidence interval up to tick j fits inside one EC period.
+    largest m <= ``_M_CAP`` whose period tau = mu_in / (m + 1/2) meets
+    ``_no_feedback_fits`` at tick j.
     """
     if not (0.0 < mu_in < math.inf and sigma_in >= 0.0):
         raise ValueError("need 0 < mu_in < inf and sigma_in >= 0")
     if j < 1:
         raise ValueError("tick index must be a positive integer")
-    cell = largest_period(mu_in, 0.5, lambda m, tau: j * sigma_in < tau,
-                          _M_CAP)
+    cell = largest_period(
+        mu_in, 0.5, lambda m, tau: _no_feedback_fits(j, sigma_in, tau), _M_CAP)
     if cell is None:
         raise ValueError("tick index times input inaccuracy must be below 2/3")
     return cell
@@ -92,44 +98,50 @@ def ec_bar_sigma(ec: ExplicitEC) -> float:
     return 2.0 * ec.sigma / ec.tau
 
 
+def _bound(protocol: Protocol, sigma_in: float, bar_sigma_ec: float | None,
+           j: int, mu_in: float = 1.0, tau: float = 1.0 / 1.5) -> float | None:
+    """The paper's bound on output j of ``protocol`` for an input of mean
+    mu_in and width sigma_in, Sigma_in = sigma_in / mu_in, and an EC of
+    period tau: theorem 1, (5 j^2 / 6) Sigma_in bar_Sigma_EC, for dynamics
+    switching while ``_no_feedback_fits``; theorem 2, Sigma_in
+    bar_Sigma_EC, for the one i.i.d. gap of feedback while Sigma_in < 1.
+    The default is a unit-mean input in the widest period cell (m = 1).
+    This is the one place a failed hypothesis becomes None."""
+    if not (0.0 <= sigma_in < math.inf and j >= 1):
+        raise ValueError("need a finite sigma_in >= 0 and a tick index >= 1")
+    if protocol is Protocol.DYN_SWITCH and _no_feedback_fits(j, sigma_in, tau):
+        return 5.0 * j * j / 6.0 * (sigma_in / mu_in) * bar_sigma_ec
+    if protocol is Protocol.DYN_SWITCH_FEEDBACK and j == 1 \
+            and sigma_in < mu_in:
+        return sigma_in / mu_in * bar_sigma_ec
+    return None
+
+
 def theorem1_bound(sigma_in: float, bar_sigma_ec: float, j: int) -> float:
-    """Inaccuracy bound (5 j^2 / 6) Sigma_in bar_Sigma_EC for the j-th
-    output of dynamics switching without feedback, at tail level j eps0."""
-    if not 0.0 <= sigma_in < 2.0 / 3.0:
-        raise ValueError("input inaccuracy must be below 2/3")
-    if j < 1:
-        raise ValueError("tick index must be a positive integer")
-    if sigma_in > 0 and j >= 2.0 / (3.0 * sigma_in):
-        raise ValueError("tick index too large for this input inaccuracy")
-    return 5.0 * j * j / 6.0 * sigma_in * bar_sigma_ec
+    """Theorem 1's bound on output j of dynamics switching without
+    feedback, at tail level j eps0, for a unit-mean input in the widest
+    period cell, tau = 1 / 1.5."""
+    bound = _bound(Protocol.DYN_SWITCH, sigma_in, bar_sigma_ec, j)
+    if bound is None:
+        raise ValueError("tick index times input inaccuracy must be below 2/3")
+    return bound
 
 
 def theorem2_bound(sigma_in: float, bar_sigma_ec: float) -> float:
-    """Per-tick inaccuracy bound Sigma_in bar_Sigma_EC for the i.i.d.
-    output of dynamics switching with feedback."""
-    if not 0.0 <= sigma_in < 1.0:
+    """Theorem 2's per-tick bound for the i.i.d. output of dynamics
+    switching with feedback, for a unit-mean input."""
+    bound = _bound(Protocol.DYN_SWITCH_FEEDBACK, sigma_in, bar_sigma_ec, 1)
+    if bound is None:
         raise ValueError("input inaccuracy must be below 1")
-    return sigma_in * bar_sigma_ec
+    return bound
 
 
-def theorem_bound(protocol: Protocol, sigma_in: float,
-                  bar_sigma_ec: float | None, j: int) -> float | None:
-    """The paper's bound on the j-th output inaccuracy of ``protocol``:
-    theorem 1 for dynamics switching, theorem 2 for the single i.i.d. gap
-    (j = 1) of dynamics switching with feedback.  None when no theorem
-    covers the protocol and tick, or when its hypotheses fail."""
-    if not sigma_in >= 0.0:
-        raise ValueError("input inaccuracy must be nonnegative")
-    if j < 1:
-        raise ValueError("tick index must be a positive integer")
-    try:
-        if protocol is Protocol.DYN_SWITCH:
-            return theorem1_bound(sigma_in, bar_sigma_ec, j)
-        if protocol is Protocol.DYN_SWITCH_FEEDBACK and j == 1:
-            return theorem2_bound(sigma_in, bar_sigma_ec)
-    except ValueError:  # a hypothesis of the theorem fails
-        pass
-    return None
+def theorem_bound(prep: PreparedRun, j: int) -> float | None:
+    """The paper's bound on tick j of the run ``prep``, None where no
+    theorem covers it.  Theorem 1's hypothesis is tested on the run's own
+    input width and EC period, as its period chooser tested it."""
+    return _bound(prep.cfg.protocol, prep.sigma_in, prep.bar_sigma_ec, j,
+                  prep.mu_in, prep.ec and prep.ec.tau)
 
 
 def corollary_bounds(sigma_in: float, d: int, nu: float,
@@ -137,14 +149,14 @@ def corollary_bounds(sigma_in: float, d: int, nu: float,
     """The theorem bounds for dynamics switching without and with
     feedback at the d-dimensional EC inaccuracy bar_Sigma_EC = 2 / d^(1-nu):
     ((5 j^2 / 3) Sigma_in / d^(1-nu), 2 Sigma_in / d^(1-nu)), each None
-    where its theorem does not apply."""
+    where its theorem does not apply, as ``theorem1_bound`` and
+    ``theorem2_bound`` state them."""
     if d < 2:
         raise ValueError("dimension must be at least 2")
     if not 0.0 < nu < 1.0:
         raise ValueError("nu must lie in (0, 1)")
     bar_ec = 2.0 / d ** (1.0 - nu)
-    return (theorem_bound(Protocol.DYN_SWITCH, sigma_in, bar_ec, j),
-            theorem_bound(Protocol.DYN_SWITCH_FEEDBACK, sigma_in, bar_ec, j))
+    return tuple(_bound(p, sigma_in, bar_ec, j) for p in _SWITCHING)
 
 
 def output_epsilon_budget(eps: float, eps_ec: float, j: int) -> float:
@@ -215,9 +227,6 @@ class PreparedRun:
     ec: ExplicitEC | None
     m: int | None
     horizon: float
-    # j up to which each theorem hypothesis admits the run
-    theorem_j_limit: float | None = None
-    cond_j_limit: float | None = None
 
     @property
     def bar_sigma_ec(self) -> float | None:
@@ -249,7 +258,6 @@ def prepare(cfg: ProtocolConfig) -> PreparedRun:
     interval = cfg.input_dist.confidence(cfg.eps)
     mu_in, sigma_in = interval.mu, interval.sigma
     ec, m = cfg.ec, None
-    theorem_j = cond_j = None
 
     if cfg.protocol in _SWITCHING:
         if isinstance(ec, QuasiIdealSpec):
@@ -264,10 +272,6 @@ def prepare(cfg: ProtocolConfig) -> PreparedRun:
                 and not _feedback_fits(sigma_in, ec):
             raise ValueError(
                 "input confidence width must stay below tau - sigma_ec")
-        if sigma_in > 0:
-            theorem_j = 2.0 * mu_in / (3.0 * sigma_in)
-        if ec.sigma + sigma_in > 0:
-            cond_j = (ec.tau - ec.sigma) / (ec.sigma + sigma_in)
         horizon = cfg.horizon or 4.0 * (mu_in + ec.tau) * (cfg.n_ticks + 2)
 
     elif cfg.protocol is Protocol.INPUT_BUNCH:
@@ -288,8 +292,7 @@ def prepare(cfg: ProtocolConfig) -> PreparedRun:
             4.0 * (mu_in + ec.tau / 2) * (cfg.n_ticks + 2)
 
     return PreparedRun(cfg=cfg, mu_in=mu_in, sigma_in=sigma_in, ec=ec, m=m,
-                       horizon=horizon, theorem_j_limit=theorem_j,
-                       cond_j_limit=cond_j)
+                       horizon=horizon)
 
 
 def check_rows(times: np.ndarray):

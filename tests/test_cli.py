@@ -165,6 +165,21 @@ class TestConfigHandling:
         assert code == 2
         assert text == ""
 
+    @pytest.mark.parametrize("experiment, body, message", [
+        ("bounds", "d = ,\n", "d needs at least one entry"),
+        ("bounds", "j = ,\n", "j needs at least one entry"),
+        ("bounds", "sigma_in = inf\n", "finite sigma_in"),
+        ("sweep", "protocols = ,\ntrials = 10\n", "protocols needs"),
+    ])
+    def test_empty_or_infinite_config_rejected(self, capsys, tmp_path,
+                                               experiment, body, message):
+        cfg = _ini(tmp_path, experiment, body)
+        code = main([experiment, "--config", cfg])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert message in captured.err
+
     @pytest.mark.parametrize("argv", [
         ("bounds", "--trials", "5"),
         ("bounds", "--protocol", "1"),
@@ -218,13 +233,36 @@ class TestCommands:
         assert set(bounds.values()) == {""}
 
     def test_run_bound_within_theorem1_limit(self, capsys, tmp_path):
-        # Sigma_in = 0.297 / 1.0015: theorem 1 admits j < 2.25
+        # sigma_in = 0.297 and the run's period tau = 1.0015 / 2.5 = 0.4006:
+        # only j = 1 has j sigma_in < tau, though 2 / (3 Sigma_in) = 2.25
         cfg = _ini(tmp_path, "run", "input = box:center=1,width=0.3\n"
                    "trials = 100\nticks = 4\n")
         code, text = _run(capsys, "run", "--config", cfg)
         assert code == 0
         assert [r["bound"] != "" for r in _table(text)] == \
-            [True, True, False, False]
+            [True, False, False, False]
+
+    @pytest.mark.parametrize("body", [
+        "", "input = box:center=1,width=0.1015\n"])
+    def test_run_bound_only_where_its_period_fits(self, capsys, tmp_path,
+                                                  body):
+        # run chooses the period for tick 1, so 2 sigma_in already
+        # exceeds tau (0.66 > 0.40 by default, 0.20 > 0.105 at 0.1015)
+        cfg = _ini(tmp_path, "run", body + "trials = 200\n")
+        code, text = _run(capsys, "run", "--config", cfg)
+        assert code == 0
+        assert [r["bound"] != "" for r in _table(text)] == \
+            [True] + 5 * [False]
+
+    def test_sweep_keeps_its_theorem1_bound(self, capsys, tmp_path):
+        # sweep chooses the period for its own tick j, which therefore fits
+        cfg = _ini(tmp_path, "sweep", "input = box:center=1,width=0.1015\n"
+                   "j = 3\nprotocols = 1\ntrials = 200\n")
+        code, text = _run(capsys, "sweep", "--config", cfg)
+        assert code == 0
+        rows = [r for r in _table(text) if r["experiment"] == "sweep"]
+        assert len(rows) == 7
+        assert all(float(r["bound"]) > 0 for r in rows)
 
     @pytest.mark.parametrize("protocol", ["1", "2"])
     def test_run_with_delta_input(self, capsys, tmp_path, protocol):

@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from ticklab import (Box, Delta, ExplicitEC, NetworkScenario, NodeConfig,
-                     cross_node_spread, network_spreads, plan_scenario,
-                     quasi_ideal_ratio, run_network, sample_tick_phase,
-                     wrap_phase)
+from ticklab import (Box, Delta, ExplicitEC, Gaussian, NetworkScenario,
+                     NodeConfig, cross_node_spread, network_spreads,
+                     plan_scenario, quasi_ideal_ratio, run_network,
+                     sample_tick_phase, wrap_phase)
 from ticklab.network import _BLOCK, _PHASE_MARGIN, _blocks
 
 
@@ -70,6 +70,10 @@ class TestScenarios:
                  NodeConfig(delay=0.0, ec=_ideal_ec(1.1)))
         with pytest.raises(ValueError):
             NetworkScenario(central=Delta(3.3), nodes=nodes, n_outputs=1)
+
+    def test_jitter_needs_bounded_support(self):
+        with pytest.raises(ValueError, match="bounded support"):
+            NodeConfig(delay=1.0, ec=_ideal_ec(), jitter=Gaussian(0.1, 0.01))
 
     def test_detector_band_violation_names_node(self):
         # an arrival at phase tau/2 lands on the detector
@@ -162,6 +166,11 @@ class TestPlanScenario:
                         taus.add(round(mu / tau - 0.5))
         # the grid reaches the cap and the empty plan
         assert {64, None} <= taus
+
+    @pytest.mark.parametrize("jitter_width", [-0.1, np.nan, np.inf])
+    def test_bad_jitter_width_rejected(self, jitter_width):
+        with pytest.raises(ValueError, match="jitter width"):
+            plan_scenario(Box(1.0, 0.1), 3, jitter_width, 256)
 
     def test_structure(self):
         scenario = plan_scenario(Box(1.0, 0.1), n_nodes=8, jitter_width=0.1,

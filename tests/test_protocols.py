@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -6,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ticklab import (Box, Delta, ExplicitEC, Protocol, ProtocolConfig,
-                     QuasiIdealSpec, choose_period_feedback,
+from ticklab import (Box, Delta, ExplicitEC, PreparedRun, Protocol,
+                     ProtocolConfig, QuasiIdealSpec, choose_period_feedback,
                      choose_period_no_feedback, corollary_bounds,
                      ec_bar_sigma, monte_carlo, output_epsilon_budget,
                      prepare, quasi_ideal_ratio, theorem1_bound,
@@ -199,6 +200,17 @@ class TestLargestPeriod:
         assert {1, 63} <= cells
 
 
+def _unit_cell_run(protocol, sigma_in):
+    """A run of a unit-mean input of width ``sigma_in`` whose EC, with
+    bar_Sigma_EC = 0.04, has the widest period of its chooser: the m = 1
+    cell, tau = 1 / 1.5 without feedback and 1 with it."""
+    tau = 1 / 1.5 if protocol is Protocol.DYN_SWITCH else 1.0
+    ec = ExplicitEC(tau, 0.02 * tau, 0.0)
+    cfg = ProtocolConfig(protocol, Delta(1.0), 0.01, 1, ec=ec, bunch=1)
+    return PreparedRun(cfg=cfg, mu_in=1.0, sigma_in=sigma_in, ec=ec, m=1,
+                       horizon=10.0)
+
+
 class TestBoundFormulas:
     def test_theorem1(self):
         assert theorem1_bound(0.33, 0.04, 1) == pytest.approx(0.011)
@@ -238,7 +250,7 @@ class TestBoundFormulas:
         # theorem 1 holds for every j at sigma_in = 0 ...
         (Protocol.DYN_SWITCH, 0.0, 1, 0.0),
         (Protocol.DYN_SWITCH, 0.0, 100, 0.0),
-        # ... and below j = 2 / (3 sigma_in) otherwise (2.02 at 0.33)
+        # ... and while j sigma_in < tau = 2/3 otherwise
         (Protocol.DYN_SWITCH, 0.33, 1, 5 / 6 * 0.33 * 0.04),
         (Protocol.DYN_SWITCH, 0.33, 2, 5 * 4 / 6 * 0.33 * 0.04),
         (Protocol.DYN_SWITCH, 0.33, 3, None),
@@ -262,20 +274,28 @@ class TestBoundFormulas:
         (Protocol.EC_BUNCH, 0.33, 1, None),
     ])
     def test_theorem_bound(self, protocol, sigma_in, j, expected):
-        bound = theorem_bound(protocol, sigma_in, 0.04, j)
+        bound = theorem_bound(_unit_cell_run(protocol, sigma_in), j)
         if expected is None:
             assert bound is None
         else:
             assert bound == pytest.approx(expected, rel=1e-14, abs=0.0)
+        # the bound table states the same theorems on the same cells
+        if protocol in (Protocol.DYN_SWITCH, Protocol.DYN_SWITCH_FEEDBACK):
+            table = corollary_bounds(sigma_in, 64, 0.5, j)
+            covered = table[protocol is Protocol.DYN_SWITCH_FEEDBACK]
+            assert (covered is None) == (expected is None)
 
     def test_theorem_bound_rejects_bad_arguments(self):
         for protocol in Protocol:
+            for sigma_in in (-0.1, math.inf, math.nan):
+                with pytest.raises(ValueError):
+                    theorem_bound(_unit_cell_run(protocol, sigma_in), 1)
             with pytest.raises(ValueError):
-                theorem_bound(protocol, -0.1, 0.04, 1)
-            with pytest.raises(ValueError):
-                theorem_bound(protocol, 0.33, 0.04, 0)
-        # the bunching protocols have no switchable EC to pass
-        assert theorem_bound(Protocol.EC_BUNCH, 0.33, None, 1) is None
+                theorem_bound(_unit_cell_run(protocol, 0.33), 0)
+        # input bunching has no EC at all
+        prep = prepare(ProtocolConfig(Protocol.INPUT_BUNCH, BOX_THIRD, 0.01,
+                                      1, bunch=4))
+        assert theorem_bound(prep, 1) is None
 
     def test_ec_bar_sigma(self):
         assert ec_bar_sigma(ExplicitEC(2.0, 0.1, 0.0)) == pytest.approx(0.1)
@@ -408,15 +428,23 @@ class TestPrepare:
                              ec=QuasiIdealSpec(d=256))
         assert prepare(cfg).bar_sigma_ec is None
 
-    def test_reports_both_j_conditions(self):
-        cfg = ProtocolConfig(
-            protocol=Protocol.DYN_SWITCH, input_dist=BOX_THIRD,
-            eps=0.01, n_ticks=1, ec=QuasiIdealSpec(d=256))
-        prep = prepare(cfg)
-        assert prep.theorem_j_limit == pytest.approx(
-            2 * prep.mu_in / (3 * prep.sigma_in))
-        assert prep.cond_j_limit == pytest.approx(
-            (prep.ec.tau - prep.ec.sigma) / (prep.ec.sigma + prep.sigma_in))
+    def test_theorem_bound_follows_the_run_period(self):
+        # theorem 1 covers tick j of a run exactly while the period chooser
+        # at tick j would still allow the run's cell m
+        for width, period_tick in itertools.product((0.05, 0.1015, 0.2),
+                                                    (1, 2, 3)):
+            prep = prepare(ProtocolConfig(
+                Protocol.DYN_SWITCH, Box(1.0, width), 0.01, 1,
+                ec=QuasiIdealSpec(d=256), period_tick=period_tick))
+            for j in range(1, 16):
+                try:
+                    m_j = choose_period_no_feedback(prep.mu_in,
+                                                    prep.sigma_in, j)[0]
+                except ValueError:
+                    m_j = 0
+                assert (theorem_bound(prep, j) is not None) == \
+                    (m_j >= prep.m)
+            assert theorem_bound(prep, period_tick) is not None
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
