@@ -14,8 +14,7 @@ from .inaccuracy import (ConfidenceInterval, InaccuracyEstimate,
 from .network import (NetworkScenario, NodeConfig, cross_node_spread,
                       network_spreads, plan_scenario, run_network)
 from .protocols import (PreparedRun, Protocol, ProtocolConfig,
-                        QuasiIdealSpec, TrialMatrix, choose_period_feedback,
-                        choose_period_no_feedback, corollary_bounds,
+                        QuasiIdealSpec, TrialMatrix, corollary_bounds,
                         ec_bar_sigma, monte_carlo, output_epsilon_budget,
                         prepare, theorem1_bound, theorem2_bound,
                         theorem_bound)
@@ -26,8 +25,8 @@ __all__ = [
     "Mode", "NetworkScenario", "NodeConfig", "PreparedRun", "Protocol",
     "ProtocolConfig", "QuasiIdealSpec", "TrialMatrix",
     "WaitingTimeDistribution", "ZeroVarianceError",
-    "bruteforce_inaccuracy", "chebyshev_bound", "choose_period_feedback",
-    "choose_period_no_feedback", "corollary_bounds", "cross_node_spread",
+    "bruteforce_inaccuracy", "chebyshev_bound", "corollary_bounds",
+    "cross_node_spread",
     "ec_bar_sigma", "empirical_inaccuracy", "hoeffding_inaccuracy_bound",
     "hoeffding_tail", "monte_carlo", "network_spreads",
     "output_epsilon_budget", "plan_scenario", "prepare",

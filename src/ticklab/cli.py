@@ -70,6 +70,9 @@ def parse_dist(spec: str):
             probs = [float(x) for x in kv.pop("probs").split("|")]
             if kv:
                 raise ValueError(f"unknown keys {sorted(kv)}")
+            if len(times) != len(probs):
+                raise ValueError(f"{len(times)} times but {len(probs)} "
+                                 "probs")
             return DeltaMixture(tuple(zip(times, probs)))
         raise ValueError(f"unknown distribution kind {kind!r}")
     except (KeyError, TypeError, ValueError) as exc:

@@ -37,6 +37,12 @@ def _check_ec_tail(eps_tail: float):
             f"EC tail level must lie in [0, 1), got {eps_tail!r}")
 
 
+def _check_eta(eta: float):
+    """Reject a Quasi-Ideal Clock eta outside (0, 1), nan included."""
+    if not 0.0 < eta < 1.0:
+        raise ValueError("eta must lie in (0, 1)")
+
+
 @dataclass(frozen=True)
 class ExplicitEC:
     """EC with period ``tau``, detector-window width ``sigma`` and tail
@@ -144,8 +150,7 @@ def quasi_ideal_ratio(d: int, eta: float) -> float:
     d-dimensional Quasi-Ideal Clock."""
     if d < 2:
         raise ValueError("dimension must be at least 2")
-    if not 0.0 < eta < 1.0:
-        raise ValueError("eta must lie in (0, 1)")
+    _check_eta(eta)
     return d ** (eta - 1.0) + d ** (0.75 * eta - 1.0) / math.pi / math.pi
 
 

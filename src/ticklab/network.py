@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clocks import (ExplicitEC, delay_to_phase, quasi_ideal_ratio,
-                     sample_tick_phase, wrap_phase)
+from .clocks import (ExplicitEC, delay_to_phase, quasi_ideal_params,
+                     quasi_ideal_ratio, sample_tick_phase, wrap_phase)
 from .distributions import Box, WaitingTimeDistribution
 from .inaccuracy import ConfidenceInterval
 from .protocols import check_rows, largest_period
@@ -224,29 +224,31 @@ def plan_scenario(central: WaitingTimeDistribution, n_nodes: int,
     if not 0.0 < sigma_scale <= 1.0:
         raise ValueError("sigma_scale must lie in (0, 1]")
     conf = central.confidence(eps)
-    ratio = quasi_ideal_ratio(d, eta)
     jitter = Box(jitter_width, jitter_width) if jitter_width > 0 else None
 
-    def delays(tau):  # staggered over a tenth of the unscaled band
-        off_span = 0.1 * ((tau - ratio * tau) / 2)
-        return [tau / 2 + off_span * (i / (n_nodes - 1) - 0.5)
-                for i in range(n_nodes)]
+    def candidate(tau):
+        # the unscaled window, so that shrinking the window afterwards
+        # never changes the tick grid, and delays staggered over a tenth
+        # of its band
+        ec = quasi_ideal_params(d, eta, tau, eps_ec)
+        off_span = 0.1 * ((tau - ec.sigma) / 2)
+        return ec, [tau / 2 + off_span * (i / (n_nodes - 1) - 0.5)
+                    for i in range(n_nodes)]
 
     def all_safe(m, tau):
-        # planned with the unscaled window so that shrinking the window
-        # afterwards never changes the tick grid
-        ec = ExplicitEC(tau, ratio * tau, eps_ec)
+        ec, delays = candidate(tau)
         return all(_arrivals_safe(conf, ec, delay, jitter)
-                   for delay in delays(tau))
+                   for delay in delays)
 
     cell = largest_period(conf.mu, 0.5, all_safe, 64)
     if cell is None:
         raise ValueError(
             "no EC period accommodates this central spread and jitter")
     tau = cell[1]
-    ec = ExplicitEC(tau, ratio * sigma_scale * tau, eps_ec)
+    ec = ExplicitEC(tau, quasi_ideal_ratio(d, eta) * sigma_scale * tau,
+                    eps_ec)
     nodes = [NodeConfig(delay=delay, ec=ec, jitter=jitter, name=f"node-{i}")
-             for i, delay in enumerate(delays(tau))]
+             for i, delay in enumerate(candidate(tau)[1])]
     return NetworkScenario(central=central, nodes=tuple(nodes),
                            n_outputs=n_outputs, eps=eps)
 

@@ -11,9 +11,10 @@ accurate output tick signal:
 4. EC bunching: the EC free-runs and the first EC tick at or after each
    input tick is the output tick.
 
-The module also houses the period chooser ``largest_period``, the
-closed-form inaccuracy bounds for the first two protocols, and the
-Monte-Carlo engine, which runs a block of trials in lockstep as arrays.
+The module also houses the period chooser ``largest_period``, each EC
+protocol's contract ``_contract``, the closed-form inaccuracy bounds for
+the first two protocols, and the Monte-Carlo engine, which runs a block
+of trials in lockstep as arrays.
 """
 from __future__ import annotations
 
@@ -23,8 +24,8 @@ from enum import Enum
 
 import numpy as np
 
-from .clocks import (ExplicitEC, _check_ec_tail, fire_delay,
-                     quasi_ideal_params, quasi_ideal_ratio, wrap_phase)
+from .clocks import (ExplicitEC, _check_ec_tail, _check_eta, fire_delay,
+                     quasi_ideal_params, wrap_phase)
 from .distributions import WaitingTimeDistribution
 from .inaccuracy import InaccuracyEstimate, empirical_inaccuracy
 
@@ -56,41 +57,19 @@ def _no_feedback_fits(j: int, sigma_in: float, tau: float) -> bool:
     return j * sigma_in < tau
 
 
-def choose_period_no_feedback(mu_in: float, sigma_in: float,
-                              j: int = 1) -> tuple[int, float]:
-    """Pick the EC period for dynamics switching without feedback: the
-    largest m <= ``_M_CAP`` whose period tau = mu_in / (m + 1/2) meets
-    ``_no_feedback_fits`` at tick j.
-    """
-    if not (0.0 < mu_in < math.inf and sigma_in >= 0.0):
-        raise ValueError("need 0 < mu_in < inf and sigma_in >= 0")
-    if j < 1:
-        raise ValueError("tick index must be a positive integer")
-    cell = largest_period(
-        mu_in, 0.5, lambda m, tau: _no_feedback_fits(j, sigma_in, tau), _M_CAP)
-    if cell is None:
-        raise ValueError("tick index times input inaccuracy must be below 2/3")
-    return cell
-
-
 def _feedback_fits(sigma_in: float, ec: ExplicitEC) -> bool:
     """The feedback contract: sigma_in < tau - sigma_ec."""
     return sigma_in < ec.tau - ec.sigma
 
 
-def choose_period_feedback(mu_in: float, sigma_in: float,
-                           ratio: float) -> tuple[int, float]:
-    """Pick the EC period for dynamics switching with feedback: the
-    largest m <= ``_M_CAP`` whose EC of period tau = mu_in / m and window
-    ``ratio`` tau meets ``_feedback_fits``.
-    """
-    if not (0.0 < mu_in < math.inf and sigma_in >= 0.0):
-        raise ValueError("need 0 < mu_in < inf and sigma_in >= 0")
-    cell = largest_period(mu_in, 0.0, lambda m, tau: _feedback_fits(
-        sigma_in, ExplicitEC(tau, ratio * tau, 0.0)), _M_CAP)
-    if cell is None:
-        raise ValueError("input inaccuracy must be below 1 - ratio")
-    return cell
+def _ec_bunch_fits(mu_in: float, width: float, ec: ExplicitEC) -> bool:
+    """EC bunching's contract: the free-running EC's mean tick gap
+    mu_ec = tau / 2 exceeds the input width, and its jitter over a cycle
+    of mu_in / mu_ec + 1/2 gaps, each sigma_ec wide, stays within
+    0.9 (mu_ec - width)."""
+    mu_ec = ec.tau / 2
+    return mu_ec > width and \
+        (mu_in / mu_ec + 0.5) * ec.sigma <= 0.9 * (mu_ec - width)
 
 
 def ec_bar_sigma(ec: ExplicitEC) -> float:
@@ -188,6 +167,7 @@ class QuasiIdealSpec:
     eps_tail: float = 0.001
 
     def __post_init__(self):
+        _check_eta(self.eta)
         _check_ec_tail(self.eps_tail)
 
 
@@ -207,6 +187,8 @@ class ProtocolConfig:
             raise ValueError("need at least one output tick")
         if not 0.0 <= self.eps < 1.0:
             raise ValueError("tail level must lie in [0, 1)")
+        if self.period_tick < 1:
+            raise ValueError("tick index must be a positive integer")
         if self.horizon is not None and self.horizon <= 0:
             raise ValueError("horizon must be positive")
         if self.protocol is Protocol.INPUT_BUNCH:
@@ -219,7 +201,8 @@ class ProtocolConfig:
 @dataclass(frozen=True)
 class PreparedRun:
     """Resolved parameters of one protocol configuration; ``ec`` is the
-    EC the protocol runs, None for input bunching."""
+    EC the protocol runs, None for input bunching, and ``m`` the period
+    cell a ``QuasiIdealSpec`` resolved to, else None."""
 
     cfg: ProtocolConfig
     mu_in: float
@@ -237,60 +220,60 @@ class PreparedRun:
         return ec_bar_sigma(self.ec)
 
 
-def _ec_bunch_mean(mu_in: float, sigma_in: float, ratio: float) -> float:
-    """Mean EC tick gap for EC bunching with a d-dimensional EC.
-
-    Uses mu_ec = mu_in / (m + 1/2) so the input confidence interval sits
-    mid-gap on the EC tick grid, with the largest m <= 63 where mu_ec >
-    sigma_in and the EC jitter over a cycle, (m + 1) 2 ratio mu_ec, stays
-    within 0.9 (mu_ec - sigma_in); m = 1 when no m qualifies.
-    """
-    def fits(m, mu_ec):
-        return mu_ec > sigma_in and \
-            (m + 1) * (2.0 * ratio * mu_ec) <= 0.9 * (mu_ec - sigma_in)
-
-    cell = largest_period(mu_in, 0.5, fits, 63)
-    return cell[1] if cell else mu_in / 1.5
+def _contract(cfg: ProtocolConfig, mu_in: float, sigma_in: float):
+    """The EC contract of ``cfg``'s protocol for an input of mean mu_in
+    and confidence width sigma_in: its period lattice (mu, offset, cap),
+    tau = mu / (m + offset) for m <= cap; its rule, a predicate on an
+    ``ExplicitEC``; and the message of an EC that breaks the rule."""
+    if not (0.0 < mu_in < math.inf and 0.0 <= sigma_in < math.inf):
+        raise ValueError("need 0 < mu_in < inf and 0 <= sigma_in < inf")
+    if cfg.protocol is Protocol.DYN_SWITCH:
+        j = cfg.period_tick
+        return ((mu_in, 0.5, _M_CAP),
+                lambda ec: _no_feedback_fits(j, sigma_in, ec.tau),
+                "input confidence width times the targeted tick must stay "
+                "below tau")
+    if cfg.protocol is Protocol.DYN_SWITCH_FEEDBACK:
+        return ((mu_in, 0.0, _M_CAP), lambda ec: _feedback_fits(sigma_in, ec),
+                "input confidence width must stay below tau - sigma_ec")
+    # EC bunching: the mean gap tau / 2 = mu_in / (m + 1/2) puts the input
+    # interval mid-gap on the EC tick grid
+    lo, hi = cfg.input_dist.support() or (mu_in - sigma_in / 2,
+                                          mu_in + sigma_in / 2)
+    width = hi - lo
+    return ((2 * mu_in, 0.5, 63),
+            lambda ec: _ec_bunch_fits(mu_in, width, ec),
+            "input width must stay below the EC tick gap tau / 2, with the "
+            "EC jitter over a cycle within 0.9 of the difference")
 
 
 def prepare(cfg: ProtocolConfig) -> PreparedRun:
-    """Resolve periods, widths and diagnostics before running trials."""
+    """Resolve periods, widths and diagnostics before running trials.
+
+    An EC protocol's period search and its check of an explicit EC both
+    use the one rule ``_contract`` gives."""
     interval = cfg.input_dist.confidence(cfg.eps)
     mu_in, sigma_in = interval.mu, interval.sigma
-    ec, m = cfg.ec, None
-
-    if cfg.protocol in _SWITCHING:
-        if isinstance(ec, QuasiIdealSpec):
-            if cfg.protocol is Protocol.DYN_SWITCH:
-                m, tau = choose_period_no_feedback(mu_in, sigma_in,
-                                                   cfg.period_tick)
-            else:
-                m, tau = choose_period_feedback(
-                    mu_in, sigma_in, quasi_ideal_ratio(ec.d, ec.eta))
-            ec = quasi_ideal_params(ec.d, ec.eta, tau, ec.eps_tail)
-        if cfg.protocol is Protocol.DYN_SWITCH_FEEDBACK \
-                and not _feedback_fits(sigma_in, ec):
-            raise ValueError(
-                "input confidence width must stay below tau - sigma_ec")
-        horizon = cfg.horizon or 4.0 * (mu_in + ec.tau) * (cfg.n_ticks + 2)
-
-    elif cfg.protocol is Protocol.INPUT_BUNCH:
-        ec = None
+    if cfg.protocol is Protocol.INPUT_BUNCH:
         horizon = cfg.horizon or 4.0 * mu_in * cfg.bunch * (cfg.n_ticks + 1)
+        return PreparedRun(cfg=cfg, mu_in=mu_in, sigma_in=sigma_in, ec=None,
+                           m=None, horizon=horizon)
 
-    else:  # EC_BUNCH
-        if isinstance(ec, QuasiIdealSpec):
-            lo, hi = cfg.input_dist.support() or (mu_in - sigma_in / 2,
-                                                  mu_in + sigma_in / 2)
-            mu_ec = _ec_bunch_mean(mu_in, hi - lo,
-                                   quasi_ideal_ratio(ec.d, ec.eta))
-            ec = quasi_ideal_params(ec.d, ec.eta, 2 * mu_ec, ec.eps_tail)
-        if sigma_in >= ec.tau / 2:
-            raise ValueError(
-                "input confidence width must stay below the EC tick gap")
-        horizon = cfg.horizon or \
-            4.0 * (mu_in + ec.tau / 2) * (cfg.n_ticks + 2)
-
+    (mu, offset, cap), fits, message = _contract(cfg, mu_in, sigma_in)
+    ec, m = cfg.ec, None
+    if isinstance(ec, QuasiIdealSpec):
+        spec = ec
+        cell = largest_period(mu, offset, lambda _, tau: fits(
+            quasi_ideal_params(spec.d, spec.eta, tau, spec.eps_tail)), cap)
+        if cell is None:
+            raise ValueError(message)
+        m, tau = cell
+        ec = quasi_ideal_params(spec.d, spec.eta, tau, spec.eps_tail)
+    elif not fits(ec):
+        raise ValueError(message)
+    # the EC bunching output waits for a free-running gap of mean tau / 2
+    gap = ec.tau / 2 if cfg.protocol is Protocol.EC_BUNCH else ec.tau
+    horizon = cfg.horizon or 4.0 * (mu_in + gap) * (cfg.n_ticks + 2)
     return PreparedRun(cfg=cfg, mu_in=mu_in, sigma_in=sigma_in, ec=ec, m=m,
                        horizon=horizon)
 

@@ -29,6 +29,8 @@ class TestParseDist:
             parse_dist("box:center=1")
         with pytest.raises(ConfigError):
             parse_dist("box:center=1,width=0.5,tilt=2")
+        with pytest.raises(ConfigError, match="2 times but 3 probs"):
+            parse_dist("mixture:times=0.9|1.1,probs=0.2|0.3|0.5")
 
 
 def test_fit_slope_recovers_power_law():
@@ -385,6 +387,50 @@ class TestCommands:
             assert code == 2
             assert captured.out == ""
             assert "EC window width" in captured.err
+
+    @pytest.mark.parametrize("d", ["2", "4", "8"])
+    def test_ec_bunch_without_a_fitting_period(self, capsys, d):
+        # no EC bunching period of a d <= 8 EC holds the default input
+        # within its jitter margin, and there is no fallback period
+        code = main(["run", "--protocol", "4", "--d", d, "--trials", "10"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "EC tick gap tau / 2" in captured.err
+
+    def test_mixture_needs_equal_counts(self, capsys, tmp_path):
+        spec = "mixture:times=0.9|1.1|5.0,probs=0.5|0.5"
+        cfg = _ini(tmp_path, "run", f"input = {spec}\ntrials = 10\n")
+        code = main(["run", "--config", cfg])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "3 times but 2 probs" in captured.err
+
+    @pytest.mark.parametrize("experiment,key", [("run", "protocol"),
+                                                ("sweep", "protocols")])
+    @pytest.mark.parametrize("eta", ["nan", "0", "1", "1.5", "-0.1"])
+    def test_eta_outside_unit_interval(self, capsys, tmp_path, experiment,
+                                       key, eta):
+        # every protocol, input bunching included, whose sweep d = 1 (its
+        # bunch size) is valid
+        for protocol in (1, 2, 3, 4):
+            d = 1 if protocol == 3 else 16
+            cfg = _ini(tmp_path, experiment, f"{key} = {protocol}\n"
+                       f"eta = {eta}\nd = {d}\ntrials = 10\n")
+            code = main([experiment, "--config", cfg])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.out == ""
+            assert "eta must lie in (0, 1)" in captured.err
+
+    def test_input_bunching_sweep_accepts_unit_bunch(self, capsys,
+                                                      tmp_path):
+        cfg = _ini(tmp_path, "sweep", "protocols = 3\nd = 1,4\n"
+                   "trials = 10\n")
+        code, text = _run(capsys, "sweep", "--config", cfg)
+        assert code == 0
+        assert [r["d"] for r in _table(text)] == ["1", "4", ""]
 
     def test_json_format(self, capsys):
         code, text = _run(capsys, "bounds", "--format", "json")

@@ -7,14 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ticklab import (Box, Delta, ExplicitEC, PreparedRun, Protocol,
-                     ProtocolConfig, QuasiIdealSpec, choose_period_feedback,
-                     choose_period_no_feedback, corollary_bounds,
-                     ec_bar_sigma, monte_carlo, output_epsilon_budget,
-                     prepare, quasi_ideal_ratio, theorem1_bound,
-                     theorem2_bound, theorem_bound)
+from ticklab import (Box, Delta, ExplicitEC, Gaussian, PreparedRun,
+                     Protocol, ProtocolConfig, QuasiIdealSpec,
+                     corollary_bounds, ec_bar_sigma, monte_carlo,
+                     output_epsilon_budget, prepare, quasi_ideal_ratio,
+                     theorem1_bound, theorem2_bound, theorem_bound)
 from ticklab.clocks import quasi_ideal_params
-from ticklab.protocols import (_ec_bunch_mean, _simulate, check_rows,
+from ticklab.protocols import (_contract, _simulate, check_rows,
                                largest_period)
 
 BOX_THIRD = Box(center=1.0, width=0.3333333333)
@@ -26,39 +25,55 @@ def _cell_edges(mu_in):
         + [mu_in / (k + 1.5) for k in range(1, 60)]
 
 
+def _search(protocol, mu_in, sigma_in, j=1, ratio=0.0, dist=None):
+    """The period cell that ``prepare``'s search picks for ``protocol``:
+    ``largest_period`` on ``_contract``'s lattice with its rule, for the EC
+    whose window is ``ratio`` tau; the contract's message where no period
+    fits.  ``dist`` (default a delta at mu_in) gives EC bunching its
+    support width."""
+    cfg = ProtocolConfig(protocol, dist or Delta(mu_in), 0.0, 1,
+                         ec=ExplicitEC(1.0, 0.0, 0.0), period_tick=j)
+    (mu, offset, cap), fits, message = _contract(cfg, mu_in, sigma_in)
+    cell = largest_period(mu, offset, lambda _, tau: fits(
+        ExplicitEC(tau, ratio * tau, 0.0)), cap)
+    if cell is None:
+        raise ValueError(message)
+    return cell
+
+
+NO_FB, FB, EC_BUNCH = (Protocol.DYN_SWITCH, Protocol.DYN_SWITCH_FEEDBACK,
+                       Protocol.EC_BUNCH)
+
+
 class TestPeriodChoosers:
     def test_no_feedback_examples(self):
-        assert choose_period_no_feedback(1.0, 0.2, 1) == (4, pytest.approx(1 / 4.5))
-        assert choose_period_no_feedback(1.0, 0.5, 1) == (1, pytest.approx(1 / 1.5))
+        assert _search(NO_FB, 1.0, 0.2) == (4, pytest.approx(1 / 4.5))
+        assert _search(NO_FB, 1.0, 0.5) == (1, pytest.approx(1 / 1.5))
 
     def test_no_feedback_bracket(self):
         for sigma in (0.05, 0.11, 0.23, 0.4):
             for j in (1, 2):
                 if j * sigma >= 2 / 3:
                     continue
-                m, tau = choose_period_no_feedback(1.0, sigma, j)
+                m, tau = _search(NO_FB, 1.0, sigma, j)
                 assert 1 / (m + 1.5) <= j * sigma < 1 / (m + 0.5)
                 assert tau == pytest.approx(1.0 / (m + 0.5))
 
     def test_no_feedback_cap_and_errors(self):
-        m, tau = choose_period_no_feedback(1.0, 0.0, 1)
+        m, tau = _search(NO_FB, 1.0, 0.0)
         assert m == 10 ** 6
-        with pytest.raises(ValueError):
-            choose_period_no_feedback(1.0, 0.7, 1)
-        with pytest.raises(ValueError):
-            choose_period_no_feedback(1.0, 0.2, 4)
+        with pytest.raises(ValueError, match="times the targeted tick"):
+            _search(NO_FB, 1.0, 0.7)
+        with pytest.raises(ValueError, match="times the targeted tick"):
+            _search(NO_FB, 1.0, 0.2, 4)
 
     def test_feedback_examples(self):
-        assert choose_period_feedback(1.0, 0.2, 0.0) \
-            == (4, pytest.approx(0.25))
-        assert choose_period_feedback(1.0, 0.11, 0.0) \
-            == (9, pytest.approx(1 / 9))
+        assert _search(FB, 1.0, 0.2) == (4, pytest.approx(0.25))
+        assert _search(FB, 1.0, 0.11) == (9, pytest.approx(1 / 9))
         # sigma = mu / (m + 1) sits on the closed lower edge of the m-cell
-        assert choose_period_feedback(1.0, 0.5, 0.0) \
-            == (1, pytest.approx(1.0))
+        assert _search(FB, 1.0, 0.5) == (1, pytest.approx(1.0))
         # the window takes its share of the period: 0.11 < 0.9 / m
-        assert choose_period_feedback(1.0, 0.11, 0.1) \
-            == (8, pytest.approx(1 / 8))
+        assert _search(FB, 1.0, 0.11, ratio=0.1) == (8, pytest.approx(1 / 8))
 
     def test_brackets_on_grid(self):
         # the cell edges mu_in / (k + 3/2) and mu_in / (k + 1) are on the
@@ -73,26 +88,26 @@ class TestPeriodChoosers:
                     js = j * sigma_in
                     if js >= 2 * mu_in / 3 or sigma_in >= 2 * mu_in / 3:
                         with pytest.raises(ValueError):
-                            choose_period_no_feedback(mu_in, sigma_in, j)
+                            _search(NO_FB, mu_in, sigma_in, j)
                         continue
-                    m, tau = choose_period_no_feedback(mu_in, sigma_in, j)
+                    m, tau = _search(NO_FB, mu_in, sigma_in, j)
                     assert mu_in / (m + 1.5) <= js * (1 + 1e-12)
                     assert js < mu_in / (m + 0.5)
                     assert tau == pytest.approx(mu_in / (m + 0.5))
-                m, tau = choose_period_feedback(mu_in, x, 0.0)
+                m, tau = _search(FB, mu_in, x)
                 assert mu_in / (m + 1) <= x * (1 + 1e-12)
                 assert x < mu_in / m * (1 + 1e-12)
                 assert tau == pytest.approx(mu_in / m)
 
     def test_feedback_bracket_and_errors(self):
         for sigma in (0.07, 0.13, 0.29, 0.6):
-            m, tau = choose_period_feedback(1.0, sigma, 0.0)
+            m, tau = _search(FB, 1.0, sigma)
             assert 1 / (m + 1) <= sigma < 1 / m
-        with pytest.raises(ValueError):
-            choose_period_feedback(1.0, 1.0, 0.0)
+        with pytest.raises(ValueError, match="tau - sigma_ec"):
+            _search(FB, 1.0, 1.0)
         # ExplicitEC rejects a window as wide as the period
         with pytest.raises(ValueError, match="EC window width"):
-            choose_period_feedback(1.0, 0.01, 1.0)
+            _search(FB, 1.0, 0.01, ratio=1.0)
 
     @pytest.mark.parametrize("mu_in", [0.3, 1.0, 2.7, 10.0])
     def test_strict_brackets_at_cell_edges(self, mu_in):
@@ -104,10 +119,10 @@ class TestPeriodChoosers:
             for x in (math.nextafter(edge, 0), edge,
                       math.nextafter(edge, math.inf)):
                 for j in (1, 2):
-                    m, tau = choose_period_no_feedback(mu_in, x / j, j)
+                    m, tau = _search(NO_FB, mu_in, x / j, j)
                     assert tau == mu_in / (m + 0.5)
                     assert mu_in / (m + 1.5) <= j * (x / j) < tau
-                m, tau = choose_period_feedback(mu_in, x, 0.0)
+                m, tau = _search(FB, mu_in, x)
                 assert tau == mu_in / m
                 assert mu_in / (m + 1) <= x < tau
 
@@ -126,19 +141,18 @@ class TestPeriodChoosers:
                         int(mu_in / x) + 1)
                     if expected is None:
                         with pytest.raises(ValueError):
-                            choose_period_feedback(mu_in, x, ratio)
+                            _search(FB, mu_in, x, ratio=ratio)
                     else:
-                        assert choose_period_feedback(mu_in, x, ratio) \
+                        assert _search(FB, mu_in, x, ratio=ratio) \
                             == expected
 
     @pytest.mark.parametrize("mu_in, sigma_in", [
         (math.inf, 0.1), (-math.inf, 0.1), (math.nan, 0.1), (1.0, math.nan),
         (0.0, 0.1), (1.0, -0.1), (1.0, math.inf)])
     def test_choosers_reject_bad_input(self, mu_in, sigma_in):
-        with pytest.raises(ValueError):
-            choose_period_no_feedback(mu_in, sigma_in, 1)
-        with pytest.raises(ValueError):
-            choose_period_feedback(mu_in, sigma_in, 0.0)
+        for protocol in (NO_FB, FB, EC_BUNCH):
+            with pytest.raises(ValueError):
+                _search(protocol, mu_in, sigma_in, dist=Delta(1.0))
 
 
 def _linear_largest(mu, offset, fits, m_max):
@@ -150,17 +164,19 @@ def _linear_largest(mu, offset, fits, m_max):
     return cell
 
 
-def _ec_bunch_mean_scan(mu_in, sigma_in, ratio):
-    """Slow reference for ``_ec_bunch_mean``: the linear scan over
-    m = 1..63 that the bisection replaced, with its m = 1 fallback."""
-    best = 1
+def _ec_bunch_mean_scan(mu_in, width, ratio):
+    """Slow reference for EC bunching's mean EC tick gap tau / 2: the
+    linear scan over m = 1..63 of mu_ec = mu_in / (m + 1/2) with
+    mu_ec > width and (m + 1) 2 ratio mu_ec <= 0.9 (mu_ec - width); None
+    where no m qualifies."""
+    best = None
     for m in range(1, 64):
         mu_ec = mu_in / (m + 0.5)
         sigma_tick = 2.0 * ratio * mu_ec
-        if mu_ec > sigma_in and \
-                (m + 1) * sigma_tick <= 0.9 * (mu_ec - sigma_in):
+        if mu_ec > width and \
+                (m + 1) * sigma_tick <= 0.9 * (mu_ec - width):
             best = m
-    return mu_in / (best + 0.5)
+    return best and mu_in / (best + 0.5)
 
 
 class TestLargestPeriod:
@@ -186,18 +202,33 @@ class TestLargestPeriod:
         assert largest_period(1.0, 0.0, lambda m, tau: True, 1) == (1, 1.0)
 
     def test_ec_bunch_mean_matches_scan(self):
+        # EC bunching searches with the input's support width, which is
+        # wider than the confidence width sigma_in at eps = 0.01
         ratios = [0.0, 1e-3, 0.01, 0.05, 0.2] + [
             quasi_ideal_ratio(d, eta) for d in (2, 8, 64, 1024, 2 ** 16)
             for eta in (0.1, 0.5)]
         cells = set()
         for mu_in in (0.3, 1.0, 2.7, 10.0):
             for width in np.linspace(0.0, 0.7, 36) * mu_in:
+                dist = Box(mu_in, width) if width else Delta(mu_in)
+                conf = dist.confidence(0.01)
+                lo, hi = dist.support()
                 for ratio in ratios:
-                    mu_ec = _ec_bunch_mean(mu_in, width, ratio)
-                    assert mu_ec == _ec_bunch_mean_scan(mu_in, width, ratio)
-                    cells.add(round(mu_in / mu_ec - 0.5))
-        # the grid reaches both the m = 1 fallback and the cap
-        assert {1, 63} <= cells
+                    mu_ec = _ec_bunch_mean_scan(conf.mu, hi - lo, ratio)
+                    if mu_ec is None:
+                        with pytest.raises(ValueError,
+                                           match="EC tick gap tau / 2"):
+                            _search(EC_BUNCH, conf.mu, conf.sigma,
+                                    ratio=ratio, dist=dist)
+                        cells.add(None)
+                        continue
+                    m, tau = _search(EC_BUNCH, conf.mu, conf.sigma,
+                                     ratio=ratio, dist=dist)
+                    assert tau == 2 * mu_ec
+                    assert tau == 2 * conf.mu / (m + 0.5)
+                    cells.add(m)
+        # the grid reaches both the case where no period fits and the cap
+        assert {None, 63} <= cells
 
 
 def _unit_cell_run(protocol, sigma_in):
@@ -415,8 +446,65 @@ class TestPrepare:
             protocol=Protocol.EC_BUNCH, input_dist=Box(1.0, 0.9),
             eps=0.01, n_ticks=1,
             ec=ExplicitEC(tau=2 * 0.4, sigma=0.001, eps_tail=0.0))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="EC tick gap tau / 2"):
             prepare(cfg)
+
+    def test_explicit_ec_bunch_checked_against_its_jitter_margin(self):
+        # sigma_in = 0.198 < tau / 2 = 0.4, but the EC jitter over a cycle,
+        # (1 / 0.4 + 1/2) sigma_ec = 0.3, exceeds 0.9 (0.4 - 0.2) = 0.18
+        cfg = ProtocolConfig(Protocol.EC_BUNCH, Box(1.0, 0.2), 0.01, 1,
+                             ec=ExplicitEC(0.8, 0.1, 0.0))
+        assert cfg.input_dist.confidence(0.01).sigma < 0.4
+        with pytest.raises(ValueError, match="EC tick gap tau / 2"):
+            prepare(cfg)
+        narrow = ExplicitEC(0.8, 0.05, 0.0)  # 0.15 <= 0.18
+        assert prepare(replace(cfg, ec=narrow)).ec == narrow
+
+    def test_explicit_no_feedback_ec_checked(self):
+        # period_tick sigma_in >= tau breaks theorem 1's hypothesis
+        box = Box(1.0, 0.2)
+        sigma_in = box.confidence(0.01).sigma
+        cfg = ProtocolConfig(Protocol.DYN_SWITCH, box, 0.01, 1,
+                             ec=ExplicitEC(0.3, 0.0, 0.0), period_tick=2)
+        with pytest.raises(ValueError, match="times the targeted tick"):
+            prepare(cfg)
+        assert prepare(replace(cfg, period_tick=1)).m is None
+        with pytest.raises(ValueError, match="times the targeted tick"):
+            prepare(replace(cfg, ec=ExplicitEC(sigma_in, 0.0, 0.0),
+                            period_tick=1))
+
+    def test_searched_period_is_the_run_period(self):
+        # prepare resolves a QuasiIdealSpec to the EC of the largest cell
+        # m whose EC meets the contract, and records m
+        for width, j in itertools.product((0.05, 0.1015, 0.3333333333),
+                                          (1, 2)):
+            prep = prepare(ProtocolConfig(
+                Protocol.DYN_SWITCH, Box(1.0, width), 0.01, 1,
+                ec=QuasiIdealSpec(d=256), period_tick=j))
+            tau = prep.mu_in / (prep.m + 0.5)
+            assert prep.ec == quasi_ideal_params(256, 0.1, tau)
+            assert j * prep.sigma_in < tau
+            assert not j * prep.sigma_in < prep.mu_in / (prep.m + 1.5)
+        for dist, d in itertools.product(
+                (BOX_THIRD, Box(1.0, 0.1), Gaussian(1.0, 0.05)),
+                (16, 256, 1024)):
+            prep = prepare(ProtocolConfig(Protocol.EC_BUNCH, dist, 0.01, 1,
+                                          ec=QuasiIdealSpec(d=d)))
+            lo, hi = dist.support() or (prep.mu_in - prep.sigma_in / 2,
+                                        prep.mu_in + prep.sigma_in / 2)
+            mu_ec = _ec_bunch_mean_scan(prep.mu_in, hi - lo,
+                                        quasi_ideal_ratio(d, 0.1))
+            assert prep.ec == quasi_ideal_params(d, 0.1, 2 * mu_ec)
+            assert prep.ec.tau == 2 * prep.mu_in / (prep.m + 0.5)
+
+    def test_ec_bunch_without_a_fitting_period_raises(self):
+        # d <= 8 on the default input: no period holds the input within
+        # the jitter margin, and there is no fallback period
+        for d in (2, 4, 8):
+            cfg = ProtocolConfig(Protocol.EC_BUNCH, BOX_THIRD, 0.01, 1,
+                                 ec=QuasiIdealSpec(d=d))
+            with pytest.raises(ValueError, match="EC tick gap tau / 2"):
+                prepare(cfg)
 
     def test_bunching_has_no_switchable_ec(self):
         cfg = ProtocolConfig(protocol=Protocol.INPUT_BUNCH,
@@ -438,8 +526,8 @@ class TestPrepare:
                 ec=QuasiIdealSpec(d=256), period_tick=period_tick))
             for j in range(1, 16):
                 try:
-                    m_j = choose_period_no_feedback(prep.mu_in,
-                                                    prep.sigma_in, j)[0]
+                    m_j = _search(Protocol.DYN_SWITCH, prep.mu_in,
+                                  prep.sigma_in, j)[0]
                 except ValueError:
                     m_j = 0
                 assert (theorem_bound(prep, j) is not None) == \
@@ -453,6 +541,10 @@ class TestPrepare:
         with pytest.raises(ValueError):
             ProtocolConfig(protocol=Protocol.DYN_SWITCH,
                            input_dist=BOX_THIRD, eps=0.01, n_ticks=1)
+        with pytest.raises(ValueError, match="tick index"):
+            ProtocolConfig(protocol=Protocol.DYN_SWITCH,
+                           input_dist=BOX_THIRD, eps=0.01, n_ticks=1,
+                           ec=QuasiIdealSpec(d=256), period_tick=0)
 
 
 class TestMonteCarlo:
