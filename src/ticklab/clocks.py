@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -75,9 +76,10 @@ def sample_tick_phase(ec: ExplicitEC, rng, size=None):
     lo = (tau - ec.sigma) / 2
     hi = (tau + ec.sigma) / 2
     if size is None:
-        if rng.random() < 1.0 - ec.eps_tail:
-            return rng.uniform(lo, hi)
-        return rng.uniform(-tau / 2, tau / 2)
+        if rng.random() >= 1.0 - ec.eps_tail:
+            lo, hi = -tau / 2, tau / 2
+        # rng.uniform(lo, hi)'s own arithmetic, at half its scalar cost
+        return lo + (hi - lo) * rng.random()
     u = rng.random(size)
     win = rng.uniform(lo, hi, size)
     tail = rng.uniform(-tau / 2, tau / 2, size)
@@ -142,7 +144,12 @@ class EnhancingClock(ExplicitEC):
             raise ValueError("tick requires the detector to be on")
         duration = delay_to_phase(self.phase, sample_tick_phase(self, rng),
                                   self.tau)
-        return duration, EnhancingClock(self.tau, self.sigma, self.eps_tail)
+        return duration, self._reset
+
+    @cached_property
+    def _reset(self) -> "EnhancingClock":
+        """This EC in its reset state: phase 0, detector off."""
+        return EnhancingClock(self.tau, self.sigma, self.eps_tail)
 
 
 def quasi_ideal_ratio(d: int, eta: float) -> float:

@@ -31,7 +31,7 @@ from .inaccuracy import InaccuracyEstimate, empirical_inaccuracy
 
 _M_CAP = 10 ** 6
 _BLOCK = 4096        # trials per random stream
-_CHUNK = 1 << 16     # waits per input-bunching cumsum chunk
+_CHUNK = 1 << 16     # waits per input-bunching chunk
 
 
 def largest_period(mu: float, offset: float, fits,
@@ -316,8 +316,9 @@ def _simulate(prep: PreparedRun, rng, size: int):
         rows = max(1, _CHUNK // (n_out * d))
         for r in range(0, size, rows):
             n = min(rows, size - r)
-            waits = dist.sample(rng, (n, n_out * d))
-            out[r:r + n] = np.cumsum(waits, axis=1)[:, d - 1::d]
+            # row-major, so each trial draws its n_out * d waits in order
+            bunches = dist.sample(rng, (n, n_out, d)).sum(axis=2)
+            np.cumsum(bunches, axis=1, out=out[r:r + n])
     elif cfg.protocol is Protocol.EC_BUNCH:
         # the EC free-runs from its reset state at time 0
         ec = np.zeros(size)

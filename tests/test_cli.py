@@ -39,6 +39,11 @@ def test_fit_slope_recovers_power_law():
     assert fit_slope(ds, sigma) == pytest.approx(-0.75, abs=1e-12)
 
 
+@pytest.mark.parametrize("bad", [0.0, -0.1, float("nan"), float("inf")])
+def test_fit_slope_has_no_value_off_the_positive_reals(bad):
+    assert fit_slope([16, 64, 256], [0.1, bad, 0.01]) is None
+
+
 def _run(capsys, *argv):
     code = main(list(argv))
     return code, capsys.readouterr().out
@@ -484,3 +489,27 @@ def test_ec_window_check_survives_optimize(tmp_path):
     assert done.returncode == 2
     assert done.stdout == ""
     assert "EC window width" in done.stderr
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+def test_sweep_of_zero_sigma_has_an_empty_slope(tmp_path):
+    # a Delta input gives Sigma_out = 0 at every d, whose log has no value:
+    # the slope cell stays empty instead of carrying nan (a bare NaN token
+    # in JSON) and a numpy warning on stderr
+    cfg = _ini(tmp_path, "sweep", "input = delta:time=1\nprotocols = 3\n"
+               "d = 16,32\ntrials = 50\n")
+    csv_run = _python("-m", "ticklab.cli", "sweep", "--config", cfg,
+                      check=False)
+    assert (csv_run.returncode, csv_run.stderr) == (0, "")
+    slope = [r for r in _table(csv_run.stdout)
+             if r["experiment"] == "sweep_slope"]
+    assert [r["Sigma_out"] for r in slope] == [""]
+    json_run = _python("-m", "ticklab.cli", "sweep", "--config", cfg,
+                       "--format", "json", check=False)
+    assert (json_run.returncode, json_run.stderr) == (0, "")
+    rows = json.loads(json_run.stdout,
+                      parse_constant=_reject_constant)["rows"]
+    assert [r["Sigma_out"] for r in rows] == [0.0, 0.0, None]

@@ -69,6 +69,28 @@ class TestEnhancingClock:
         inside = (phi > (tau - sigma) / 2) & (phi < (tau + sigma) / 2)
         assert inside.mean() >= 1 - eps - 3 * np.sqrt(eps / 20000)
 
+    def test_scalar_draw_is_rng_uniform_bit_for_bit(self):
+        # the scalar branch inlines rng.uniform; a tail level of 0.3 puts
+        # many draws in each of its two branches
+        ec = ExplicitEC(tau=0.7313, sigma=0.0123, eps_tail=0.3)
+        fast, slow = np.random.default_rng(77), np.random.default_rng(77)
+        lo, hi = (ec.tau - ec.sigma) / 2, (ec.tau + ec.sigma) / 2
+        for _ in range(10 ** 5):
+            phi = sample_tick_phase(ec, fast)
+            if slow.random() < 1.0 - ec.eps_tail:
+                assert phi == slow.uniform(lo, hi)
+            else:
+                assert phi == slow.uniform(-ec.tau / 2, ec.tau / 2)
+        assert fast.random() == slow.random()
+
+    def test_tick_returns_one_reset_clock(self):
+        ec = EnhancingClock(tau=1.0, sigma=0.1, eps_tail=0.0, phase=0.2,
+                            mode=Mode.TICK)
+        rng = np.random.default_rng(3)
+        after = ec.tick(rng)[1]
+        assert after is ec.tick(rng)[1]
+        assert after == EnhancingClock(tau=1.0, sigma=0.1, eps_tail=0.0)
+
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             EnhancingClock(tau=1.0, sigma=1.0, eps_tail=0.0)

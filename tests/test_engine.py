@@ -5,7 +5,9 @@ machine (``tick`` / ``advance``) and the scalar input clock
 ``RenewalProcess`` below.
 It draws its random numbers in a different order than the engine, so the
 two agree exactly only where nothing is random (Delta input, zero-width
-EC) and in distribution otherwise.
+EC) and in distribution otherwise.  Input bunching has a second oracle,
+``prefix_sum_bunching``, which makes the engine's own draws and sums them
+in another order, so the two agree draw for draw to rounding.
 """
 from dataclasses import replace
 
@@ -15,10 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from ticklab import (Box, Delta, EnhancingClock, ExplicitEC, Gaussian, Mode,
-                     Protocol, ProtocolConfig, QuasiIdealSpec, monte_carlo,
-                     prepare)
-from ticklab.protocols import _BLOCK, _simulate
+from ticklab import (Box, Delta, DeltaMixture, EnhancingClock, ExplicitEC,
+                     Gaussian, Mode, Protocol, ProtocolConfig, QuasiIdealSpec,
+                     monte_carlo, prepare)
+from ticklab.protocols import _BLOCK, _CHUNK, _simulate
 
 SWITCHING = (Protocol.DYN_SWITCH, Protocol.DYN_SWITCH_FEEDBACK)
 
@@ -202,6 +204,44 @@ def test_agreement_in_distribution(protocol, dist, n_ticks):
     for j in range(1, n_ticks + 1):
         p = stats.ks_2samp(engine.tick_samples(j), oracle[:, j - 1]).pvalue
         assert p > KS_ALPHA, f"tick {j}: KS p-value {p:.2e}"
+
+
+def prefix_sum_bunching(prep, rng, size):
+    """Input bunching's output ticks as a prefix sum over every input
+    wait, keeping every d-th: the engine's draws, chunk for chunk, summed
+    in a different order."""
+    cfg = prep.cfg
+    d, n_out = cfg.bunch, cfg.n_ticks
+    rows = max(1, _CHUNK // (n_out * d))
+    out = np.empty((size, n_out))
+    for r in range(0, size, rows):
+        n = min(rows, size - r)
+        waits = cfg.input_dist.sample(rng, (n, n_out * d))
+        out[r:r + n] = np.cumsum(waits, axis=1)[:, d - 1::d]
+    return out
+
+
+BUNCH_INPUTS = [Box(1.0, 0.33), Gaussian(1.0, 0.5), Delta(0.7),
+                DeltaMixture(((0.9, 0.25), (1.05, 0.5), (1.3, 0.25)))]
+
+
+@pytest.mark.parametrize("dist", BUNCH_INPUTS, ids=lambda d: type(d).__name__)
+@pytest.mark.parametrize("d", [1, 3, 64, 1024])
+@pytest.mark.parametrize("n_ticks", [1, 20])
+def test_input_bunching_matches_prefix_sum(dist, d, n_ticks):
+    cfg = ProtocolConfig(protocol=Protocol.INPUT_BUNCH, input_dist=dist,
+                         eps=0.01, n_ticks=n_ticks, bunch=d)
+    prep = prepare(cfg)
+    # two trials past a chunk boundary, so the last chunk is a short one
+    size = max(1, _CHUNK // (n_ticks * d)) + 2
+    engine_rng, oracle_rng = (np.random.default_rng(41),
+                              np.random.default_rng(41))
+    out, n_ignored = _simulate(prep, engine_rng, size)
+    expected = prefix_sum_bunching(prep, oracle_rng, size)
+    np.testing.assert_allclose(out, expected, rtol=1e-12, atol=0)
+    assert not n_ignored.any()
+    # both consumed the stream alike
+    assert engine_rng.random() == oracle_rng.random()
 
 
 class TestStreams:
