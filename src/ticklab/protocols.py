@@ -18,7 +18,10 @@ of trials in lockstep as arrays.
 """
 from __future__ import annotations
 
+import _thread
 import math
+import os
+import threading
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -32,6 +35,7 @@ from .inaccuracy import InaccuracyEstimate, empirical_inaccuracy
 _M_CAP = 10 ** 6
 _BLOCK = 4096        # trials per random stream
 _CHUNK = 1 << 16     # waits per input-bunching chunk
+_THREAD_WAITS = 1024  # waits per trial from which input bunching uses threads
 
 
 def largest_period(mu: float, offset: float, fits,
@@ -300,17 +304,18 @@ def _next_after(t_in, t, dist, rng, n_ignored):
     return t_in
 
 
-def _simulate(prep: PreparedRun, rng, size: int):
-    """Run ``size`` trials in lockstep on one random stream.
+def _simulate(prep: PreparedRun, rng, out: np.ndarray,
+              n_ignored: np.ndarray):
+    """Run ``len(out)`` trials in lockstep on one random stream.
 
-    Returns the absolute output ticks, shape (size, n_ticks), and the
-    per-trial count of ignored input ticks.  Horizon truncation is left
-    to the caller.
+    Fills ``out``, shape (trials, n_ticks), with the absolute output
+    ticks and adds each trial's count of ignored input ticks to the
+    zeroed ``n_ignored``, both in place.  Horizon truncation is left to
+    the caller.
     """
     cfg = prep.cfg
     dist, n_out = cfg.input_dist, cfg.n_ticks
-    out = np.empty((size, n_out))
-    n_ignored = np.zeros(size, dtype=int)
+    size = len(out)
     if cfg.protocol is Protocol.INPUT_BUNCH:
         d = cfg.bunch
         rows = max(1, _CHUNK // (n_out * d))
@@ -347,7 +352,6 @@ def _simulate(prep: PreparedRun, rng, size: int):
             # the EC idles from its reset at t_out until the next input tick
             s = wrap_phase(t_in - t_out, prep.ec.tau)
     check_rows(out)
-    return out, n_ignored
 
 
 @dataclass(frozen=True)
@@ -379,6 +383,63 @@ class TrialMatrix:
         return empirical_inaccuracy(self.tick_samples(j), j, eps)
 
 
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
+def _run_blocks(n_blocks: int, run_block, workers: int):
+    """Call ``run_block(b)`` for every block b on the calling thread and up
+    to ``workers - 1`` helper threads, so that a helper slowed by a busy
+    CPU holds the calling thread up by at most the block it is running.
+
+    Each thread takes the lowest block not yet taken, but a helper never
+    takes the last one: the calling thread runs it, and then waits only
+    for the helper blocks in flight.  Nor does it wait for a helper to
+    start (``threading.Thread.start`` blocks until the new thread runs,
+    so helpers start through ``_thread``); a helper that starts late finds
+    fewer blocks or none.  After a failure no thread takes another block;
+    the lowest failed block's exception is raised here once no helper
+    block is in flight."""
+    state = threading.Condition(threading.Lock())
+    taken = running = 0  # blocks taken so far; helper blocks in flight
+    failed = []          # (block, exception)
+
+    def run(b):
+        try:
+            run_block(b)
+        except BaseException as exc:  # re-raised on the calling thread
+            failed.append((b, exc))
+
+    def helper():
+        nonlocal taken, running
+        while True:
+            with state:
+                if failed or n_blocks - taken < 2:
+                    return
+                b, taken, running = taken, taken + 1, running + 1
+            run(b)
+            with state:
+                running -= 1
+                state.notify()
+
+    for _ in range(1, workers):
+        _thread.start_new_thread(helper, ())
+    while True:
+        with state:
+            if failed or taken == n_blocks:
+                break
+            b, taken = taken, taken + 1
+        run(b)
+    with state:
+        state.wait_for(lambda: running == 0)
+    if failed:
+        raise min(failed, key=lambda f: f[0])[1]
+
+
 def monte_carlo(cfg: ProtocolConfig, trials: int,
                 seed: int) -> TrialMatrix:
     """Run independent trials in blocks of ``_BLOCK`` trials.
@@ -387,7 +448,15 @@ def monte_carlo(cfg: ProtocolConfig, trials: int,
     ``default_rng(SeedSequence(seed).spawn(n_blocks)[b])``, and runs its
     trials in lockstep.  The result is bit-identical for a fixed
     (seed, trials); blocks are independent, so the rows of every full
-    block do not depend on the total trial count.
+    block do not depend on the total trial count.  Input bunching with at
+    least ``_THREAD_WAITS`` waits per trial runs its blocks on every CPU
+    the process may use, each filling its own rows, so the result does
+    not depend on the number of CPUs either.  Its large draws and sums
+    release the GIL, and at that size a block runs for tens of ms, long
+    beside the milliseconds a helper thread can cost to start and to
+    wait for on a busy shared host.  Smaller runs, and the other
+    protocols, which step small arrays tick by tick under the GIL and
+    would only trade it between threads, stay on the calling thread.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -396,14 +465,23 @@ def monte_carlo(cfg: ProtocolConfig, trials: int,
     n_out = cfg.n_ticks + 1 if switching else cfg.n_ticks
     run_prep = replace(prep, cfg=replace(cfg, n_ticks=n_out))
     out = np.empty((trials, n_out))
-    n_ignored = np.empty(trials, dtype=int)
+    n_ignored = np.zeros(trials, dtype=int)
     streams = np.random.SeedSequence(seed).spawn(-(-trials // _BLOCK))
-    for b, stream in enumerate(streams):
-        rows = slice(b * _BLOCK, min((b + 1) * _BLOCK, trials))
-        out[rows], n_ignored[rows] = _simulate(
-            run_prep, np.random.default_rng(stream), rows.stop - rows.start)
+
+    def run_block(b):
+        rows = slice(b * _BLOCK, (b + 1) * _BLOCK)
+        _simulate(run_prep, np.random.default_rng(streams[b]), out[rows],
+                  n_ignored[rows])
+
+    threaded = (cfg.protocol is Protocol.INPUT_BUNCH
+                and n_out * cfg.bunch >= _THREAD_WAITS)
+    _run_blocks(len(streams), run_block,
+                min(len(streams), _cpus()) if threaded else 1)
     truncated = (out > prep.horizon).any(axis=1)
-    data = out[:, 1:] - out[:, :1] if switching else out
+    data = out
+    if switching:  # each tick relative to the anchoring first output
+        data = out[:, 1:]
+        data -= out[:, :1]
     data[truncated] = np.nan
     return TrialMatrix(prep=prep, data=data, truncated=truncated,
                        n_ignored=n_ignored)

@@ -8,7 +8,12 @@ two agree exactly only where nothing is random (Delta input, zero-width
 EC) and in distribution otherwise.  Input bunching has a second oracle,
 ``prefix_sum_bunching``, which makes the engine's own draws and sums them
 in another order, so the two agree draw for draw to rounding.
+``serial_monte_carlo`` runs ``monte_carlo``'s blocks one after another on
+the calling thread; the threaded blocks must agree with it bit for bit.
 """
+import sys
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -19,10 +24,20 @@ from scipy import stats
 
 from ticklab import (Box, Delta, DeltaMixture, EnhancingClock, ExplicitEC,
                      Gaussian, Mode, Protocol, ProtocolConfig, QuasiIdealSpec,
-                     monte_carlo, prepare)
-from ticklab.protocols import _BLOCK, _CHUNK, _simulate
+                     monte_carlo, prepare, protocols)
+from ticklab.cli import main
+from ticklab.protocols import _BLOCK, _CHUNK, _THREAD_WAITS, _simulate
 
 SWITCHING = (Protocol.DYN_SWITCH, Protocol.DYN_SWITCH_FEEDBACK)
+
+
+def simulate(prep, rng, size):
+    """``_simulate`` of ``size`` trials into fresh arrays: the absolute
+    output ticks and the per-trial count of ignored input ticks."""
+    out = np.empty((size, prep.cfg.n_ticks))
+    n_ignored = np.zeros(size, dtype=int)
+    _simulate(prep, rng, out, n_ignored)
+    return out, n_ignored
 
 
 class RenewalProcess:
@@ -145,7 +160,7 @@ class TestExactAgreement:
     def test_delta_input_zero_width_ec(self, protocol, mu, m, n_ticks):
         cfg = _delta_cfg(protocol, mu, m, n_ticks)
         prep = prepare(cfg)
-        out, n_ignored = _simulate(prep, np.random.default_rng(0), 1)
+        out, n_ignored = simulate(prep, np.random.default_rng(0), 1)
         times, oracle_ignored = oracle_trial(prep, np.random.default_rng(1))
         assert (out[0] <= prep.horizon).all()
         assert out[0] == pytest.approx(times, rel=1e-12)
@@ -161,7 +176,7 @@ class TestExactAgreement:
         cfg = ProtocolConfig(protocol=Protocol.EC_BUNCH,
                              input_dist=Delta(1.0), eps=0.0, n_ticks=5,
                              ec=ExplicitEC(tau=3.0, sigma=0.0, eps_tail=0.0))
-        out, n_ignored = _simulate(prepare(cfg), np.random.default_rng(0), 1)
+        out, n_ignored = simulate(prepare(cfg), np.random.default_rng(0), 1)
         assert out[0] == pytest.approx([1.5, 3.0, 4.5, 6.0, 7.5])
         assert n_ignored[0] == 2
         assert oracle_trial(prepare(cfg), np.random.default_rng(0)) == (
@@ -236,7 +251,7 @@ def test_input_bunching_matches_prefix_sum(dist, d, n_ticks):
     size = max(1, _CHUNK // (n_ticks * d)) + 2
     engine_rng, oracle_rng = (np.random.default_rng(41),
                               np.random.default_rng(41))
-    out, n_ignored = _simulate(prep, engine_rng, size)
+    out, n_ignored = simulate(prep, engine_rng, size)
     expected = prefix_sum_bunching(prep, oracle_rng, size)
     np.testing.assert_allclose(out, expected, rtol=1e-12, atol=0)
     assert not n_ignored.any()
@@ -259,6 +274,172 @@ class TestStreams:
         # each block has its own stream
         assert not np.array_equal(long.data[:300],
                                   long.data[_BLOCK:_BLOCK + 300])
+
+
+def serial_monte_carlo(cfg, trials, seed):
+    """``monte_carlo``'s blocks one after another on the calling thread,
+    each simulated into its own arrays and stacked: the data, truncated
+    and n_ignored of its ``TrialMatrix``."""
+    prep = prepare(cfg)
+    switching = cfg.protocol in SWITCHING
+    n_out = cfg.n_ticks + 1 if switching else cfg.n_ticks
+    run_prep = replace(prep, cfg=replace(cfg, n_ticks=n_out))
+    streams = np.random.SeedSequence(seed).spawn(-(-trials // _BLOCK))
+    blocks = [simulate(run_prep, np.random.default_rng(stream),
+                       min(_BLOCK, trials - b * _BLOCK))
+              for b, stream in enumerate(streams)]
+    out = np.concatenate([out for out, _ in blocks])
+    n_ignored = np.concatenate([n for _, n in blocks])
+    truncated = (out > prep.horizon).any(axis=1)
+    data = out[:, 1:] - out[:, :1] if switching else out
+    data[truncated] = np.nan
+    return data, truncated, n_ignored
+
+
+def _threaded_bunch_cfg():
+    """Input bunching with just enough waits per trial to use threads."""
+    return replace(_cfg(Protocol.INPUT_BUNCH, Box(1.0, 0.30303), 2),
+                   bunch=_THREAD_WAITS // 2)
+
+
+class TestBlocksOnEveryCpu:
+    """``monte_carlo`` runs input bunching's blocks on every CPU the process
+    may use; the result must not depend on how many that is."""
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    @pytest.mark.parametrize("trials", [1, _BLOCK, 2 * _BLOCK + 1,
+                                        5 * _BLOCK + 7])
+    @pytest.mark.parametrize("protocol", list(Protocol),
+                             ids=lambda p: p.value)
+    def test_matches_serial_block_loop(self, monkeypatch, protocol, trials,
+                                       cpus):
+        monkeypatch.setattr(protocols, "_cpus", lambda: cpus)
+        cfg = _cfg(protocol, Box(1.0, 0.30303), 2)
+        if protocol is Protocol.INPUT_BUNCH:
+            cfg = _threaded_bunch_cfg()
+        # a seed per CPU count, so rows a block failed to write cannot
+        # hold the equal values a freed array of the last case left
+        seed = 17 + cpus
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # threads interleave more often
+        try:
+            matrix = monte_carlo(cfg, trials, seed)
+        finally:
+            sys.setswitchinterval(interval)
+        data, truncated, n_ignored = serial_monte_carlo(cfg, trials, seed)
+        assert np.array_equal(matrix.data, data, equal_nan=True)
+        assert np.array_equal(matrix.truncated, truncated)
+        assert np.array_equal(matrix.n_ignored, n_ignored)
+
+    @pytest.mark.parametrize("cfg", [
+        _cfg(Protocol.DYN_SWITCH, Box(1.0, 0.30303), 2),
+        _cfg(Protocol.DYN_SWITCH_FEEDBACK, Box(1.0, 0.30303), 2),
+        _cfg(Protocol.EC_BUNCH, Box(1.0, 0.30303), 2),
+        replace(_threaded_bunch_cfg(), bunch=_THREAD_WAITS // 2 - 1),
+    ], ids=["dyn-switch", "dyn-switch-feedback", "ec-bunch",
+            "input-bunch-few-waits"])
+    def test_small_arrays_stay_on_the_calling_thread(self, monkeypatch,
+                                                      cfg):
+        monkeypatch.setattr(protocols, "_cpus", lambda: 3)
+        check_rows, ran_on = protocols.check_rows, set()
+
+        def recording_check_rows(times):
+            ran_on.add(threading.get_ident())
+            check_rows(times)
+
+        monkeypatch.setattr(protocols, "check_rows", recording_check_rows)
+        monte_carlo(cfg, 3 * _BLOCK, 0)
+        assert ran_on == {threading.get_ident()}
+
+    @pytest.mark.parametrize("blocks", [2, 3, 5])
+    def test_caller_runs_the_last_block(self, monkeypatch, blocks):
+        monkeypatch.setattr(protocols, "_cpus", lambda: 3)
+        check_rows, last_on = protocols.check_rows, []
+
+        def recording_check_rows(times):
+            if len(times) == 5:
+                last_on.append(threading.get_ident())
+            check_rows(times)
+
+        monkeypatch.setattr(protocols, "check_rows", recording_check_rows)
+        monte_carlo(_threaded_bunch_cfg(), (blocks - 1) * _BLOCK + 5, 0)
+        assert last_on == [threading.get_ident()]
+
+    def test_caller_waits_for_helper_blocks(self, monkeypatch):
+        # a barrier makes the helper take a block while the calling thread
+        # is in its first one; the helper's block then outlasts the rest
+        monkeypatch.setattr(protocols, "_cpus", lambda: 2)
+        check_rows, caller = protocols.check_rows, threading.get_ident()
+        both_busy, waited = threading.Barrier(2, timeout=10), set()
+        helper_done = []
+
+        def slow_helper_check_rows(times):
+            me = threading.get_ident()
+            if me not in waited:
+                waited.add(me)
+                both_busy.wait()
+            if me != caller:
+                time.sleep(0.2)
+                helper_done.append(len(times))
+            check_rows(times)
+
+        monkeypatch.setattr(protocols, "check_rows", slow_helper_check_rows)
+        monte_carlo(_threaded_bunch_cfg(), 2 * _BLOCK + 5, 0)
+        assert helper_done == [_BLOCK]
+
+    def test_caller_does_not_wait_for_helpers_to_start(self, monkeypatch):
+        # helpers that never start leave every block to the calling thread
+        monkeypatch.setattr(protocols, "_cpus", lambda: 3)
+        monkeypatch.setattr(protocols._thread, "start_new_thread",
+                            lambda function, args: None)
+        cfg, trials = _threaded_bunch_cfg(), 2 * _BLOCK + 5
+        matrix = monte_carlo(cfg, trials, 3)
+        data, truncated, n_ignored = serial_monte_carlo(cfg, trials, 3)
+        assert np.array_equal(matrix.data, data, equal_nan=True)
+        assert np.array_equal(matrix.n_ignored, n_ignored)
+
+    @staticmethod
+    def _fail_on_helper(monkeypatch):
+        """Run a three-block run on two threads, with ``check_rows``
+        failing the block a helper thread runs.  A barrier holds the
+        calling thread in its first block until the helper has taken one.
+        Returns the row counts of the blocks that failed."""
+        monkeypatch.setattr(protocols, "_cpus", lambda: 2)
+        check_rows, caller = protocols.check_rows, threading.get_ident()
+        both_busy, waited = threading.Barrier(2, timeout=10), set()
+        failed_rows = []
+
+        def failing_check_rows(times):
+            me = threading.get_ident()
+            if me not in waited:
+                waited.add(me)
+                both_busy.wait()
+            if me != caller:
+                failed_rows.append(len(times))
+                raise ValueError("bad row on a helper thread")
+            check_rows(times)
+
+        monkeypatch.setattr(protocols, "check_rows", failing_check_rows)
+        return failed_rows
+
+    def test_helper_failure_reaches_the_caller(self, monkeypatch):
+        failed_rows = self._fail_on_helper(monkeypatch)
+        with pytest.raises(ValueError, match="helper thread"):
+            monte_carlo(_threaded_bunch_cfg(), 2 * _BLOCK + 5, 0)
+        # the helper took the second block; the last is the caller's
+        assert failed_rows == [_BLOCK]
+
+    def test_helper_failure_exits_2(self, monkeypatch, capsys, tmp_path):
+        failed_rows = self._fail_on_helper(monkeypatch)
+        config = tmp_path / "run.ini"
+        config.write_text(f"[run]\nticks = 2\nbunch = {_THREAD_WAITS // 2}\n")
+        code = main(["run", "--config", str(config), "--protocol", "3",
+                     "--trials", str(2 * _BLOCK + 5)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "helper thread" in captured.err
+        assert failed_rows == [_BLOCK]
 
 
 class TestInvariants:

@@ -358,7 +358,9 @@ def _delta_prep(protocol, mu_in=1.0, tau=0.2, n_ticks=5, **kw):
 
 def _one_trial(prep):
     """The absolute output ticks of one trial of ``prep``."""
-    return _simulate(prep, np.random.default_rng(0), 1)[0][0]
+    out = np.empty((1, prep.cfg.n_ticks))
+    _simulate(prep, np.random.default_rng(0), out, np.zeros(1, dtype=int))
+    return out[0]
 
 
 class TestCheckRows:
