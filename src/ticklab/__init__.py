@@ -7,10 +7,9 @@ from .clocks import (EnhancingClock, ExplicitEC, MarkovTwoState, Mode,
 from .distributions import (Box, Delta, DeltaMixture, Gaussian,
                             WaitingTimeDistribution)
 from .inaccuracy import (ConfidenceInterval, InaccuracyEstimate,
-                         ZeroVarianceError, bruteforce_inaccuracy,
-                         chebyshev_bound, empirical_inaccuracy,
-                         hoeffding_inaccuracy_bound, hoeffding_tail,
-                         r_accuracy)
+                         bruteforce_inaccuracy, chebyshev_bound,
+                         empirical_inaccuracy, hoeffding_inaccuracy_bound,
+                         hoeffding_tail)
 from .network import (NetworkScenario, NodeConfig, cross_node_spread,
                       network_spreads, plan_scenario, run_network)
 from .protocols import (PreparedRun, Protocol, ProtocolConfig,
@@ -24,13 +23,13 @@ __all__ = [
     "ExplicitEC", "Gaussian", "InaccuracyEstimate", "MarkovTwoState",
     "Mode", "NetworkScenario", "NodeConfig", "PreparedRun", "Protocol",
     "ProtocolConfig", "QuasiIdealSpec", "TrialMatrix",
-    "WaitingTimeDistribution", "ZeroVarianceError",
+    "WaitingTimeDistribution",
     "bruteforce_inaccuracy", "chebyshev_bound", "corollary_bounds",
     "cross_node_spread",
     "ec_bar_sigma", "empirical_inaccuracy", "hoeffding_inaccuracy_bound",
     "hoeffding_tail", "monte_carlo", "network_spreads",
     "output_epsilon_budget", "plan_scenario", "prepare",
-    "quasi_ideal_params", "quasi_ideal_ratio", "r_accuracy", "run_network",
+    "quasi_ideal_params", "quasi_ideal_ratio", "run_network",
     "sample_tick_phase",
     "theorem1_bound", "theorem2_bound", "theorem_bound", "wrap_phase",
 ]

@@ -22,11 +22,20 @@ _STD_NORMAL = NormalDist()
 
 
 class WaitingTimeDistribution(ABC):
-    """Law of the i.i.d. waiting time between ticks."""
+    """Law of the i.i.d. waiting time between ticks.
+
+    ``bunch_sums`` draws sums of d waits in row-major order, bunch after
+    bunch.  By default it sums ``sample``; ``Box`` sums its waits exactly as
+    integers on a 2^-32 lattice, ``DeltaMixture`` from multinomial counts.
+    """
 
     @abstractmethod
     def sample(self, rng: np.random.Generator, size) -> np.ndarray:
         """Draw an array of waiting times of shape ``size``."""
+
+    def bunch_sums(self, rng: np.random.Generator, size, d) -> np.ndarray:
+        """Draw an array of shape ``size`` (a tuple) of sums of d waits."""
+        return self.sample(rng, (*size, d)).sum(axis=-1)
 
     @property
     @abstractmethod
@@ -93,6 +102,15 @@ class Box(WaitingTimeDistribution):
         lo = self.center - self.width / 2
         hi = self.center + self.width / 2
         return rng.uniform(lo, hi, size)
+
+    def bunch_sums(self, rng, size, d):
+        # each wait is the midpoint of one of 2^32 cells of the support, two
+        # cell indices per random word, so a bunch sums exactly as integers
+        n = math.prod(size) * d
+        u = rng.bit_generator.random_raw(-(-n // 2)).view(np.uint32)[:n]
+        cells = u.reshape(*size, d).sum(axis=-1, dtype=np.uint64)
+        lo = self.center - self.width / 2
+        return d * lo + self.width * 2.0 ** -32 * (cells + d / 2)
 
     @property
     def mean(self):
@@ -211,9 +229,13 @@ class DeltaMixture(WaitingTimeDistribution):
         object.__setattr__(self, "atoms", tuple(sorted(atoms)))
 
     def sample(self, rng, size):
-        times = np.array([t for t, _ in self.atoms])
-        probs = np.array([p for _, p in self.atoms])
+        times, probs = np.array(self.atoms).T
         return times[rng.choice(times.size, size=size, p=probs)]
+
+    def bunch_sums(self, rng, size, d):
+        # a bunch sum is the atom times weighted by their counts in it
+        times, probs = np.array(self.atoms).T
+        return rng.multinomial(d, probs, size) @ times
 
     @property
     def mean(self):

@@ -5,8 +5,7 @@ the smallest ratio ``width / (center / j)`` over all intervals that contain
 the tick time with probability at least ``1 - eps``.  It is dimensionless,
 so it needs no external time unit.  This module provides the empirical
 estimator of that quantity together with the classical tail bounds
-(Hoeffding, Chebyshev) and the mean-squared-over-variance accuracy measure
-used in earlier work on autonomous clocks.
+(Hoeffding, Chebyshev).
 """
 from __future__ import annotations
 
@@ -17,10 +16,6 @@ import numpy as np
 
 # Tolerance guarding ceil() against float noise in (1 - eps) * n.
 _CEIL_GUARD = 1e-9
-
-
-class ZeroVarianceError(ValueError):
-    """Raised when a sample has zero variance and R would be infinite."""
 
 
 @dataclass(frozen=True)
@@ -171,19 +166,9 @@ def hoeffding_inaccuracy_bound(sigma_ratio_1: float, j: int, n: float) -> float:
     return 2.0 * n * math.sqrt(j) * sigma_ratio_1
 
 
-def r_accuracy(samples) -> float:
-    """mean^2 / variance of a tick-time sample (unbiased variance)."""
-    x = _validated_samples(samples)
-    var = float(np.var(x, ddof=1))
-    if var == 0.0:
-        raise ZeroVarianceError("zero sample variance: R is infinite")
-    mean = float(np.mean(x))
-    return mean * mean / var
-
-
 def chebyshev_bound(r1: float, j: int, eps: float) -> float:
     """Inaccuracy bound sqrt(j / (eps * R_1)) for an i.i.d. clock with
-    first-tick accuracy R_1 (uses R_j = j * R_1)."""
+    first-tick accuracy R_1 = mean^2 / variance (uses R_j = j * R_1)."""
     if r1 <= 0:
         raise ValueError("R_1 must be positive")
     if j < 1:

@@ -321,8 +321,8 @@ def _simulate(prep: PreparedRun, rng, out: np.ndarray,
         rows = max(1, _CHUNK // (n_out * d))
         for r in range(0, size, rows):
             n = min(rows, size - r)
-            # row-major, so each trial draws its n_out * d waits in order
-            bunches = dist.sample(rng, (n, n_out, d)).sum(axis=2)
+            # each trial draws its n_out bunches in order
+            bunches = dist.bunch_sums(rng, (n, n_out), d)
             np.cumsum(bunches, axis=1, out=out[r:r + n])
     elif cfg.protocol is Protocol.EC_BUNCH:
         # the EC free-runs from its reset state at time 0
@@ -452,7 +452,7 @@ def monte_carlo(cfg: ProtocolConfig, trials: int,
     least ``_THREAD_WAITS`` waits per trial runs its blocks on every CPU
     the process may use, each filling its own rows, so the result does
     not depend on the number of CPUs either.  Its large draws and sums
-    release the GIL, and at that size a block runs for tens of ms, long
+    release the GIL, and at that size a block runs for 10 ms or more, long
     beside the milliseconds a helper thread can cost to start and to
     wait for on a busy shared host.  Smaller runs, and the other
     protocols, which step small arrays tick by tick under the GIL and

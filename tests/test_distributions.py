@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -51,6 +52,49 @@ class TestBox:
     def test_rejects_support_through_zero(self):
         with pytest.raises(ValueError):
             Box(center=1.0, width=2.0)
+
+
+def lattice_words(seed, n):
+    """The n 32-bit words ``Box.bunch_sums`` draws for n waits from a
+    fresh ``default_rng(seed)``, as Python ints."""
+    raw = np.random.default_rng(seed).bit_generator.random_raw(-(-n // 2))
+    return [int(w) for w in raw.view(np.uint32)[:n]]
+
+
+class TestBoxBunchSums:
+    BOX = Box(center=1.0, width=0.33)
+
+    def test_law_matches_float_sums(self):
+        # family-wise 5 % over the four d
+        ds = (1, 3, 64, 1024)
+        for i, d in enumerate(ds):
+            n = 4000
+            lattice = self.BOX.bunch_sums(np.random.default_rng(10 + i),
+                                          (n,), d)
+            floats = self.BOX.sample(np.random.default_rng(20 + i),
+                                     (n, d)).sum(-1)
+            assert stats.ks_2samp(lattice, floats).pvalue > 0.05 / len(ds)
+
+    @pytest.mark.parametrize("d", [1, 3, 64, 1024])
+    def test_sums_lie_strictly_inside_the_support(self, d):
+        sums = self.BOX.bunch_sums(np.random.default_rng(d), (300, 2), d)
+        lo, hi = self.BOX.support()
+        assert sums.shape == (300, 2)
+        assert (sums > d * lo).all() and (sums < d * hi).all()
+
+    def test_float_sum_matches_exact_integer_sum(self):
+        # (3, 5) bunches of 7 waits: 105 words, so half of the last 64-bit
+        # word is dropped
+        shape, d = (3, 5), 7
+        sums = self.BOX.bunch_sums(np.random.default_rng(8), shape, d)
+        words = lattice_words(8, math.prod(shape) * d)
+        lo = Fraction(self.BOX.support()[0])
+        width = Fraction(self.BOX.width)
+        for k, got in enumerate(sums.ravel()):
+            # each wait is its cell's midpoint, lo + width (u + 1/2) / 2^32
+            cells = sum(words[k * d:(k + 1) * d])
+            exact = d * lo + width * Fraction(2 * cells + d, 2 ** 33)
+            assert abs(Fraction(float(got)) - exact) <= 1e-15 * exact
 
 
 class TestGaussian:
@@ -177,6 +221,28 @@ class TestDeltaMixture:
             DeltaMixture(((1.0, 0.7), (2.0, 0.4)))
         with pytest.raises(ValueError):
             DeltaMixture(((0.0, 1.0),))
+
+    def test_bunch_sums_follow_the_binomial_law(self):
+        # two atoms: a bunch sum is (d - k) 0.9 + k 1.1 with k binomial in
+        # the count of the 1.1 atom; chi-square, family-wise 5 % over the d
+        mix = DeltaMixture(((0.9, 0.7), (1.1, 0.3)))
+        ds = (1, 3, 64)
+        for d in ds:
+            sums = mix.bunch_sums(np.random.default_rng(d), (20000,), d)
+            k = np.rint((sums - 0.9 * d) / 0.2).astype(int)
+            np.testing.assert_allclose(sums, 0.9 * (d - k) + 1.1 * k,
+                                       rtol=1e-12)
+            observed = np.bincount(k, minlength=d + 1)
+            expected = stats.binom.pmf(np.arange(d + 1), d, 0.3) * sums.size
+            # pool the sparse tails into their neighbours
+            keep = expected >= 5
+            first, last = np.flatnonzero(keep)[[0, -1]]
+            obs = np.r_[observed[:first + 1].sum(), observed[first + 1:last],
+                        observed[last:].sum()]
+            exp = np.r_[expected[:first + 1].sum(), expected[first + 1:last],
+                        expected[last:].sum()]
+            assert stats.chisquare(obs, exp * obs.sum() / exp.sum()
+                                   ).pvalue > 0.05 / len(ds)
 
 
 def test_module_helpers():

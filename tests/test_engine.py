@@ -6,8 +6,9 @@ machine (``tick`` / ``advance``) and the scalar input clock
 It draws its random numbers in a different order than the engine, so the
 two agree exactly only where nothing is random (Delta input, zero-width
 EC) and in distribution otherwise.  Input bunching has a second oracle,
-``prefix_sum_bunching``, which makes the engine's own draws and sums them
-in another order, so the two agree draw for draw to rounding.
+``prefix_sum_bunching``, which builds every wait from the engine's own
+draws and sums them in another order, so the two agree draw for draw to
+rounding.
 ``serial_monte_carlo`` runs ``monte_carlo``'s blocks one after another on
 the calling thread; the threaded blocks must agree with it bit for bit.
 """
@@ -221,6 +222,25 @@ def test_agreement_in_distribution(protocol, dist, n_ticks):
         assert p > KS_ALPHA, f"tick {j}: KS p-value {p:.2e}"
 
 
+def bunch_waits(dist, rng, n, n_out, d):
+    """The (n, n_out * d) input waits of n trials, bunch after bunch, built
+    from the draws ``dist.bunch_sums`` makes: a Box's 2^-32 lattice
+    midpoints from the same 32-bit words, and a mixture's atoms repeated
+    by the same multinomial counts.  Other laws sample their waits."""
+    if isinstance(dist, Box):
+        u = rng.bit_generator.random_raw(-(-n * n_out * d // 2))
+        u = u.view(np.uint32)[:n * n_out * d]
+        lo = dist.support()[0]
+        waits = lo + dist.width * 2.0 ** -32 * (u + 0.5)
+    elif isinstance(dist, DeltaMixture):
+        times = np.array([t for t, _ in dist.atoms])
+        counts = rng.multinomial(d, [p for _, p in dist.atoms], (n, n_out))
+        waits = np.repeat(np.tile(times, n * n_out), counts.ravel())
+    else:
+        waits = dist.sample(rng, (n, n_out * d))
+    return waits.reshape(n, n_out * d)
+
+
 def prefix_sum_bunching(prep, rng, size):
     """Input bunching's output ticks as a prefix sum over every input
     wait, keeping every d-th: the engine's draws, chunk for chunk, summed
@@ -231,7 +251,7 @@ def prefix_sum_bunching(prep, rng, size):
     out = np.empty((size, n_out))
     for r in range(0, size, rows):
         n = min(rows, size - r)
-        waits = cfg.input_dist.sample(rng, (n, n_out * d))
+        waits = bunch_waits(cfg.input_dist, rng, n, n_out, d)
         out[r:r + n] = np.cumsum(waits, axis=1)[:, d - 1::d]
     return out
 
@@ -240,15 +260,10 @@ BUNCH_INPUTS = [Box(1.0, 0.33), Gaussian(1.0, 0.5), Delta(0.7),
                 DeltaMixture(((0.9, 0.25), (1.05, 0.5), (1.3, 0.25)))]
 
 
-@pytest.mark.parametrize("dist", BUNCH_INPUTS, ids=lambda d: type(d).__name__)
-@pytest.mark.parametrize("d", [1, 3, 64, 1024])
-@pytest.mark.parametrize("n_ticks", [1, 20])
-def test_input_bunching_matches_prefix_sum(dist, d, n_ticks):
+def check_bunching_matches_prefix_sum(dist, d, n_ticks, size):
     cfg = ProtocolConfig(protocol=Protocol.INPUT_BUNCH, input_dist=dist,
                          eps=0.01, n_ticks=n_ticks, bunch=d)
     prep = prepare(cfg)
-    # two trials past a chunk boundary, so the last chunk is a short one
-    size = max(1, _CHUNK // (n_ticks * d)) + 2
     engine_rng, oracle_rng = (np.random.default_rng(41),
                               np.random.default_rng(41))
     out, n_ignored = simulate(prep, engine_rng, size)
@@ -257,6 +272,20 @@ def test_input_bunching_matches_prefix_sum(dist, d, n_ticks):
     assert not n_ignored.any()
     # both consumed the stream alike
     assert engine_rng.random() == oracle_rng.random()
+
+
+@pytest.mark.parametrize("dist", BUNCH_INPUTS, ids=lambda d: type(d).__name__)
+@pytest.mark.parametrize("d", [1, 3, 64, 1024])
+@pytest.mark.parametrize("n_ticks", [1, 20])
+def test_input_bunching_matches_prefix_sum(dist, d, n_ticks):
+    # two trials past a chunk boundary, so the last chunk is a short one
+    size = max(1, _CHUNK // (n_ticks * d)) + 2
+    check_bunching_matches_prefix_sum(dist, d, n_ticks, size)
+
+
+def test_box_bunching_drops_the_odd_half_word():
+    # 5 trials of 3 ticks of 3 waits: 45 waits in 23 words
+    check_bunching_matches_prefix_sum(Box(1.0, 0.33), 3, 3, 5)
 
 
 class TestStreams:

@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ticklab import (Box, DeltaMixture, Gaussian, ZeroVarianceError,
-                     bruteforce_inaccuracy, chebyshev_bound,
-                     empirical_inaccuracy, hoeffding_inaccuracy_bound,
-                     hoeffding_tail, r_accuracy)
+from ticklab import (Box, DeltaMixture, Gaussian, bruteforce_inaccuracy,
+                     chebyshev_bound, empirical_inaccuracy,
+                     hoeffding_inaccuracy_bound, hoeffding_tail)
 
 positive_samples = st.lists(
     st.floats(min_value=0.01, max_value=100.0, allow_nan=False),
@@ -136,20 +135,6 @@ class TestHoeffding:
         assert slope == pytest.approx(0.5, abs=0.1)
 
 
-class TestRMeasure:
-    def test_hand_value(self):
-        assert r_accuracy([1.0, 3.0]) == pytest.approx(2.0)
-
-    def test_zero_variance_raises(self):
-        with pytest.raises(ZeroVarianceError):
-            r_accuracy([1.0, 1.0, 1.0])
-
-    def test_box_variance(self):
-        rng = np.random.default_rng(4)
-        samples = Box(center=1.0, width=0.6).sample(rng, 10 ** 6)
-        assert r_accuracy(samples) == pytest.approx(1.0 / 0.03, abs=0.5)
-
-
 class TestChebyshev:
     def test_values(self):
         assert chebyshev_bound(100.0, 1, 0.04) == 0.5
@@ -172,7 +157,8 @@ class TestChebyshev:
         rng = np.random.default_rng(5)
         first = np.atleast_2d(dist.sample(rng, (20000, 4)))
         sums = np.cumsum(first, axis=1)
-        r1 = r_accuracy(sums[:, 0])
+        # first-tick accuracy R_1 = mean^2 / variance
+        r1 = sums[:, 0].mean() ** 2 / sums[:, 0].var(ddof=1)
         for j in (1, 2, 4):
             emp = empirical_inaccuracy(sums[:, j - 1], j, 0.05).sigma_ratio
             assert emp <= chebyshev_bound(r1, j, 0.05)
