@@ -13,7 +13,8 @@ Results go to CSV (default) or JSON.  Every emitted file embeds the
 resolved configuration in ``# config:`` comment lines; pointing
 ``--config`` at such a file reproduces the run.  The environment variable
 ``TICKLAB_SEED`` overrides the seed and nothing else.  Exit codes: 0 on
-success, 2 on configuration errors, 3 on an estimator-check failure.
+success, 2 on configuration errors and on a config or output file that
+cannot be read or written, 3 on an estimator-check failure.
 """
 from __future__ import annotations
 
@@ -376,7 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
         if "trials" in keys:
             p.add_argument("--trials", type=int)
         if "d" in keys:
-            p.add_argument("--d", help="comma-separated dimension list")
+            p.add_argument("--d", help="EC dimension" if name in (
+                "run", "network") else "comma-separated dimension list")
         if "protocol" in keys:
             p.add_argument("--protocol", help="protocol number (1-4)")
         if "protocols" in keys:
@@ -390,16 +392,16 @@ def main(argv=None) -> int:
     try:
         cfg = resolve_config(args)
         rows = _COMMANDS[args.experiment](cfg)
-    except (ConfigError, ValueError) as exc:
+        render = render_json if args.format == "json" else render_csv
+        text = render(rows, cfg, args.experiment)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    render = render_json if args.format == "json" else render_csv
-    text = render(rows, cfg, args.experiment)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     if args.experiment == "estimator-check" and rows[0]["Sigma_out"] != 0:
         return 3
     return 0

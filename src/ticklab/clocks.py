@@ -11,8 +11,9 @@ waiting-time law, see ``ticklab.distributions``):
   clock cannot be periodic without being stationary.
 
 The EC is phenomenological: only the period, the window width, the tail
-level and the switch-on phase enter.  Inside the window the tick phase is
-uniform; the tail is uniform over the whole period.
+level and the idle time since the EC's last reset enter; the EC holds
+its dial phase while idle.  Inside the window the tick phase is uniform;
+the tail is uniform over the whole period.
 """
 from __future__ import annotations
 
@@ -86,21 +87,21 @@ def sample_tick_phase(ec: ExplicitEC, rng, size=None):
     return np.where(u < 1.0 - ec.eps_tail, win, tail)
 
 
-def fire_delay(s: np.ndarray, ec: ExplicitEC, rng) -> np.ndarray:
-    """Times until the detector of ``ec`` fires when switched on at the
-    dial phases ``s``, one independent draw per phase.
-
-    The hand must reach the drawn tick phase forwards, so a phase at or
-    behind ``s`` costs one more period.  From the reset state (s = 0)
-    this is the tick gap of a free-running EC.
-    """
-    phi = sample_tick_phase(ec, rng, np.shape(s))
-    return delay_to_phase(s, phi, ec.tau)
+def fire_delay(idle, ec: ExplicitEC, rng, size=None) -> np.ndarray:
+    """Times until the detector of ``ec`` fires when switched on after
+    idling ``idle`` since its last reset, one draw per entry of ``size``
+    (default ``idle``'s shape), ``idle`` broadcast over them; from a
+    fresh reset (idle 0), the tick gap of a free-running EC."""
+    phi = sample_tick_phase(ec, rng, np.shape(idle) if size is None else size)
+    return delay_to_phase(idle, phi, ec.tau)
 
 
-def delay_to_phase(s: np.ndarray, phi: np.ndarray, tau) -> np.ndarray:
-    """Time for the hand to turn forwards from dial phase ``s`` to the
-    tick phase ``phi``, elementwise; scalars give a float."""
+def delay_to_phase(idle: np.ndarray, phi: np.ndarray, tau) -> np.ndarray:
+    """Time for the hand of an EC that has idled ``idle`` since its reset
+    to turn forwards to the tick phase ``phi``, elementwise; scalars give
+    a float.  The hand held the wrapped idle time as its phase, so a tick
+    phase at or behind it costs one more period."""
+    s = wrap_phase(idle, tau)
     return phi - s + tau * (phi <= s)
 
 

@@ -107,12 +107,11 @@ def _simulate(scenario: NetworkScenario, seq: np.random.SeedSequence,
     the arrival ticks, shapes (size, nodes, n_outputs) and (size, nodes,
     n), n > n_outputs.
 
-    Each node runs dynamics switching over its arrivals.  Its EC is not
-    reset at the first arrival: it free-evolved from phase 0 at time 0,
-    which is what keeps the nodes mutually synchronized.  After each
-    output the EC is reset as usual.  When a node has no arrival left
-    after an output, every node receives another chunk of broadcast
-    ticks.
+    Each node runs dynamics switching over its arrivals.  Every EC was
+    reset at time 0, which is what keeps the nodes mutually synchronized,
+    so at the first arrival it has idled since time 0; after each output,
+    since that output.  When a node has no arrival left after an output,
+    every node receives another chunk of broadcast ticks.
     """
     rng_c, *rngs = [np.random.default_rng(s) for s in
                     seq.spawn(1 + len(scenario.nodes))]
@@ -125,10 +124,9 @@ def _simulate(scenario: NetworkScenario, seq: np.random.SeedSequence,
                           axis=1)
     arr = _arrivals(broadcast, scenario, rngs)
     out = np.empty_like(phi)
-    t_in = arr[:, :, 0]
-    s = wrap_phase(t_in, tau)
+    t_in = idle = arr[:, :, 0]  # every EC was reset at time 0
     for k in range(n_out):
-        t_out = t_in + delay_to_phase(s, phi[:, :, k], tau)
+        t_out = t_in + delay_to_phase(idle, phi[:, :, k], tau)
         out[:, :, k] = t_out
         if k + 1 == n_out:
             break
@@ -141,7 +139,7 @@ def _simulate(scenario: NetworkScenario, seq: np.random.SeedSequence,
             arr = np.concatenate([arr, more], axis=2)
             nxt += (more <= t_out[:, :, None]).sum(axis=2)
         t_in = np.take_along_axis(arr, nxt[:, :, None], axis=2)[:, :, 0]
-        s = wrap_phase(t_in - t_out, tau)
+        idle = t_in - t_out
     if (arr[:, :, 1:] <= arr[:, :, :-1]).any():
         raise ValueError("link jitter reordered the broadcast ticks")
     check_rows(out.reshape(-1, n_out))

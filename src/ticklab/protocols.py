@@ -22,13 +22,13 @@ import _thread
 import math
 import os
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .clocks import (ExplicitEC, _check_ec_tail, _check_eta, fire_delay,
-                     quasi_ideal_params, wrap_phase)
+                     quasi_ideal_params)
 from .distributions import WaitingTimeDistribution
 from .inaccuracy import InaccuracyEstimate, empirical_inaccuracy
 
@@ -308,14 +308,14 @@ def _simulate(prep: PreparedRun, rng, out: np.ndarray,
               n_ignored: np.ndarray):
     """Run ``len(out)`` trials in lockstep on one random stream.
 
-    Fills ``out``, shape (trials, n_ticks), with the absolute output
-    ticks and adds each trial's count of ignored input ticks to the
-    zeroed ``n_ignored``, both in place.  Horizon truncation is left to
-    the caller.
+    Fills ``out``, shape (trials, ticks), with the absolute output ticks
+    and adds each trial's count of ignored input ticks to the zeroed
+    ``n_ignored``, both in place.  Horizon truncation is left to the
+    caller.
     """
     cfg = prep.cfg
-    dist, n_out = cfg.input_dist, cfg.n_ticks
-    size = len(out)
+    dist = cfg.input_dist
+    size, n_out = out.shape
     if cfg.protocol is Protocol.INPUT_BUNCH:
         d = cfg.bunch
         rows = max(1, _CHUNK // (n_out * d))
@@ -332,16 +332,15 @@ def _simulate(prep: PreparedRun, rng, out: np.ndarray,
             t_in = _next_after(t_in, ec, dist, rng, n_ignored)
             behind = np.flatnonzero(ec < t_in)
             while behind.size:
-                ec[behind] += fire_delay(np.zeros(behind.size), prep.ec,
-                                         rng)
+                ec[behind] += fire_delay(0.0, prep.ec, rng, behind.size)
                 behind = behind[ec[behind] < t_in[behind]]
             out[:, k] = ec
     else:
         feedback = cfg.protocol is Protocol.DYN_SWITCH_FEEDBACK
         t_in = dist.sample(rng, size)
-        s = np.zeros(size)  # EC reset when the first input tick arrives
+        idle = 0.0  # EC reset when the first input tick arrives
         for k in range(n_out):
-            t_out = t_in + fire_delay(s, prep.ec, rng)
+            t_out = t_in + fire_delay(idle, prep.ec, rng, size)
             out[:, k] = t_out
             if k + 1 == n_out:
                 break
@@ -350,7 +349,7 @@ def _simulate(prep: PreparedRun, rng, out: np.ndarray,
             else:
                 t_in = _next_after(t_in, t_out, dist, rng, n_ignored)
             # the EC idles from its reset at t_out until the next input tick
-            s = wrap_phase(t_in - t_out, prep.ec.tau)
+            idle = t_in - t_out
     check_rows(out)
 
 
@@ -463,14 +462,13 @@ def monte_carlo(cfg: ProtocolConfig, trials: int,
     prep = prepare(cfg)
     switching = cfg.protocol in _SWITCHING
     n_out = cfg.n_ticks + 1 if switching else cfg.n_ticks
-    run_prep = replace(prep, cfg=replace(cfg, n_ticks=n_out))
     out = np.empty((trials, n_out))
     n_ignored = np.zeros(trials, dtype=int)
     streams = np.random.SeedSequence(seed).spawn(-(-trials // _BLOCK))
 
     def run_block(b):
         rows = slice(b * _BLOCK, (b + 1) * _BLOCK)
-        _simulate(run_prep, np.random.default_rng(streams[b]), out[rows],
+        _simulate(prep, np.random.default_rng(streams[b]), out[rows],
                   n_ignored[rows])
 
     threaded = (cfg.protocol is Protocol.INPUT_BUNCH

@@ -210,6 +210,29 @@ class TestConfigHandling:
         assert parser.parse_args(["network", "--trials", "9",
                                   *common]).trials == 9
 
+    @pytest.mark.parametrize("argv", [
+        ("run", "--config", "{tmp}/missing.ini"),
+        ("run", "--config", "{tmp}"),
+        ("bounds", "--out", "{tmp}/missing/x.csv"),
+    ])
+    def test_file_error_is_config_error(self, capsys, tmp_path, argv):
+        code = main([arg.format(tmp=tmp_path) for arg in argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert str(tmp_path) in captured.err
+
+    @pytest.mark.parametrize("experiment, single", [
+        ("run", True), ("network", True), ("sweep", False),
+        ("bounds", False)])
+    def test_dimension_help_says_how_many(self, capsys, experiment, single):
+        with pytest.raises(SystemExit):
+            main([experiment, "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert ("--d D EC dimension" in text) is single
+        assert ("dimension list" in text) is not single
+
     def test_flag_overrides_config(self, capsys, tmp_path):
         cfg = tmp_path / "ok.ini"
         cfg.write_text("[sweep]\nd = 16\ntrials = 50\nseed = 3\n")

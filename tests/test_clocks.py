@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ticklab import (EnhancingClock, ExplicitEC, MarkovTwoState, Mode,
@@ -135,6 +135,34 @@ class TestFreeRun:
         assert gaps.mean() == pytest.approx(mu, abs=3 * sigma)
         covered = np.abs(gaps - mu) < sigma / 2
         assert covered.mean() >= 1 - eps - 3 * np.sqrt(eps / gaps.size)
+
+
+class TestIdleLaw:
+    """The EC's switch-on law takes the idle time since its last reset;
+    it holds the wrapped idle time as its dial phase."""
+
+    def test_zero_width_delays(self):
+        idle = np.array([0.0, 0.3, 1.3, 2.3, 2.6])
+        delays = fire_delay(idle, ExplicitEC(1.0, 0.0, 0.0),
+                            np.random.default_rng(0))
+        assert delays == pytest.approx([0.5, 0.2, 0.2, 0.2, 0.9])
+        broadcast = fire_delay(2.3, ExplicitEC(1.0, 0.0, 0.0),
+                               np.random.default_rng(0), 3)
+        assert broadcast == pytest.approx([0.2] * 3)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(min_value=0.1, max_value=10),
+           st.floats(min_value=0.0, max_value=0.99),
+           st.floats(min_value=0.0, max_value=50, exclude_max=True),
+           st.integers(min_value=0, max_value=2 ** 32))
+    def test_window_delay_within_one_period(self, tau, width, cycles, seed):
+        # switched on outside the detector window, which spans width / 2
+        # either side of each odd multiple of tau/2
+        assume(abs(cycles % 1 - 0.5) > width / 2 + 1e-6)
+        ec = ExplicitEC(tau, width * tau, 0.0)
+        delays = fire_delay(np.full(64, cycles * tau), ec,
+                            np.random.default_rng(seed))
+        assert ((delays > 0) & (delays <= tau)).all()
 
 
 class TestQuasiIdeal:

@@ -32,10 +32,11 @@ from ticklab.protocols import _BLOCK, _CHUNK, _THREAD_WAITS, _simulate
 SWITCHING = (Protocol.DYN_SWITCH, Protocol.DYN_SWITCH_FEEDBACK)
 
 
-def simulate(prep, rng, size):
-    """``_simulate`` of ``size`` trials into fresh arrays: the absolute
-    output ticks and the per-trial count of ignored input ticks."""
-    out = np.empty((size, prep.cfg.n_ticks))
+def simulate(prep, rng, size, ticks=None):
+    """``_simulate`` of ``size`` trials of ``ticks`` outputs, by default
+    ``prep``'s, into fresh arrays: the absolute output ticks and the
+    per-trial count of ignored input ticks."""
+    out = np.empty((size, ticks or prep.cfg.n_ticks))
     n_ignored = np.zeros(size, dtype=int)
     _simulate(prep, rng, out, n_ignored)
     return out, n_ignored
@@ -312,10 +313,9 @@ def serial_monte_carlo(cfg, trials, seed):
     prep = prepare(cfg)
     switching = cfg.protocol in SWITCHING
     n_out = cfg.n_ticks + 1 if switching else cfg.n_ticks
-    run_prep = replace(prep, cfg=replace(cfg, n_ticks=n_out))
     streams = np.random.SeedSequence(seed).spawn(-(-trials // _BLOCK))
-    blocks = [simulate(run_prep, np.random.default_rng(stream),
-                       min(_BLOCK, trials - b * _BLOCK))
+    blocks = [simulate(prep, np.random.default_rng(stream),
+                       min(_BLOCK, trials - b * _BLOCK), n_out)
               for b, stream in enumerate(streams)]
     out = np.concatenate([out for out, _ in blocks])
     n_ignored = np.concatenate([n for _, n in blocks])
