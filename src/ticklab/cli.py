@@ -182,10 +182,10 @@ def _row(**kw) -> dict:
 
 
 def fit_slope(d_values, sigma_values) -> float | None:
-    """OLS slope of log2(Sigma) against log2(d); None below 2 points or
-    when a Sigma is not positive and finite, where the log has no value."""
+    """OLS slope of log2(Sigma) against log2(d); None below 2 distinct d
+    or when a Sigma is not positive and finite, where the log has no value."""
     y = np.asarray(sigma_values, dtype=float)
-    if len(d_values) < 2 or not (np.isfinite(y) & (y > 0)).all():
+    if len(set(d_values)) < 2 or not (np.isfinite(y) & (y > 0)).all():
         return None
     x = np.log2(np.asarray(d_values, dtype=float))
     return float(np.polyfit(x, np.log2(y), 1)[0])

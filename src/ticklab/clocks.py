@@ -13,7 +13,10 @@ waiting-time law, see ``ticklab.distributions``):
 The EC is phenomenological: only the period, the window width, the tail
 level and the idle time since the EC's last reset enter; the EC holds
 its dial phase while idle.  Inside the window the tick phase is uniform;
-the tail is uniform over the whole period.
+the tail is uniform over the whole period.  The hand sits at the wrapped
+idle time s in (-tau/2, tau/2]; the tick phase is not wrapped, and one at
+or behind s costs one more period.  So an EC switched on in the lower half
+of its window waits for the next turn: every delay lies in (0, tau + sigma/2].
 """
 from __future__ import annotations
 
@@ -97,10 +100,9 @@ def fire_delay(idle, ec: ExplicitEC, rng, size=None) -> np.ndarray:
 
 
 def delay_to_phase(idle: np.ndarray, phi: np.ndarray, tau) -> np.ndarray:
-    """Time for the hand of an EC that has idled ``idle`` since its reset
-    to turn forwards to the tick phase ``phi``, elementwise; scalars give
-    a float.  The hand held the wrapped idle time as its phase, so a tick
-    phase at or behind it costs one more period."""
+    """Time for the hand of an EC idle ``idle`` since its reset to turn to
+    the tick phase ``phi`` by the module's rule, elementwise; scalars give
+    a float."""
     s = wrap_phase(idle, tau)
     return phi - s + tau * (phi <= s)
 

@@ -2,8 +2,8 @@
 
 A central i.i.d. clock broadcasts its ticks to several nodes over links
 with heterogeneous propagation delay and per-tick jitter.  Each node runs
-the dynamics-switching protocol against its local enhancing clock.  All
-local ECs are pre-synchronized: identical period, phase 0 at time 0.  The
+dynamics switching (``protocols.switching``) on its own copy of the
+scenario's one enhancing clock; all copies were reset at time 0.  The
 figure of merit is the spread of the k-th output tick across nodes,
 compared with the spread of the raw arrivals.
 """
@@ -14,11 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clocks import (ExplicitEC, delay_to_phase, quasi_ideal_params,
-                     quasi_ideal_ratio, sample_tick_phase, wrap_phase)
+from .clocks import (ExplicitEC, quasi_ideal_params, quasi_ideal_ratio,
+                     wrap_phase)
 from .distributions import Box, WaitingTimeDistribution
 from .inaccuracy import ConfidenceInterval
-from .protocols import check_rows, largest_period
+from .protocols import check_rows, largest_period, switching
 
 _PHASE_MARGIN = 0.75  # fraction of the safe phase band a node may use
 _BLOCK = 128          # trials per block; peak memory grows with it
@@ -26,11 +26,10 @@ _BLOCK = 128          # trials per block; peak memory grows with it
 
 @dataclass(frozen=True)
 class NodeConfig:
-    """One receiving node: mean link delay, optional per-tick jitter law
-    (applied centered, i.e. shifted to mean 0), and the local EC."""
+    """One receiving node: mean link delay and optional per-tick jitter
+    law (applied centered, i.e. shifted to mean 0)."""
 
     delay: float
-    ec: ExplicitEC
     jitter: WaitingTimeDistribution | None = None
     name: str = ""
 
@@ -47,7 +46,10 @@ class NodeConfig:
 
 @dataclass(frozen=True)
 class NetworkScenario:
+    """A central clock, the EC every node runs a copy of, and the nodes."""
+
     central: WaitingTimeDistribution
+    ec: ExplicitEC
     nodes: tuple
     n_outputs: int
     eps: float = 0.01
@@ -58,10 +60,6 @@ class NetworkScenario:
             raise ValueError("a network needs at least 2 nodes")
         if self.n_outputs < 1:
             raise ValueError("need at least one output tick")
-        taus = {node.ec.tau for node in self.nodes}
-        if len(taus) > 1:
-            raise ValueError(
-                "pre-synchronized nodes need a common EC period")
 
 
 def _arrivals_safe(central: ConfidenceInterval, ec: ExplicitEC,
@@ -76,9 +74,9 @@ def _arrivals_safe(central: ConfidenceInterval, ec: ExplicitEC,
     return abs(s0) + slack <= _PHASE_MARGIN * ((ec.tau - ec.sigma) / 2)
 
 
-def _check_node(central: ConfidenceInterval, node: NodeConfig, i: int):
+def _check_node(central: ConfidenceInterval, ec: ExplicitEC, node, i):
     """Raise ``ValueError`` naming node i unless ``_arrivals_safe``."""
-    if not _arrivals_safe(central, node.ec, node.delay, node.jitter):
+    if not _arrivals_safe(central, ec, node.delay, node.jitter):
         raise ValueError(f"{node.name or f'node {i}'}: arrivals over delay "
                          f"{node.delay:.4g} reach its EC's detector band")
 
@@ -101,35 +99,27 @@ def _simulate(scenario: NetworkScenario, seq: np.random.SeedSequence,
               size: int):
     """Run ``size`` trials of ``scenario`` in lockstep.
 
-    ``seq`` spawns one stream for the central clock and then one per
-    node.  A node draws its EC tick phases for all outputs first, then its
-    link jitter, from its own stream only.  Returns the output ticks and
-    the arrival ticks, shapes (size, nodes, n_outputs) and (size, nodes,
-    n), n > n_outputs.
+    ``seq`` spawns one stream for the central clock, one for the EC
+    fires of every node, and then one per node for its link jitter.
+    Returns the output ticks and the arrival ticks, shapes (size, nodes,
+    n_outputs) and (size, nodes, n), n > n_outputs.
 
-    Each node runs dynamics switching over its arrivals.  Every EC was
-    reset at time 0, which is what keeps the nodes mutually synchronized,
-    so at the first arrival it has idled since time 0; after each output,
+    Each node runs ``switching`` over its arrivals.  Every EC was reset
+    at time 0, which is what keeps the nodes mutually synchronized, so at
+    the first arrival it has idled since time 0; after each output,
     since that output.  When a node has no arrival left after an output,
     every node receives another chunk of broadcast ticks.
     """
-    rng_c, *rngs = [np.random.default_rng(s) for s in
-                    seq.spawn(1 + len(scenario.nodes))]
+    rng_c, rng_ec, *rngs = [np.random.default_rng(s) for s in
+                            seq.spawn(2 + len(scenario.nodes))]
     n_out = scenario.n_outputs
-    tau = scenario.nodes[0].ec.tau  # common to all nodes
-    phi = np.stack([sample_tick_phase(node.ec, rng, (size, n_out))
-                    for node, rng in zip(scenario.nodes, rngs)], axis=1)
     width = n_out + 2  # each output uses up at least one arrival
     broadcast = np.cumsum(scenario.central.sample(rng_c, (size, width)),
                           axis=1)
     arr = _arrivals(broadcast, scenario, rngs)
-    out = np.empty_like(phi)
-    t_in = idle = arr[:, :, 0]  # every EC was reset at time 0
-    for k in range(n_out):
-        t_out = t_in + delay_to_phase(idle, phi[:, :, k], tau)
-        out[:, :, k] = t_out
-        if k + 1 == n_out:
-            break
+
+    def next_input(t_in, t_out):
+        nonlocal arr, broadcast
         # the arrivals are sorted, so the count is the next one's index
         nxt = (arr <= t_out[:, :, None]).sum(axis=2)
         while nxt.max() == arr.shape[2]:
@@ -138,8 +128,11 @@ def _simulate(scenario: NetworkScenario, seq: np.random.SeedSequence,
             more = _arrivals(broadcast, scenario, rngs)
             arr = np.concatenate([arr, more], axis=2)
             nxt += (more <= t_out[:, :, None]).sum(axis=2)
-        t_in = np.take_along_axis(arr, nxt[:, :, None], axis=2)[:, :, 0]
-        idle = t_in - t_out
+        return np.take_along_axis(arr, nxt[:, :, None], axis=2)[:, :, 0]
+
+    out = np.empty((size, len(scenario.nodes), n_out))
+    t_in = arr[:, :, 0]  # every EC was reset at time 0
+    switching(out, t_in, t_in, scenario.ec, rng_ec, next_input)
     if (arr[:, :, 1:] <= arr[:, :, :-1]).any():
         raise ValueError("link jitter reordered the broadcast ticks")
     check_rows(out.reshape(-1, n_out))
@@ -151,7 +144,7 @@ def _blocks(scenario: NetworkScenario, trials: int, seed: int):
     ``_BLOCK``; block b runs on ``SeedSequence(seed).spawn(n_blocks)[b]``."""
     central = scenario.central.confidence(scenario.eps)
     for i, node in enumerate(scenario.nodes):
-        _check_node(central, node, i)
+        _check_node(central, scenario.ec, node, i)
     streams = np.random.SeedSequence(seed).spawn(-(-trials // _BLOCK))
     for b, seq in enumerate(streams):
         yield _simulate(scenario, seq, min(_BLOCK, trials - b * _BLOCK))
@@ -207,7 +200,7 @@ def plan_scenario(central: WaitingTimeDistribution, n_nodes: int,
                   sigma_scale: float = 1.0) -> NetworkScenario:
     """Build a symmetric scenario around a central clock.
 
-    All nodes get the same EC (dimension d, common period) and link delays
+    The scenario's one EC has dimension d; the nodes have link delays
     near half an EC period, staggered slightly, so the expected first
     arrival sits at phase 0 of the pre-synchronized EC grid.  The period
     is tau = mu / (m + 1/2) for the largest m (at most 64) at which every
@@ -245,9 +238,9 @@ def plan_scenario(central: WaitingTimeDistribution, n_nodes: int,
     tau = cell[1]
     ec = ExplicitEC(tau, quasi_ideal_ratio(d, eta) * sigma_scale * tau,
                     eps_ec)
-    nodes = [NodeConfig(delay=delay, ec=ec, jitter=jitter, name=f"node-{i}")
+    nodes = [NodeConfig(delay=delay, jitter=jitter, name=f"node-{i}")
              for i, delay in enumerate(candidate(tau)[1])]
-    return NetworkScenario(central=central, nodes=tuple(nodes),
+    return NetworkScenario(central=central, ec=ec, nodes=tuple(nodes),
                            n_outputs=n_outputs, eps=eps)
 
 

@@ -13,8 +13,8 @@ accurate output tick signal:
 
 The module also houses the period chooser ``largest_period``, each EC
 protocol's contract ``_contract``, the closed-form inaccuracy bounds for
-the first two protocols, and the Monte-Carlo engine, which runs a block
-of trials in lockstep as arrays.
+the first two protocols, the one dynamics-switching loop ``switching``
+and the Monte-Carlo engine, which runs a block of trials in lockstep.
 """
 from __future__ import annotations
 
@@ -304,6 +304,21 @@ def _next_after(t_in, t, dist, rng, n_ignored):
     return t_in
 
 
+def switching(out, t_in, idle, ec: ExplicitEC, rng, next_input):
+    """Dynamics switching, the one loop of both engines.  An input tick
+    ``t_in`` switches on the EC, idle ``idle`` since its reset; its tick,
+    output k, fills ``out[..., k]`` in place and resets it, and the EC
+    idles until the input tick ``next_input(t_in, t_out)``."""
+    n_out = out.shape[-1]
+    for k in range(n_out):
+        t_out = t_in + fire_delay(idle, ec, rng, t_in.shape)
+        out[..., k] = t_out
+        if k + 1 == n_out:
+            break
+        t_in = next_input(t_in, t_out)
+        idle = t_in - t_out
+
+
 def _simulate(prep: PreparedRun, rng, out: np.ndarray,
               n_ignored: np.ndarray):
     """Run ``len(out)`` trials in lockstep on one random stream.
@@ -335,21 +350,11 @@ def _simulate(prep: PreparedRun, rng, out: np.ndarray,
                 ec[behind] += fire_delay(0.0, prep.ec, rng, behind.size)
                 behind = behind[ec[behind] < t_in[behind]]
             out[:, k] = ec
-    else:
-        feedback = cfg.protocol is Protocol.DYN_SWITCH_FEEDBACK
-        t_in = dist.sample(rng, size)
-        idle = 0.0  # EC reset when the first input tick arrives
-        for k in range(n_out):
-            t_out = t_in + fire_delay(idle, prep.ec, rng, size)
-            out[:, k] = t_out
-            if k + 1 == n_out:
-                break
-            if feedback:
-                t_in = t_out + dist.sample(rng, size)
-            else:
-                t_in = _next_after(t_in, t_out, dist, rng, n_ignored)
-            # the EC idles from its reset at t_out until the next input tick
-            idle = t_in - t_out
+    else:  # the EC is reset when the first input tick arrives
+        fb = cfg.protocol is Protocol.DYN_SWITCH_FEEDBACK
+        switching(out, dist.sample(rng, size), 0.0, prep.ec, rng,
+                  lambda t_in, t_out: t_out + dist.sample(rng, size) if fb
+                  else _next_after(t_in, t_out, dist, rng, n_ignored))
     check_rows(out)
 
 

@@ -44,6 +44,16 @@ def test_fit_slope_has_no_value_off_the_positive_reals(bad):
     assert fit_slope([16, 64, 256], [0.1, bad, 0.01]) is None
 
 
+def test_sweep_of_one_repeated_dimension_has_an_empty_slope(capsys):
+    # a log-log fit over one distinct d has no slope (numpy warns that it
+    # is rank deficient, which the suite turns into an error)
+    assert fit_slope([16, 16], [0.1, 0.05]) is None
+    code, text = _run(capsys, "sweep", "--d", "16,16", "--protocol", "1",
+                      "--trials", "60", "--seed", "7")
+    slopes = [r for r in _table(text) if r["experiment"] == "sweep_slope"]
+    assert code == 0 and [r["Sigma_out"] for r in slopes] == [""]
+
+
 def _run(capsys, *argv):
     code = main(list(argv))
     return code, capsys.readouterr().out

@@ -164,6 +164,31 @@ class TestIdleLaw:
                             np.random.default_rng(seed))
         assert ((delays > 0) & (delays <= tau)).all()
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(min_value=0.1, max_value=10),
+           st.floats(min_value=0.0, max_value=0.99),
+           st.floats(min_value=0.0, max_value=0.5),
+           st.floats(min_value=0.0, max_value=50),
+           st.integers(min_value=0, max_value=2 ** 32))
+    def test_every_delay_within_period_and_half_window(self, tau, width,
+                                                       eps, cycles, seed):
+        # any idle, inside the detector window too, and tail draws
+        sigma = width * tau
+        delays = fire_delay(np.full(64, cycles * tau),
+                            ExplicitEC(tau, sigma, eps),
+                            np.random.default_rng(seed))
+        bound = (tau + sigma / 2) * (1 + 1e-12)  # rounding of phi - s
+        assert ((delays > 0) & (delays <= bound)).all()
+
+    def test_lower_half_of_window_waits_for_next_turn(self):
+        # switched on at s = -0.375, the dial point 0.625 inside the window
+        # (0.25, 0.75): a tick phase ahead of it, in (0.625, 0.75), is
+        # still taken a whole period later
+        delays = fire_delay(np.full(10 ** 4, 1.625), ExplicitEC(1.0, 0.5, 0.0),
+                            np.random.default_rng(3))
+        assert delays.min() > 0.625 and delays.max() < 1.125
+        assert (delays > 1.0).mean() == pytest.approx(0.25, abs=0.02)
+
 
 class TestQuasiIdeal:
     def test_reference_values(self):

@@ -50,47 +50,39 @@ def oracle_trial(scenario, rng):
         arr = broadcast + node.delay
         if node.jitter is not None:
             arr = arr + node.jitter.sample(rng, arr.size) - node.jitter.mean
-        out.append(oracle_node(arr, node.ec, scenario.n_outputs, rng))
+        out.append(oracle_node(arr, scenario.ec, scenario.n_outputs, rng))
     return np.array(out)
 
 
-def _ideal_ec(tau=1.0):
-    return ExplicitEC(tau=tau, sigma=0.0, eps_tail=0.0)
+def _ideal_ec():
+    return ExplicitEC(tau=1.0, sigma=0.0, eps_tail=0.0)
 
 
 class TestScenarios:
     def test_needs_two_nodes(self):
         with pytest.raises(ValueError):
-            NetworkScenario(central=Delta(3.3),
-                            nodes=(NodeConfig(delay=0.0, ec=_ideal_ec()),),
-                            n_outputs=1)
-
-    def test_needs_common_period(self):
-        nodes = (NodeConfig(delay=0.0, ec=_ideal_ec(1.0)),
-                 NodeConfig(delay=0.0, ec=_ideal_ec(1.1)))
-        with pytest.raises(ValueError):
-            NetworkScenario(central=Delta(3.3), nodes=nodes, n_outputs=1)
+            NetworkScenario(central=Delta(3.3), ec=_ideal_ec(),
+                            nodes=(NodeConfig(delay=0.0),), n_outputs=1)
 
     def test_jitter_needs_bounded_support(self):
         with pytest.raises(ValueError, match="bounded support"):
-            NodeConfig(delay=1.0, ec=_ideal_ec(), jitter=Gaussian(0.1, 0.01))
+            NodeConfig(delay=1.0, jitter=Gaussian(0.1, 0.01))
 
     def test_detector_band_violation_names_node(self):
         # an arrival at phase tau/2 lands on the detector
-        nodes = (NodeConfig(delay=0.0, ec=_ideal_ec(), name="good"),
-                 NodeConfig(delay=0.2, ec=_ideal_ec(), name="bad"))
-        scenario = NetworkScenario(central=Delta(3.3), nodes=nodes,
-                                   n_outputs=1, eps=0.0)
+        nodes = (NodeConfig(delay=0.0, name="good"),
+                 NodeConfig(delay=0.2, name="bad"))
+        scenario = NetworkScenario(central=Delta(3.3), ec=_ideal_ec(),
+                                   nodes=nodes, n_outputs=1, eps=0.0)
         with pytest.raises(ValueError, match="bad"):
             run_network(scenario, seed=0)
 
 
 class TestRunNetwork:
     def test_symmetric_deterministic_nodes_coincide(self):
-        nodes = (NodeConfig(delay=0.0, ec=_ideal_ec()),
-                 NodeConfig(delay=0.0, ec=_ideal_ec()))
-        scenario = NetworkScenario(central=Delta(3.3), nodes=nodes,
-                                   n_outputs=4, eps=0.0)
+        nodes = (NodeConfig(delay=0.0), NodeConfig(delay=0.0))
+        scenario = NetworkScenario(central=Delta(3.3), ec=_ideal_ec(),
+                                   nodes=nodes, n_outputs=4, eps=0.0)
         result = run_network(scenario, seed=0)
         assert result.outputs[0] == pytest.approx(result.outputs[1])
 
@@ -98,10 +90,9 @@ class TestRunNetwork:
         # raw arrivals differ by exactly the delay offset, but both nodes
         # fire at their (pre-synchronized) detector phase
         delta = 0.05
-        nodes = (NodeConfig(delay=0.0, ec=_ideal_ec()),
-                 NodeConfig(delay=delta, ec=_ideal_ec()))
-        scenario = NetworkScenario(central=Delta(3.3), nodes=nodes,
-                                   n_outputs=3, eps=0.0)
+        nodes = (NodeConfig(delay=0.0), NodeConfig(delay=delta))
+        scenario = NetworkScenario(central=Delta(3.3), ec=_ideal_ec(),
+                                   nodes=nodes, n_outputs=3, eps=0.0)
         result = run_network(scenario, seed=0)
         raw0, raw1 = result.arrivals
         assert np.allclose(raw1 - raw0, delta)
@@ -111,16 +102,14 @@ class TestRunNetwork:
     def test_nodes_only_see_their_arrivals(self):
         # adding jitter at one node leaves the other node's trace unchanged
         jitter = Box(center=0.05, width=0.05)
-        quiet = NodeConfig(delay=0.05, ec=_ideal_ec(), name="quiet")
-        noisy_a = NodeConfig(delay=0.05, ec=_ideal_ec(), name="n",
-                             jitter=None)
-        noisy_b = NodeConfig(delay=0.05, ec=_ideal_ec(), name="n",
-                             jitter=jitter)
+        quiet = NodeConfig(delay=0.05, name="quiet")
+        noisy_a = NodeConfig(delay=0.05, name="n", jitter=None)
+        noisy_b = NodeConfig(delay=0.05, name="n", jitter=jitter)
         central = Box(3.2, 0.05)
-        a = run_network(NetworkScenario(central=central,
+        a = run_network(NetworkScenario(central=central, ec=_ideal_ec(),
                                         nodes=(quiet, noisy_a),
                                         n_outputs=3), seed=4)
-        b = run_network(NetworkScenario(central=central,
+        b = run_network(NetworkScenario(central=central, ec=_ideal_ec(),
                                         nodes=(quiet, noisy_b),
                                         n_outputs=3), seed=4)
         assert np.array_equal(a.arrivals[0], b.arrivals[0])
@@ -158,9 +147,9 @@ class TestPlanScenario:
                             taus.add(None)
                             continue
                         tau, off_span = expected
-                        nodes = plan_scenario(central, 3, jitter, d).nodes
-                        assert {n.ec.tau for n in nodes} == {tau}
-                        assert [n.delay for n in nodes] == [
+                        scenario = plan_scenario(central, 3, jitter, d)
+                        assert scenario.ec.tau == tau
+                        assert [n.delay for n in scenario.nodes] == [
                             tau / 2 - off_span / 2, tau / 2,
                             tau / 2 + off_span / 2]
                         taus.add(round(mu / tau - 0.5))
@@ -176,16 +165,13 @@ class TestPlanScenario:
         scenario = plan_scenario(Box(1.0, 0.1), n_nodes=8, jitter_width=0.1,
                                  d=256)
         assert len(scenario.nodes) == 8
-        taus = {n.ec.tau for n in scenario.nodes}
-        assert len(taus) == 1
         run_network(scenario, seed=0)  # passes the per-node checks
 
     def test_sigma_scale_only_shrinks_window(self):
         base = plan_scenario(Box(1.0, 0.1), 4, 0.1, 256)
         half = plan_scenario(Box(1.0, 0.1), 4, 0.1, 256, sigma_scale=0.5)
-        assert half.nodes[0].ec.tau == base.nodes[0].ec.tau
-        assert half.nodes[0].ec.sigma == pytest.approx(
-            base.nodes[0].ec.sigma / 2)
+        assert half.ec.tau == base.ec.tau
+        assert half.ec.sigma == pytest.approx(base.ec.sigma / 2)
 
     def test_enhancement_beats_raw_spread(self):
         scenario = plan_scenario(Box(1.0, 0.1), 8, 0.1, 256, n_outputs=5)
@@ -234,16 +220,16 @@ class TestEngineAgainstOracle:
     def test_delta_central_zero_width_ec(self, mu, phases, n_outputs):
         # node i's first arrival sits at EC phase phases[i]
         delays = [(p - mu) % 1.0 for p in phases]
-        nodes = tuple(NodeConfig(delay=d, ec=_ideal_ec()) for d in delays)
-        scenario = NetworkScenario(central=Delta(mu), nodes=nodes,
-                                   n_outputs=n_outputs, eps=0.0)
+        nodes = tuple(NodeConfig(delay=d) for d in delays)
+        scenario = NetworkScenario(central=Delta(mu), ec=_ideal_ec(),
+                                   nodes=nodes, n_outputs=n_outputs, eps=0.0)
         result = run_network(scenario, seed=0)
         rng = np.random.default_rng(1)
         for node, out, arr in zip(nodes, result.outputs, result.arrivals):
             expected = mu * np.arange(1, len(arr) + 1) + node.delay
             assert arr == pytest.approx(expected, rel=1e-12)
             assert out == pytest.approx(
-                oracle_node(arr, node.ec, n_outputs, rng), rel=1e-12)
+                oracle_node(arr, scenario.ec, n_outputs, rng), rel=1e-12)
 
     def test_in_distribution_box_central_with_jitter(self):
         # every node and output column is one KS test; Bonferroni keeps
@@ -286,10 +272,9 @@ class TestBroadcast:
     def test_extended_when_outputs_use_several_arrivals(self):
         # five central ticks per EC period: 20 outputs need about 100
         # arrivals, more than the first chunk of broadcast ticks
-        nodes = (NodeConfig(delay=0.0, ec=_ideal_ec()),
-                 NodeConfig(delay=0.0, ec=_ideal_ec()))
-        scenario = NetworkScenario(central=Delta(0.1), nodes=nodes,
-                                   n_outputs=20)
+        nodes = (NodeConfig(delay=0.0), NodeConfig(delay=0.0))
+        scenario = NetworkScenario(central=Delta(0.1), ec=_ideal_ec(),
+                                   nodes=nodes, n_outputs=20)
         result = run_network(scenario, seed=0)
         for out in result.outputs:
             assert len(out) == 20
@@ -299,9 +284,9 @@ class TestBroadcast:
         # jitter spans 1.5, more than the shortest central wait of 0.95
         jitter = Box(center=1.0, width=1.5)
         ec = ExplicitEC(tau=4.0, sigma=0.0, eps_tail=0.0)
-        nodes = tuple(NodeConfig(delay=3.0, ec=ec, jitter=jitter)
+        nodes = tuple(NodeConfig(delay=3.0, jitter=jitter)
                       for _ in range(2))
-        scenario = NetworkScenario(central=Box(1.0, 0.1), nodes=nodes,
+        scenario = NetworkScenario(central=Box(1.0, 0.1), ec=ec, nodes=nodes,
                                    n_outputs=3)
         with pytest.raises(ValueError, match="reordered"):
             network_spreads(scenario, 50, 0, 0)
