@@ -195,8 +195,9 @@ def _protocol_rows(experiment: str, cfg: dict, name: str, d: int,
                    bunch: int, n_ticks: int, js,
                    period_tick: int) -> list[dict]:
     """Simulate protocol ``name`` of ``cfg`` with EC dimension ``d`` (or
-    counter capacity ``bunch`` for input bunching) and emit one row per
-    tick index in ``js``, each with the theorem bound that covers it."""
+    counter capacity ``bunch`` for input bunching, which its rows show in
+    column ``d``) and emit one row per tick index in ``js``, each with the
+    theorem bound that covers it."""
     if name not in _PROTOCOLS:
         raise ConfigError(f"unknown protocol {name!r}")
     protocol = _PROTOCOLS[name]
@@ -210,6 +211,7 @@ def _protocol_rows(experiment: str, cfg: dict, name: str, d: int,
     if protocol is Protocol.INPUT_BUNCH:
         pc = ProtocolConfig(protocol=protocol, input_dist=dist, eps=eps,
                             n_ticks=n_ticks, bunch=bunch)
+        d = bunch
     else:
         pc = ProtocolConfig(protocol=protocol, input_dist=dist, eps=eps,
                             n_ticks=n_ticks, ec=ec, period_tick=period_tick)

@@ -13,9 +13,10 @@ waiting-time law, see ``ticklab.distributions``):
 The EC is phenomenological: only the period, the window width, the tail
 level and the idle time since the EC's last reset enter; the EC holds
 its dial phase while idle.  Inside the window the tick phase is uniform;
-the tail is uniform over the whole period.  The hand sits at the wrapped
-idle time s in (-tau/2, tau/2]; the tick phase is not wrapped, and one at
-or behind s costs one more period.  So an EC switched on in the lower half
+the tail is uniform over the whole period; a vector of fires takes one
+uniform per fire.  The hand sits at the wrapped idle time s in
+(-tau/2, tau/2]; the tick phase is not wrapped, and one at or behind s
+costs one more period.  So an EC switched on in the lower half
 of its window waits for the next turn: every delay lies in (0, tau + sigma/2].
 """
 from __future__ import annotations
@@ -30,9 +31,11 @@ import numpy as np
 
 def wrap_phase(x, tau: float) -> np.ndarray:
     """Map x into the phase domain (-tau/2, tau/2], elementwise; a scalar
-    x gives a 0-d array."""
-    s = (x + tau / 2) % tau - tau / 2
-    return np.where(s <= -tau / 2, tau / 2, s)
+    x gives a 0-d array.  The ceil form needs no float ``%``; rounding can
+    put s an ulp outside the domain, at or below -tau/2 (mapped to tau/2)
+    or above tau/2 (clamped to it)."""
+    s = x - tau * np.ceil(x / tau - 0.5)
+    return np.where(s <= -tau / 2, tau / 2, np.minimum(s, tau / 2))
 
 
 def _check_ec_tail(eps_tail: float):
@@ -75,6 +78,10 @@ def sample_tick_phase(ec: ExplicitEC, rng, size=None):
     With probability 1 - eps_tail the phase is uniform on the detector
     window ((tau - sigma)/2, (tau + sigma)/2); otherwise it is uniform over
     the whole period.  The law does not depend on the switch-on phase.
+    A draw of ``size`` takes one uniform u per entry, split at
+    keep = 1 - eps_tail: u < keep maps onto the window, u >= keep onto
+    the period.  The scalar draw is the oracle, ``rng.uniform``'s own
+    arithmetic after a branch draw.
     """
     tau = ec.tau
     lo = (tau - ec.sigma) / 2
@@ -84,10 +91,14 @@ def sample_tick_phase(ec: ExplicitEC, rng, size=None):
             lo, hi = -tau / 2, tau / 2
         # rng.uniform(lo, hi)'s own arithmetic, at half its scalar cost
         return lo + (hi - lo) * rng.random()
-    u = rng.random(size)
-    win = rng.uniform(lo, hi, size)
-    tail = rng.uniform(-tau / 2, tau / 2, size)
-    return np.where(u < 1.0 - ec.eps_tail, win, tail)
+    keep = 1.0 - ec.eps_tail
+    phi = rng.random(size)  # u, mapped in place
+    tail = phi >= keep      # empty at eps_tail 0, as u < 1
+    phi_tail = -tau / 2 + tau * (phi[tail] - keep) / ec.eps_tail
+    phi *= (hi - lo) / keep
+    phi += lo
+    phi[tail] = phi_tail
+    return phi
 
 
 def fire_delay(idle, ec: ExplicitEC, rng, size=None) -> np.ndarray:

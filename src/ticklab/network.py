@@ -107,8 +107,11 @@ def _simulate(scenario: NetworkScenario, seq: np.random.SeedSequence,
     Each node runs ``switching`` over its arrivals.  Every EC was reset
     at time 0, which is what keeps the nodes mutually synchronized, so at
     the first arrival it has idled since time 0; after each output,
-    since that output.  When a node has no arrival left after an output,
-    every node receives another chunk of broadcast ticks.
+    since that output.  Each (trial, node) keeps the index of its input
+    tick, which only moves forward: the arrivals are sorted and an output
+    comes after its input, so the next input lies one or more arrivals
+    on.  When an index reaches the end of the arrivals, every node
+    receives another chunk of broadcast ticks.
     """
     rng_c, rng_ec, *rngs = [np.random.default_rng(s) for s in
                             seq.spawn(2 + len(scenario.nodes))]
@@ -117,18 +120,33 @@ def _simulate(scenario: NetworkScenario, seq: np.random.SeedSequence,
     broadcast = np.cumsum(scenario.central.sample(rng_c, (size, width)),
                           axis=1)
     arr = _arrivals(broadcast, scenario, rngs)
+    rows = np.arange(size * len(scenario.nodes))
+    idx = np.zeros_like(rows)     # each (trial, node)'s input, flattened
+    start = rows * arr.shape[2]   # its row's offset in the flat arr
 
-    def next_input(t_in, t_out):
-        nonlocal arr, broadcast
-        # the arrivals are sorted, so the count is the next one's index
-        nxt = (arr <= t_out[:, :, None]).sum(axis=2)
-        while nxt.max() == arr.shape[2]:
+    def gather(at):
+        """The arrivals at ``idx[at]``, extending the broadcast first if
+        one of those indices has reached the end."""
+        nonlocal arr, broadcast, start
+        i = idx[at]
+        if i.max() == arr.shape[2]:
             waits = scenario.central.sample(rng_c, (size, width))
             broadcast = broadcast[:, -1:] + np.cumsum(waits, axis=1)
-            more = _arrivals(broadcast, scenario, rngs)
-            arr = np.concatenate([arr, more], axis=2)
-            nxt += (more <= t_out[:, :, None]).sum(axis=2)
-        return np.take_along_axis(arr, nxt[:, :, None], axis=2)[:, :, 0]
+            arr = np.concatenate(
+                [arr, _arrivals(broadcast, scenario, rngs)], axis=2)
+            start = rows * arr.shape[2]
+        return np.take(arr, start[at] + i)
+
+    def next_input(t_in, t_out):
+        t_out = t_out.ravel()
+        idx[:] += 1
+        nxt = gather(slice(None))
+        step = np.flatnonzero(nxt <= t_out)
+        while step.size:
+            idx[step] += 1
+            nxt[step] = gather(step)
+            step = step[nxt[step] <= t_out[step]]
+        return nxt.reshape(t_in.shape)
 
     out = np.empty((size, len(scenario.nodes), n_out))
     t_in = arr[:, :, 0]  # every EC was reset at time 0

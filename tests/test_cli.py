@@ -470,6 +470,14 @@ class TestCommands:
         assert code == 0
         assert [r["d"] for r in _table(text)] == ["1", "4", ""]
 
+    def test_input_bunching_run_reports_its_bunch(self, capsys, tmp_path):
+        # column d holds the bunch size the run used, not the unused EC d
+        cfg = _ini(tmp_path, "run", "protocol = 3\nd = 2\nbunch = 16\n"
+                   "trials = 20\nticks = 2\n")
+        code, text = _run(capsys, "run", "--config", cfg)
+        assert code == 0
+        assert [r["d"] for r in _table(text)] == ["16", "16"]
+
     def test_json_format(self, capsys):
         code, text = _run(capsys, "bounds", "--format", "json")
         payload = json.loads(text)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from ticklab import (EnhancingClock, ExplicitEC, MarkovTwoState, Mode,
                      quasi_ideal_params, quasi_ideal_ratio,
@@ -28,6 +29,32 @@ class TestWrapPhase:
     def test_stays_in_domain(self, x, tau):
         s = wrap_phase(x, tau)
         assert -tau / 2 < s <= tau / 2
+
+    @staticmethod
+    def _wrap_by_remainder(x, tau):
+        """The float ``%`` form the ceil form replaced, as the oracle."""
+        s = (x + tau / 2) % tau - tau / 2
+        return np.where(s <= -tau / 2, tau / 2, s)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(
+        st.floats(min_value=-1e6, max_value=1e6),
+        # a few ulps either side of a domain edge, (k + 1/2) tau
+        st.tuples(st.integers(min_value=-10 ** 6, max_value=10 ** 6),
+                  st.integers(min_value=-4, max_value=4))),
+        st.floats(min_value=0.1, max_value=10))
+    def test_agrees_with_remainder_form(self, x, tau):
+        if isinstance(x, tuple):
+            k, ulps = x
+            x = (k + 0.5) * tau
+            for _ in range(abs(ulps)):
+                x = np.nextafter(x, math.copysign(math.inf, ulps))
+            assume(abs(x) <= 1e6)
+        s = wrap_phase(x, tau)
+        assert -tau / 2 < s <= tau / 2
+        # the same dial point: tau/2 and -tau/2 are one point on the dial
+        gap = abs(float(s) - float(self._wrap_by_remainder(x, tau)))
+        assert min(gap, tau - gap) <= 4 * np.spacing(max(abs(x), tau))
 
 
 class TestEnhancingClock:
@@ -82,6 +109,53 @@ class TestEnhancingClock:
             else:
                 assert phi == slow.uniform(-ec.tau / 2, ec.tau / 2)
         assert fast.random() == slow.random()
+
+    def test_vector_draw_moves_stream_as_one_uniform_each(self):
+        # n phases use exactly rng.random(n): a twin generator that drew
+        # those uniforms continues with the same numbers, and its
+        # uniforms give the phases by the split at keep = 1 - eps_tail
+        for eps in (0.0, 0.3):
+            ec = ExplicitEC(tau=0.7313, sigma=0.0123, eps_tail=eps)
+            rng, twin = np.random.default_rng(5), np.random.default_rng(5)
+            phi = sample_tick_phase(ec, rng, (40, 25))
+            u = twin.random((40, 25))
+            assert rng.random() == twin.random()
+            keep = 1.0 - eps
+            lo, hi = (ec.tau - ec.sigma) / 2, (ec.tau + ec.sigma) / 2
+            expected = lo + (hi - lo) / keep * u
+            tail = u >= keep
+            expected[tail] = -ec.tau / 2 + ec.tau * (u[tail] - keep) / eps
+            assert tail.any() == (eps > 0)
+            assert np.array_equal(phi, expected)
+
+    def test_vector_draw_law(self):
+        # the tail count is Binomial(n, eps_tail), and window and tail
+        # phases are each uniform on their interval; Bonferroni over the
+        # three tests keeps the family-wise error rate at 5 percent
+        n, eps = 20000, 0.3
+        ec = ExplicitEC(tau=0.7313, sigma=0.0123, eps_tail=eps)
+        phi = sample_tick_phase(ec, np.random.default_rng(11), n)
+        tail = np.random.default_rng(11).random(n) >= 1.0 - eps
+        lo, hi = (ec.tau - ec.sigma) / 2, (ec.tau + ec.sigma) / 2
+        alpha = 0.05 / 3
+        assert stats.binomtest(int(tail.sum()), n, eps).pvalue > alpha
+        assert stats.kstest(phi[~tail], stats.uniform(lo, hi - lo).cdf
+                            ).pvalue > alpha
+        assert stats.kstest(phi[tail], stats.uniform(-ec.tau / 2, ec.tau)
+                            .cdf).pvalue > alpha
+
+    def test_no_tail_level_never_takes_the_tail(self):
+        class Stub:
+            """Hands out uniforms up to the largest double below 1."""
+
+            def random(self, size):
+                return np.linspace(0.0, np.nextafter(1.0, 0.0), size)
+
+        ec = ExplicitEC(tau=1.0, sigma=0.1, eps_tail=0.0)
+        lo, hi = (ec.tau - ec.sigma) / 2, (ec.tau + ec.sigma) / 2
+        phi = sample_tick_phase(ec, Stub(), 1001)
+        assert ((phi >= lo) & (phi <= hi)).all()
+        assert np.array_equal(phi, lo + (hi - lo) * Stub().random(1001))
 
     def test_tick_returns_one_reset_clock(self):
         ec = EnhancingClock(tau=1.0, sigma=0.1, eps_tail=0.0, phase=0.2,

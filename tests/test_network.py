@@ -247,6 +247,25 @@ class TestEngineAgainstOracle:
                 p = stats.ks_2samp(engine[:, i, k], oracle[:, i, k]).pvalue
                 assert p > alpha, f"node {i} tick {k}: KS p-value {p:.2e}"
 
+    def test_steps_past_one_or_several_arrivals(self):
+        # central waits of 0.2 to 0.4 against an EC of period 1: the
+        # first output steps some nodes past one arrival and others past
+        # several, and six outputs outrun the first chunk of broadcast
+        # ticks; a zero-width EC without tail makes every fire exact
+        ec = _ideal_ec()
+        nodes = tuple(NodeConfig(delay=0.7 + off) for off in (-0.2, 0, 0.2))
+        scenario = NetworkScenario(central=Box(0.3, 0.2), ec=ec, nodes=nodes,
+                                   n_outputs=6, eps=0.0)
+        (out, arr), = _blocks(scenario, 40, 3)
+        steps = (arr <= out[:, :, :1]).sum(axis=2)
+        assert steps.min() == 1 and steps.max() >= 3
+        assert arr.shape[2] > scenario.n_outputs + 2
+        rng, n_out = np.random.default_rng(0), scenario.n_outputs
+        for trial_out, trial_arr in zip(out, arr):
+            for node_out, node_arr in zip(trial_out, trial_arr):
+                assert np.array_equal(
+                    node_out, oracle_node(node_arr, ec, n_out, rng))
+
     def test_repeats_are_bit_identical(self):
         scenario = plan_scenario(Box(1.0, 0.1), 4, 0.1, 256)
         first = network_spreads(scenario, _BLOCK + 5, 11, 4)
@@ -290,6 +309,18 @@ class TestBroadcast:
                                    n_outputs=3)
         with pytest.raises(ValueError, match="reordered"):
             network_spreads(scenario, 50, 0, 0)
+
+    def test_step_loop_ends_on_unsorted_arrivals(self):
+        # jitter spans five central waits, so every output steps over
+        # reordered arrivals and the broadcast is extended many times
+        jitter = Box(center=3.0, width=5.0)
+        ec = ExplicitEC(tau=10.0, sigma=0.0, eps_tail=0.0)
+        nodes = tuple(NodeConfig(delay=9.0, jitter=jitter)
+                      for _ in range(2))
+        scenario = NetworkScenario(central=Box(1.0, 0.1), ec=ec, nodes=nodes,
+                                   n_outputs=30)
+        with pytest.raises(ValueError, match="reordered"):
+            network_spreads(scenario, 20, 0, 0)
 
     @pytest.mark.parametrize("trials,k", [(0, 0), (-3, 0), (10, -1),
                                           (10, 5)])
