@@ -263,5 +263,6 @@ class DeltaMixture(WaitingTimeDistribution):
         return ConfidenceInterval(best[1], best[2], eps)
 
     def support(self):
-        return (self.atoms[0][0], self.atoms[-1][0])
+        times = [t for t, p in self.atoms if p > 0]
+        return (times[0], times[-1])
 

@@ -66,6 +66,8 @@ def _validated_samples(samples) -> np.ndarray:
     x = np.asarray(samples, dtype=float)
     if x.ndim != 1 or x.size < 2:
         raise ValueError("need at least two samples")
+    if not np.isfinite(x).all():
+        raise ValueError("tick-time samples must be finite")
     if np.any(x <= 0):
         raise ValueError("tick-time samples must be strictly positive")
     return x
@@ -143,9 +145,9 @@ def hoeffding_tail(eps: float, j: int, n: float) -> float:
     interval: 1 - (1 - eps)^j (1 - 2 exp(-n^2 / 2)), clamped to [0, 1]."""
     if not 0.0 <= eps <= 1.0:
         raise ValueError("tail level must lie in [0, 1]")
-    if j < 1:
+    if not j >= 1:
         raise ValueError("tick index must be a positive integer")
-    if n <= 0:
+    if not n > 0:
         raise ValueError("n must be positive")
     value = 1.0 - (1.0 - eps) ** j * (1.0 - 2.0 * math.exp(-n * n / 2.0))
     return min(1.0, max(0.0, value))
@@ -157,11 +159,11 @@ def hoeffding_inaccuracy_bound(sigma_ratio_1: float, j: int, n: float) -> float:
 
     Requires Sigma_1 <= 1, the hypothesis under which the bound holds.
     """
-    if sigma_ratio_1 < 0 or sigma_ratio_1 > 1:
+    if not 0 <= sigma_ratio_1 <= 1:
         raise ValueError("first-tick inaccuracy must lie in [0, 1]")
-    if j < 1:
+    if not j >= 1:
         raise ValueError("tick index must be a positive integer")
-    if n <= 0:
+    if not n > 0:
         raise ValueError("n must be positive")
     return 2.0 * n * math.sqrt(j) * sigma_ratio_1
 
@@ -169,9 +171,9 @@ def hoeffding_inaccuracy_bound(sigma_ratio_1: float, j: int, n: float) -> float:
 def chebyshev_bound(r1: float, j: int, eps: float) -> float:
     """Inaccuracy bound sqrt(j / (eps * R_1)) for an i.i.d. clock with
     first-tick accuracy R_1 = mean^2 / variance (uses R_j = j * R_1)."""
-    if r1 <= 0:
+    if not r1 > 0:
         raise ValueError("R_1 must be positive")
-    if j < 1:
+    if not j >= 1:
         raise ValueError("tick index must be a positive integer")
     if not 0.0 < eps <= 1.0:
         raise ValueError("bound diverges at eps = 0")

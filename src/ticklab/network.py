@@ -31,7 +31,6 @@ class NodeConfig:
 
     delay: float
     jitter: WaitingTimeDistribution | None = None
-    name: str = ""
 
     def __post_init__(self):
         if self.delay < 0:
@@ -46,7 +45,8 @@ class NodeConfig:
 
 @dataclass(frozen=True)
 class NetworkScenario:
-    """A central clock, the EC every node runs a copy of, and the nodes."""
+    """A central clock, the EC every node runs a copy of, and the nodes.
+    Every node must meet the band rule ``_arrivals_safe``."""
 
     central: WaitingTimeDistribution
     ec: ExplicitEC
@@ -60,6 +60,12 @@ class NetworkScenario:
             raise ValueError("a network needs at least 2 nodes")
         if self.n_outputs < 1:
             raise ValueError("need at least one output tick")
+        central = self.central.confidence(self.eps)
+        for i, node in enumerate(self.nodes):
+            if not _arrivals_safe(central, self.ec, node.delay, node.jitter):
+                raise ValueError(f"node {i}: arrivals over delay "
+                                 f"{node.delay:.4g} reach its EC's detector "
+                                 "band")
 
 
 def _arrivals_safe(central: ConfidenceInterval, ec: ExplicitEC,
@@ -72,13 +78,6 @@ def _arrivals_safe(central: ConfidenceInterval, ec: ExplicitEC,
     s0 = float(wrap_phase(central.mu + delay, ec.tau))
     slack = central.sigma / 2 + (hi - lo) / 2
     return abs(s0) + slack <= _PHASE_MARGIN * ((ec.tau - ec.sigma) / 2)
-
-
-def _check_node(central: ConfidenceInterval, ec: ExplicitEC, node, i):
-    """Raise ``ValueError`` naming node i unless ``_arrivals_safe``."""
-    if not _arrivals_safe(central, ec, node.delay, node.jitter):
-        raise ValueError(f"{node.name or f'node {i}'}: arrivals over delay "
-                         f"{node.delay:.4g} reach its EC's detector band")
 
 
 def _arrivals(broadcast: np.ndarray, scenario: NetworkScenario,
@@ -157,17 +156,6 @@ def _simulate(scenario: NetworkScenario, seq: np.random.SeedSequence,
     return out, arr
 
 
-def _blocks(scenario: NetworkScenario, trials: int, seed: int):
-    """Yield ``_simulate`` results for ``trials`` trials in blocks of
-    ``_BLOCK``; block b runs on ``SeedSequence(seed).spawn(n_blocks)[b]``."""
-    central = scenario.central.confidence(scenario.eps)
-    for i, node in enumerate(scenario.nodes):
-        _check_node(central, scenario.ec, node, i)
-    streams = np.random.SeedSequence(seed).spawn(-(-trials // _BLOCK))
-    for b, seq in enumerate(streams):
-        yield _simulate(scenario, seq, min(_BLOCK, trials - b * _BLOCK))
-
-
 @dataclass(frozen=True)
 class NetworkResult:
     outputs: np.ndarray     # enhanced ticks, one row per node
@@ -179,7 +167,8 @@ def run_network(scenario: NetworkScenario, seed: int) -> NetworkResult:
     ``network_spreads(scenario, 1, seed, k)``.  Nodes only see their own
     arrivals, never each other's state.  The result holds arrays of shape
     (nodes, n_outputs) and (nodes, n), n > n_outputs."""
-    out, arr = next(_blocks(scenario, 1, seed))
+    seq, = np.random.SeedSequence(seed).spawn(1)
+    out, arr = _simulate(scenario, seq, 1)
     check_rows(arr[0])
     return NetworkResult(outputs=out[0], arrivals=arr[0])
 
@@ -190,10 +179,10 @@ def network_spreads(scenario: NetworkScenario, trials: int, seed: int,
     each of ``trials`` independent trials.
 
     Returns the spreads of the enhanced outputs and of the raw arrivals,
-    each of shape (trials,).  Trials run in blocks of ``_BLOCK`` on the
-    streams of ``_blocks``, so the result is bit-identical for a fixed
-    (seed, trials) and every full block's rows do not depend on the trial
-    count.
+    each of shape (trials,).  Trials run in blocks of ``_BLOCK``; block b
+    runs on ``SeedSequence(seed).spawn(n_blocks)[b]``, so the result is
+    bit-identical for a fixed (seed, trials) and every full block's rows
+    do not depend on the trial count.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -202,12 +191,12 @@ def network_spreads(scenario: NetworkScenario, trials: int, seed: int,
             f"tick index {k} outside [0, {scenario.n_outputs})")
     enhanced = np.empty(trials)
     raw = np.empty(trials)
-    start = 0
-    for out, arr in _blocks(scenario, trials, seed):
-        rows = slice(start, start + out.shape[0])
+    streams = np.random.SeedSequence(seed).spawn(-(-trials // _BLOCK))
+    for b, seq in enumerate(streams):
+        rows = slice(b * _BLOCK, min((b + 1) * _BLOCK, trials))
+        out, arr = _simulate(scenario, seq, rows.stop - rows.start)
         enhanced[rows] = np.ptp(out[:, :, k], axis=1)
         raw[rows] = np.ptp(arr[:, :, k], axis=1)
-        start = rows.stop
     return enhanced, raw
 
 
@@ -256,8 +245,8 @@ def plan_scenario(central: WaitingTimeDistribution, n_nodes: int,
     tau = cell[1]
     ec = ExplicitEC(tau, quasi_ideal_ratio(d, eta) * sigma_scale * tau,
                     eps_ec)
-    nodes = [NodeConfig(delay=delay, jitter=jitter, name=f"node-{i}")
-             for i, delay in enumerate(candidate(tau)[1])]
+    nodes = [NodeConfig(delay=delay, jitter=jitter)
+             for delay in candidate(tau)[1]]
     return NetworkScenario(central=central, ec=ec, nodes=tuple(nodes),
                            n_outputs=n_outputs, eps=eps)
 
@@ -270,6 +259,8 @@ def cross_node_spread(traces, k: int, eps: float = 0.0):
     narrowest interval containing at least ceil((1 - eps) n) of the n
     node values.
     """
+    if k < 0:
+        raise ValueError(f"tick index {k} must be nonnegative")
     values = []
     for trace in traces:
         if len(trace) <= k:

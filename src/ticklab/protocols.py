@@ -184,7 +184,6 @@ class ProtocolConfig:
     ec: QuasiIdealSpec | ExplicitEC | None = None
     bunch: int | None = None          # counter capacity of input bunching
     period_tick: int = 1              # j targeted by the period chooser
-    horizon: float | None = None
 
     def __post_init__(self):
         if self.n_ticks < 1:
@@ -193,8 +192,6 @@ class ProtocolConfig:
             raise ValueError("tail level must lie in [0, 1)")
         if self.period_tick < 1:
             raise ValueError("tick index must be a positive integer")
-        if self.horizon is not None and self.horizon <= 0:
-            raise ValueError("horizon must be positive")
         if self.protocol is Protocol.INPUT_BUNCH:
             if self.bunch is None or self.bunch < 1:
                 raise ValueError("input bunching needs a counter capacity")
@@ -259,7 +256,7 @@ def prepare(cfg: ProtocolConfig) -> PreparedRun:
     interval = cfg.input_dist.confidence(cfg.eps)
     mu_in, sigma_in = interval.mu, interval.sigma
     if cfg.protocol is Protocol.INPUT_BUNCH:
-        horizon = cfg.horizon or 4.0 * mu_in * cfg.bunch * (cfg.n_ticks + 1)
+        horizon = 4.0 * mu_in * cfg.bunch * (cfg.n_ticks + 1)
         return PreparedRun(cfg=cfg, mu_in=mu_in, sigma_in=sigma_in, ec=None,
                            m=None, horizon=horizon)
 
@@ -277,7 +274,7 @@ def prepare(cfg: ProtocolConfig) -> PreparedRun:
         raise ValueError(message)
     # the EC bunching output waits for a free-running gap of mean tau / 2
     gap = ec.tau / 2 if cfg.protocol is Protocol.EC_BUNCH else ec.tau
-    horizon = cfg.horizon or 4.0 * (mu_in + gap) * (cfg.n_ticks + 2)
+    horizon = 4.0 * (mu_in + gap) * (cfg.n_ticks + 2)
     return PreparedRun(cfg=cfg, mu_in=mu_in, sigma_in=sigma_in, ec=ec, m=m,
                        horizon=horizon)
 

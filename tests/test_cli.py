@@ -436,6 +436,16 @@ class TestCommands:
         assert captured.out == ""
         assert "EC tick gap tau / 2" in captured.err
 
+    def test_ec_bunch_ignores_atoms_without_mass(self, capsys, tmp_path):
+        # the same law as delta:time=1: the zero-mass atoms must not widen
+        # the input that EC bunching fits into its tick gap
+        for spec in ("mixture:times=0.5|1|5,probs=0|1|0", "delta:time=1"):
+            cfg = _ini(tmp_path, "run", f"input = {spec}\ntrials = 10\n")
+            code, text = _run(capsys, "run", "--protocol", "4", "--config",
+                              cfg)
+            assert code == 0
+            assert len(_table(text)) == 6
+
     def test_mixture_needs_equal_counts(self, capsys, tmp_path):
         spec = "mixture:times=0.9|1.1|5.0,probs=0.5|0.5"
         cfg = _ini(tmp_path, "run", f"input = {spec}\ntrials = 10\n")

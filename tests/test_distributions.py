@@ -216,6 +216,11 @@ class TestDeltaMixture:
         assert c.left == pytest.approx(0.9)
         assert c.right == pytest.approx(1.1)
 
+    def test_support_spans_only_atoms_with_mass(self):
+        mix = DeltaMixture(((0.5, 0.0), (1.0, 0.6), (2.0, 0.4), (5.0, 0.0)))
+        assert mix.support() == (1.0, 2.0)
+        assert DeltaMixture(((0.5, 0.0), (1.0, 1.0))).support() == (1.0, 1.0)
+
     def test_rejects_bad_masses(self):
         with pytest.raises(ValueError):
             DeltaMixture(((1.0, 0.7), (2.0, 0.4)))

@@ -43,6 +43,13 @@ class TestEmpiricalInaccuracy:
         with pytest.raises(ValueError):
             empirical_inaccuracy([1.0, 2.0], 1, 1.0)
 
+    @pytest.mark.parametrize("estimator", [empirical_inaccuracy,
+                                           bruteforce_inaccuracy])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_samples(self, estimator, bad):
+        with pytest.raises(ValueError, match="must be finite"):
+            estimator([1.0, 1.1, bad, 0.9], 1, 0.1)
+
     def test_coverage_count_resists_float_noise(self):
         # (1 - 0.01) * 100000 overshoots 99000 in floating point; the
         # window size must still be 99000, not 99001
@@ -133,6 +140,22 @@ class TestHoeffding:
                for j in js]
         slope = np.polyfit(np.log(list(js)), np.log(sig), 1)[0]
         assert slope == pytest.approx(0.5, abs=0.1)
+
+
+@pytest.mark.parametrize("bound,args", [
+    (hoeffding_tail, (math.nan, 2, 3)),
+    (hoeffding_tail, (0.01, math.nan, 3)),
+    (hoeffding_tail, (0.01, 2, math.nan)),
+    (hoeffding_inaccuracy_bound, (math.nan, 2, 3)),
+    (hoeffding_inaccuracy_bound, (0.1, math.nan, 3)),
+    (hoeffding_inaccuracy_bound, (0.1, 2, math.nan)),
+    (chebyshev_bound, (math.nan, 1, 0.1)),
+    (chebyshev_bound, (100.0, math.nan, 0.1)),
+    (chebyshev_bound, (100.0, 1, math.nan)),
+])
+def test_bound_helpers_reject_nan(bound, args):
+    with pytest.raises(ValueError):
+        bound(*args)
 
 
 class TestChebyshev:

@@ -8,7 +8,8 @@ from ticklab import (Box, Delta, ExplicitEC, Gaussian, NetworkScenario,
                      NodeConfig, cross_node_spread, network_spreads,
                      plan_scenario, quasi_ideal_ratio, run_network,
                      sample_tick_phase, wrap_phase)
-from ticklab.network import _BLOCK, _PHASE_MARGIN, _blocks
+from ticklab.network import (_BLOCK, _PHASE_MARGIN, _arrivals_safe,
+                             _simulate)
 
 
 def oracle_node(arrivals, ec, n_outputs, rng):
@@ -70,12 +71,27 @@ class TestScenarios:
 
     def test_detector_band_violation_names_node(self):
         # an arrival at phase tau/2 lands on the detector
-        nodes = (NodeConfig(delay=0.0, name="good"),
-                 NodeConfig(delay=0.2, name="bad"))
-        scenario = NetworkScenario(central=Delta(3.3), ec=_ideal_ec(),
-                                   nodes=nodes, n_outputs=1, eps=0.0)
-        with pytest.raises(ValueError, match="bad"):
-            run_network(scenario, seed=0)
+        nodes = (NodeConfig(delay=0.0), NodeConfig(delay=0.2))
+        with pytest.raises(ValueError, match="node 1: arrivals"):
+            NetworkScenario(central=Delta(3.3), ec=_ideal_ec(), nodes=nodes,
+                            n_outputs=1, eps=0.0)
+
+    def test_band_rule_checked_once_when_built(self, monkeypatch):
+        planned = plan_scenario(Box(1.0, 0.1), 4, 0.1, 256)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return _arrivals_safe(*args)
+
+        monkeypatch.setattr("ticklab.network._arrivals_safe", counting)
+        scenario = NetworkScenario(central=planned.central, ec=planned.ec,
+                                   nodes=planned.nodes,
+                                   n_outputs=planned.n_outputs)
+        assert len(calls) == len(scenario.nodes)
+        run_network(scenario, seed=0)
+        network_spreads(scenario, _BLOCK + 1, 0, 2)
+        assert len(calls) == len(scenario.nodes)
 
 
 class TestRunNetwork:
@@ -102,9 +118,9 @@ class TestRunNetwork:
     def test_nodes_only_see_their_arrivals(self):
         # adding jitter at one node leaves the other node's trace unchanged
         jitter = Box(center=0.05, width=0.05)
-        quiet = NodeConfig(delay=0.05, name="quiet")
-        noisy_a = NodeConfig(delay=0.05, name="n", jitter=None)
-        noisy_b = NodeConfig(delay=0.05, name="n", jitter=jitter)
+        quiet = NodeConfig(delay=0.05)
+        noisy_a = NodeConfig(delay=0.05, jitter=None)
+        noisy_b = NodeConfig(delay=0.05, jitter=jitter)
         central = Box(3.2, 0.05)
         a = run_network(NetworkScenario(central=central, ec=_ideal_ec(),
                                         nodes=(quiet, noisy_a),
@@ -210,6 +226,10 @@ class TestCrossNodeSpread:
         with pytest.raises(ValueError):
             cross_node_spread(np.array([[1.0], [1.0]]), 1)
 
+    def test_negative_tick_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            cross_node_spread(np.array([[1.0, 2.0], [1.1, 2.5]]), -1)
+
 
 class TestEngineAgainstOracle:
     @settings(max_examples=60, deadline=None)
@@ -236,8 +256,10 @@ class TestEngineAgainstOracle:
         # the family-wise error rate at 5 percent
         scenario = plan_scenario(Box(1.0, 0.1), 3, 0.1, 256, n_outputs=4)
         trials = 1500
+        streams = np.random.SeedSequence(2024).spawn(-(-trials // _BLOCK))
         engine = np.concatenate(
-            [out for out, _ in _blocks(scenario, trials, 2024)])
+            [_simulate(scenario, seq, min(_BLOCK, trials - b * _BLOCK))[0]
+             for b, seq in enumerate(streams)])
         rng = np.random.default_rng(2025)
         oracle = np.array([oracle_trial(scenario, rng)
                            for _ in range(trials)])
@@ -256,7 +278,8 @@ class TestEngineAgainstOracle:
         nodes = tuple(NodeConfig(delay=0.7 + off) for off in (-0.2, 0, 0.2))
         scenario = NetworkScenario(central=Box(0.3, 0.2), ec=ec, nodes=nodes,
                                    n_outputs=6, eps=0.0)
-        (out, arr), = _blocks(scenario, 40, 3)
+        out, arr = _simulate(scenario, np.random.SeedSequence(3).spawn(1)[0],
+                             40)
         steps = (arr <= out[:, :, :1]).sum(axis=2)
         assert steps.min() == 1 and steps.max() >= 3
         assert arr.shape[2] > scenario.n_outputs + 2

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ticklab import (Box, Delta, ExplicitEC, Gaussian, PreparedRun,
-                     Protocol, ProtocolConfig, QuasiIdealSpec,
+from ticklab import (Box, Delta, DeltaMixture, ExplicitEC, Gaussian,
+                     PreparedRun, Protocol, ProtocolConfig, QuasiIdealSpec,
                      corollary_bounds, ec_bar_sigma, monte_carlo,
                      output_epsilon_budget, prepare, quasi_ideal_ratio,
                      theorem1_bound, theorem2_bound, theorem_bound)
@@ -567,9 +567,12 @@ class TestMonteCarlo:
         assert matrix.data[0] == pytest.approx([1.0, 2.0])
 
     def test_truncation_excluded_from_samples(self):
+        # a rare wait of 100 pushes a trial past the default horizon of
+        # 4 x 1.0 x 4 x (3 + 1) = 64
         cfg = ProtocolConfig(protocol=Protocol.INPUT_BUNCH,
-                             input_dist=Box(1.0, 0.5), eps=0.01, n_ticks=3,
-                             bunch=4, horizon=12.0)
+                             input_dist=DeltaMixture(((1.0, 0.995),
+                                                      (100.0, 0.005))),
+                             eps=0.01, n_ticks=3, bunch=4)
         matrix = monte_carlo(cfg, 200, 3)
         assert matrix.n_truncated > 0
         samples = matrix.tick_samples(3)
