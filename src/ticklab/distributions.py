@@ -19,6 +19,7 @@ from .inaccuracy import ConfidenceInterval
 
 _MASS_TOL = 1e-12
 _STD_NORMAL = NormalDist()
+_BIT_PLANES = 1024  # bunch size from which a Box sums its cells by bit plane
 
 
 class WaitingTimeDistribution(ABC):
@@ -26,7 +27,8 @@ class WaitingTimeDistribution(ABC):
 
     ``bunch_sums`` draws sums of d waits in row-major order, bunch after
     bunch.  By default it sums ``sample``; ``Box`` sums its waits exactly as
-    integers on a 2^-32 lattice, ``DeltaMixture`` from multinomial counts.
+    integers on a 2^-32 lattice, ``Gaussian`` as one normal where it may,
+    ``DeltaMixture`` from multinomial counts.
     """
 
     @abstractmethod
@@ -104,11 +106,16 @@ class Box(WaitingTimeDistribution):
         return rng.uniform(lo, hi, size)
 
     def bunch_sums(self, rng, size, d):
-        # each wait is the midpoint of one of 2^32 cells of the support, two
-        # cell indices per random word, so a bunch sums exactly as integers
-        n = math.prod(size) * d
-        u = rng.bit_generator.random_raw(-(-n // 2)).view(np.uint32)[:n]
-        cells = u.reshape(*size, d).sum(axis=-1, dtype=np.uint64)
+        # each wait is the midpoint of one of 2^32 cells of the support, so
+        # a bunch sums exactly as integers: two cell indices per random word,
+        # or from _BIT_PLANES on by bit plane b, 2^b Bin(d, 1/2) of them
+        if d >= _BIT_PLANES:
+            planes = rng.binomial(d, 0.5, (*size, 32))
+            cells = planes @ (1 << np.arange(32, dtype=np.int64))
+        else:
+            n = math.prod(size) * d
+            u = rng.bit_generator.random_raw(-(-n // 2)).view(np.uint32)[:n]
+            cells = u.reshape(*size, d).sum(axis=-1, dtype=np.uint64)
         lo = self.center - self.width / 2
         return d * lo + self.width * 2.0 ** -32 * (cells + d / 2)
 
@@ -146,11 +153,11 @@ class Gaussian(WaitingTimeDistribution):
 
     def _quantile(self, q: float) -> float:
         """Quantile at level ``q`` of the law truncated to (0, inf)."""
-        # inv_cdf raises at 0 and 1; the mass p0 below zero underflows to
-        # 0 once mu / sd is about 38, so the ends are handled here
+        # inv_cdf raises at 0 and 1, so the ends are handled here; p0
+        # underflows to 0 only once mu / sd is about 38
         if q <= 0.0:
             return 0.0
-        p0 = _STD_NORMAL.cdf(-self.mu / self.sd)
+        p0 = _normal_tail(self.mu / self.sd)
         p = p0 + q * (1.0 - p0)
         if p >= 1.0:
             return math.inf
@@ -163,6 +170,13 @@ class Gaussian(WaitingTimeDistribution):
             out[bad] = rng.normal(self.mu, self.sd, int(bad.sum()))
             bad = out <= 0
         return out.reshape(size)
+
+    def bunch_sums(self, rng, size, d):
+        # d untruncated normals sum to one normal, within total variation
+        # d Phi(-mu / sd) of the truncated sum; at most 2^-53 is no loss
+        if d * _normal_tail(self.mu / self.sd) <= 2.0 ** -53:
+            return rng.normal(d * self.mu, math.sqrt(d) * self.sd, size)
+        return super().bunch_sums(rng, size, d)
 
     @property
     def mean(self):
@@ -189,6 +203,12 @@ class Gaussian(WaitingTimeDistribution):
         lo = self._quantile(a)
         hi = self._quantile(a + 1.0 - eps)
         return ConfidenceInterval((lo + hi) / 2, hi - lo, eps)
+
+
+def _normal_tail(z: float) -> float:
+    """The standard normal's mass above z, Phi(-z), also far out, where
+    ``NormalDist().cdf(-z)``, 0.5 (1 + erf), is 0.0 from z = 8.5 on."""
+    return 0.5 * math.erfc(z / math.sqrt(2.0))
 
 
 def _golden_section_min(f, lo: float, hi: float, xatol: float) -> float:

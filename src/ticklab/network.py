@@ -261,6 +261,8 @@ def cross_node_spread(traces, k: int, eps: float = 0.0):
     """
     if k < 0:
         raise ValueError(f"tick index {k} must be nonnegative")
+    if len(traces) == 0:
+        raise ValueError("need at least one node trace")
     values = []
     for trace in traces:
         if len(trace) <= k:

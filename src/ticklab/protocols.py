@@ -18,10 +18,7 @@ and the Monte-Carlo engine, which runs a block of trials in lockstep.
 """
 from __future__ import annotations
 
-import _thread
 import math
-import os
-import threading
 from dataclasses import dataclass
 from enum import Enum
 
@@ -35,7 +32,6 @@ from .inaccuracy import InaccuracyEstimate, empirical_inaccuracy
 _M_CAP = 10 ** 6
 _BLOCK = 4096        # trials per random stream
 _CHUNK = 1 << 16     # waits per input-bunching chunk
-_THREAD_WAITS = 1024  # waits per trial from which input bunching uses threads
 
 
 def largest_period(mu: float, offset: float, fits,
@@ -55,10 +51,10 @@ def largest_period(mu: float, offset: float, fits,
     return lo, mu / (lo + offset)
 
 
-def _no_feedback_fits(j: int, sigma_in: float, tau: float) -> bool:
-    """Theorem 1's hypothesis: j sigma_in < tau, the input confidence
-    interval up to tick j fits inside one EC period."""
-    return j * sigma_in < tau
+def _no_feedback_fits(j: int, sigma_in: float, room: float) -> bool:
+    """Theorem 1's hypothesis: j sigma_in < room, the input confidence
+    interval up to tick j fits in one EC period's room tau - sigma_ec."""
+    return j * sigma_in < room
 
 
 def _feedback_fits(sigma_in: float, ec: ExplicitEC) -> bool:
@@ -86,13 +82,15 @@ def _bound(protocol: Protocol, sigma_in: float, bar_sigma_ec: float | None,
     """The paper's bound on output j of ``protocol`` for an input of mean
     mu_in and width sigma_in, Sigma_in = sigma_in / mu_in, and an EC of
     period tau: theorem 1, (5 j^2 / 6) Sigma_in bar_Sigma_EC, for dynamics
-    switching while ``_no_feedback_fits``; theorem 2, Sigma_in
+    switching while ``_no_feedback_fits`` with room
+    tau - sigma_ec = tau (1 - bar_Sigma_EC / 2); theorem 2, Sigma_in
     bar_Sigma_EC, for the one i.i.d. gap of feedback while Sigma_in < 1.
     The default is a unit-mean input in the widest period cell (m = 1).
     This is the one place a failed hypothesis becomes None."""
     if not (0.0 <= sigma_in < math.inf and j >= 1):
         raise ValueError("need a finite sigma_in >= 0 and a tick index >= 1")
-    if protocol is Protocol.DYN_SWITCH and _no_feedback_fits(j, sigma_in, tau):
+    if protocol is Protocol.DYN_SWITCH and \
+            _no_feedback_fits(j, sigma_in, tau * (1.0 - bar_sigma_ec / 2)):
         return 5.0 * j * j / 6.0 * (sigma_in / mu_in) * bar_sigma_ec
     if protocol is Protocol.DYN_SWITCH_FEEDBACK and j == 1 \
             and sigma_in < mu_in:
@@ -106,7 +104,7 @@ def theorem1_bound(sigma_in: float, bar_sigma_ec: float, j: int) -> float:
     period cell, tau = 1 / 1.5."""
     bound = _bound(Protocol.DYN_SWITCH, sigma_in, bar_sigma_ec, j)
     if bound is None:
-        raise ValueError("tick index times input inaccuracy must be below 2/3")
+        raise ValueError("need j sigma_in < (2/3) (1 - bar_sigma_ec / 2)")
     return bound
 
 
@@ -122,9 +120,13 @@ def theorem2_bound(sigma_in: float, bar_sigma_ec: float) -> float:
 def theorem_bound(prep: PreparedRun, j: int) -> float | None:
     """The paper's bound on tick j of the run ``prep``, None where no
     theorem covers it.  Theorem 1's hypothesis is tested on the run's own
-    input width and EC period, as its period chooser tested it."""
-    return _bound(prep.cfg.protocol, prep.sigma_in, prep.bar_sigma_ec, j,
-                  prep.mu_in, prep.ec and prep.ec.tau)
+    input width and EC, as its period chooser tested it, and a tick before
+    ``period_tick``, whose period was chosen for a later tick, has none."""
+    bound = _bound(prep.cfg.protocol, prep.sigma_in, prep.bar_sigma_ec, j,
+                   prep.mu_in, prep.ec and prep.ec.tau)
+    if prep.cfg.protocol is Protocol.DYN_SWITCH and j < prep.cfg.period_tick:
+        return None
+    return bound
 
 
 def corollary_bounds(sigma_in: float, d: int, nu: float,
@@ -231,9 +233,9 @@ def _contract(cfg: ProtocolConfig, mu_in: float, sigma_in: float):
     if cfg.protocol is Protocol.DYN_SWITCH:
         j = cfg.period_tick
         return ((mu_in, 0.5, _M_CAP),
-                lambda ec: _no_feedback_fits(j, sigma_in, ec.tau),
+                lambda ec: _no_feedback_fits(j, sigma_in, ec.tau - ec.sigma),
                 "input confidence width times the targeted tick must stay "
-                "below tau")
+                "below tau - sigma_ec")
     if cfg.protocol is Protocol.DYN_SWITCH_FEEDBACK:
         return ((mu_in, 0.0, _M_CAP), lambda ec: _feedback_fits(sigma_in, ec),
                 "input confidence width must stay below tau - sigma_ec")
@@ -384,63 +386,6 @@ class TrialMatrix:
         return empirical_inaccuracy(self.tick_samples(j), j, eps)
 
 
-def _cpus() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not on every platform
-        return os.cpu_count() or 1
-
-
-def _run_blocks(n_blocks: int, run_block, workers: int):
-    """Call ``run_block(b)`` for every block b on the calling thread and up
-    to ``workers - 1`` helper threads, so that a helper slowed by a busy
-    CPU holds the calling thread up by at most the block it is running.
-
-    Each thread takes the lowest block not yet taken, but a helper never
-    takes the last one: the calling thread runs it, and then waits only
-    for the helper blocks in flight.  Nor does it wait for a helper to
-    start (``threading.Thread.start`` blocks until the new thread runs,
-    so helpers start through ``_thread``); a helper that starts late finds
-    fewer blocks or none.  After a failure no thread takes another block;
-    the lowest failed block's exception is raised here once no helper
-    block is in flight."""
-    state = threading.Condition(threading.Lock())
-    taken = running = 0  # blocks taken so far; helper blocks in flight
-    failed = []          # (block, exception)
-
-    def run(b):
-        try:
-            run_block(b)
-        except BaseException as exc:  # re-raised on the calling thread
-            failed.append((b, exc))
-
-    def helper():
-        nonlocal taken, running
-        while True:
-            with state:
-                if failed or n_blocks - taken < 2:
-                    return
-                b, taken, running = taken, taken + 1, running + 1
-            run(b)
-            with state:
-                running -= 1
-                state.notify()
-
-    for _ in range(1, workers):
-        _thread.start_new_thread(helper, ())
-    while True:
-        with state:
-            if failed or taken == n_blocks:
-                break
-            b, taken = taken, taken + 1
-        run(b)
-    with state:
-        state.wait_for(lambda: running == 0)
-    if failed:
-        raise min(failed, key=lambda f: f[0])[1]
-
-
 def monte_carlo(cfg: ProtocolConfig, trials: int,
                 seed: int) -> TrialMatrix:
     """Run independent trials in blocks of ``_BLOCK`` trials.
@@ -449,15 +394,8 @@ def monte_carlo(cfg: ProtocolConfig, trials: int,
     ``default_rng(SeedSequence(seed).spawn(n_blocks)[b])``, and runs its
     trials in lockstep.  The result is bit-identical for a fixed
     (seed, trials); blocks are independent, so the rows of every full
-    block do not depend on the total trial count.  Input bunching with at
-    least ``_THREAD_WAITS`` waits per trial runs its blocks on every CPU
-    the process may use, each filling its own rows, so the result does
-    not depend on the number of CPUs either.  Its large draws and sums
-    release the GIL, and at that size a block runs for 10 ms or more, long
-    beside the milliseconds a helper thread can cost to start and to
-    wait for on a busy shared host.  Smaller runs, and the other
-    protocols, which step small arrays tick by tick under the GIL and
-    would only trade it between threads, stay on the calling thread.
+    block do not depend on the total trial count.  The blocks run one
+    after another on the calling thread, each filling its own rows.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -467,16 +405,10 @@ def monte_carlo(cfg: ProtocolConfig, trials: int,
     out = np.empty((trials, n_out))
     n_ignored = np.zeros(trials, dtype=int)
     streams = np.random.SeedSequence(seed).spawn(-(-trials // _BLOCK))
-
-    def run_block(b):
+    for b, stream in enumerate(streams):
         rows = slice(b * _BLOCK, (b + 1) * _BLOCK)
-        _simulate(prep, np.random.default_rng(streams[b]), out[rows],
+        _simulate(prep, np.random.default_rng(stream), out[rows],
                   n_ignored[rows])
-
-    threaded = (cfg.protocol is Protocol.INPUT_BUNCH
-                and n_out * cfg.bunch >= _THREAD_WAITS)
-    _run_blocks(len(streams), run_block,
-                min(len(streams), _cpus()) if threaded else 1)
     truncated = (out > prep.horizon).any(axis=1)
     data = out
     if switching:  # each tick relative to the anchoring first output

@@ -294,6 +294,19 @@ class TestCommands:
         assert [r["bound"] != "" for r in _table(text)] == \
             [True] + 5 * [False]
 
+    @pytest.mark.parametrize("d", ["16", "64", "256"])
+    def test_run_bound_holds_on_a_narrow_input(self, capsys, tmp_path, d):
+        # sigma_in = 0.0198: a period that left the detector window no
+        # room let the arrivals sweep it, and Sigma_out at j = 1 stayed
+        # near the input's own 0.0198, 13 to 82 times its printed bound
+        cfg = _ini(tmp_path, "run", "input = box:center=1,width=0.02\n"
+                   "ticks = 2\n")
+        code, text = _run(capsys, "run", "--config", cfg, "--d", d)
+        assert code == 0
+        rows = [r for r in _table(text) if r["bound"]]
+        assert [r["j"] for r in rows] == ["1"]
+        assert float(rows[0]["Sigma_out"]) <= float(rows[0]["bound"])
+
     def test_sweep_keeps_its_theorem1_bound(self, capsys, tmp_path):
         # sweep chooses the period for its own tick j, which therefore fits
         cfg = _ini(tmp_path, "sweep", "input = box:center=1,width=0.1015\n"

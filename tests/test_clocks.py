@@ -9,7 +9,7 @@ from scipy import stats
 from ticklab import (EnhancingClock, ExplicitEC, MarkovTwoState, Mode,
                      quasi_ideal_params, quasi_ideal_ratio,
                      sample_tick_phase, wrap_phase)
-from ticklab.clocks import fire_delay
+from ticklab.clocks import delay_to_phase, fire_delay
 
 
 class TestWrapPhase:
@@ -253,6 +253,32 @@ class TestIdleLaw:
                             np.random.default_rng(seed))
         bound = (tau + sigma / 2) * (1 + 1e-12)  # rounding of phi - s
         assert ((delays > 0) & (delays <= bound)).all()
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(
+        st.floats(min_value=-1e6, max_value=1e6),
+        # a few ulps either side of a domain edge, (k + 1/2) tau
+        st.tuples(st.integers(min_value=-10 ** 6, max_value=10 ** 6),
+                  st.integers(min_value=-4, max_value=4))),
+        st.one_of(st.floats(min_value=-0.5, max_value=1.0),
+                  st.just("hand")),
+        st.floats(min_value=0.1, max_value=10))
+    def test_scalar_branch_matches_array_branch(self, idle, phase, tau):
+        # a float idle takes wrap_phase's scalar branch, the oracle's, and
+        # an array its array branch; a tick phase at the hand itself
+        # probes the phi <= s edge
+        if isinstance(idle, tuple):
+            k, ulps = idle
+            idle = (k + 0.5) * tau
+            for _ in range(abs(ulps)):
+                idle = float(np.nextafter(idle, math.copysign(math.inf,
+                                                              ulps)))
+        phi = float(wrap_phase(idle, tau)) if phase == "hand" \
+            else phase * tau
+        scalar = delay_to_phase(idle, phi, tau)
+        array = delay_to_phase(np.array([idle]), np.array([phi]), tau)
+        assert type(scalar) is float
+        assert np.array([scalar]).tobytes() == array.tobytes()
 
     def test_lower_half_of_window_waits_for_next_turn(self):
         # switched on at s = -0.375, the dial point 0.625 inside the window

@@ -7,6 +7,7 @@ import pytest
 from scipy import optimize, stats
 
 from ticklab import Box, Delta, DeltaMixture, Gaussian
+from ticklab.distributions import _BIT_PLANES, _normal_tail
 
 
 class TestDelta:
@@ -61,8 +62,40 @@ def lattice_words(seed, n):
     return [int(w) for w in raw.view(np.uint32)[:n]]
 
 
+def lattice_sums(box, seed, n, d):
+    """n sums of d waits of ``box`` from a fresh ``default_rng(seed)``, each
+    wait a 2^-32 lattice midpoint of one 32-bit word and the words summed
+    as integers, at any d: the sum ``Box.bunch_sums`` draws below
+    ``_BIT_PLANES``."""
+    raw = np.random.default_rng(seed).bit_generator.random_raw(-(-n * d // 2))
+    cells = raw.view(np.uint32)[:n * d].reshape(n, d).sum(-1, dtype=np.uint64)
+    return d * box.support()[0] + box.width * 2.0 ** -32 * (cells + d / 2)
+
+
 class TestBoxBunchSums:
     BOX = Box(center=1.0, width=0.33)
+
+    def test_bit_planes_match_lattice_sums(self):
+        # family-wise 5 % over the two d
+        ds = (_BIT_PLANES, 4 * _BIT_PLANES)
+        for i, d in enumerate(ds):
+            planes = self.BOX.bunch_sums(np.random.default_rng(30 + i),
+                                         (2000,), d)
+            lattice = lattice_sums(self.BOX, 40 + i, 2000, d)
+            assert stats.ks_2samp(planes, lattice).pvalue > 0.05 / len(ds)
+
+    def test_bit_plane_sum_matches_exact_binomial_sum(self):
+        # bit b of the d cell indices sums to the b-th of 32 binomials drawn
+        # from the same stream, so the cells sum to sum_b 2^b N_b
+        shape, d = (3, 5), _BIT_PLANES + 1
+        sums = self.BOX.bunch_sums(np.random.default_rng(9), shape, d)
+        planes = np.random.default_rng(9).binomial(d, 0.5, (*shape, 32))
+        lo = Fraction(self.BOX.support()[0])
+        width = Fraction(self.BOX.width)
+        for got, counts in zip(sums.ravel(), planes.reshape(-1, 32)):
+            cells = sum(int(n) << b for b, n in enumerate(counts))
+            exact = d * lo + width * Fraction(2 * cells + d, 2 ** 33)
+            assert abs(Fraction(float(got)) - exact) <= 1e-15 * exact
 
     def test_law_matches_float_sums(self):
         # family-wise 5 % over the four d
@@ -121,6 +154,34 @@ class TestGaussian:
         ratios = (hi - lo) / ((hi + lo) / 2)
         assert c.sigma / c.mu <= ratios.min() + 1e-9
         assert c.sigma / c.mu == pytest.approx(ratios.min(), abs=1e-5)
+
+    @pytest.mark.parametrize("z", [6.0, 9.0, 10.0])
+    def test_lower_tail_matches_scipy(self, z):
+        # NormalDist().cdf(-z) is already 0.0 at z = 8.5
+        assert _normal_tail(z) == pytest.approx(stats.norm.sf(z), rel=1e-12)
+
+    def test_one_normal_bunch_sums_match_per_wait_sums(self):
+        gauss, d = Gaussian(1.0, 0.1), 64
+        assert d * _normal_tail(1.0 / 0.1) <= 2.0 ** -53
+        one = gauss.bunch_sums(np.random.default_rng(50), (4000,), d)
+        per_wait = gauss.sample(np.random.default_rng(51), (4000, d)).sum(-1)
+        assert stats.ks_2samp(one, per_wait).pvalue > 0.05
+
+    def test_bunch_sums_at_the_gate(self):
+        # z is the mu / sd at which d Phi(-mu / sd) = 2^-53: just below
+        # it a bunch sums its waits, just above it is one normal draw
+        d, size = 64, (50, 3)
+        z = optimize.brentq(lambda z: d * stats.norm.sf(z) - 2.0 ** -53,
+                            5.0, 20.0)
+        outside = Gaussian(1.0, 1.0 / (z * (1 - 1e-3)))
+        assert np.array_equal(
+            outside.bunch_sums(np.random.default_rng(7), size, d),
+            outside.sample(np.random.default_rng(7), (*size, d)).sum(-1))
+        inside = Gaussian(1.0, 1.0 / (z * (1 + 1e-3)))
+        assert np.array_equal(
+            inside.bunch_sums(np.random.default_rng(7), size, d),
+            np.random.default_rng(7).normal(d, math.sqrt(d) * inside.sd,
+                                            size))
 
     def test_no_interval_at_zero_eps(self):
         with pytest.raises(ValueError):

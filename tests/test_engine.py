@@ -9,12 +9,9 @@ EC) and in distribution otherwise.  Input bunching has a second oracle,
 ``prefix_sum_bunching``, which builds every wait from the engine's own
 draws and sums them in another order, so the two agree draw for draw to
 rounding.
-``serial_monte_carlo`` runs ``monte_carlo``'s blocks one after another on
-the calling thread; the threaded blocks must agree with it bit for bit.
+``serial_monte_carlo`` simulates ``monte_carlo``'s blocks each into its
+own arrays and stacks them; ``monte_carlo`` must agree with it bit for bit.
 """
-import sys
-import threading
-import time
 from dataclasses import replace
 
 import numpy as np
@@ -27,7 +24,8 @@ from ticklab import (Box, Delta, DeltaMixture, EnhancingClock, ExplicitEC,
                      Gaussian, Mode, Protocol, ProtocolConfig, QuasiIdealSpec,
                      monte_carlo, prepare, protocols)
 from ticklab.cli import main
-from ticklab.protocols import _BLOCK, _CHUNK, _THREAD_WAITS, _simulate
+from ticklab.distributions import _BIT_PLANES
+from ticklab.protocols import _BLOCK, _CHUNK, _simulate
 
 SWITCHING = (Protocol.DYN_SWITCH, Protocol.DYN_SWITCH_FEEDBACK)
 
@@ -226,8 +224,9 @@ def test_agreement_in_distribution(protocol, dist, n_ticks):
 def bunch_waits(dist, rng, n, n_out, d):
     """The (n, n_out * d) input waits of n trials, bunch after bunch, built
     from the draws ``dist.bunch_sums`` makes: a Box's 2^-32 lattice
-    midpoints from the same 32-bit words, and a mixture's atoms repeated
-    by the same multinomial counts.  Other laws sample their waits."""
+    midpoints from the same 32-bit words (below ``_BIT_PLANES``), and a
+    mixture's atoms repeated by the same multinomial counts.  Other laws
+    sample their waits (a Gaussian outside its one-normal gate)."""
     if isinstance(dist, Box):
         u = rng.bit_generator.random_raw(-(-n * n_out * d // 2))
         u = u.view(np.uint32)[:n * n_out * d]
@@ -259,6 +258,10 @@ def prefix_sum_bunching(prep, rng, size):
 
 BUNCH_INPUTS = [Box(1.0, 0.33), Gaussian(1.0, 0.5), Delta(0.7),
                 DeltaMixture(((0.9, 0.25), (1.05, 0.5), (1.3, 0.25)))]
+# a Box sums bit planes from _BIT_PLANES on, which no per-wait oracle
+# draws, so its largest case is the largest lattice bunch
+BUNCH_CASES = [(dist, min(d, _BIT_PLANES - 1) if isinstance(dist, Box)
+                else d) for d in (1, 3, 64, 1024) for dist in BUNCH_INPUTS]
 
 
 def check_bunching_matches_prefix_sum(dist, d, n_ticks, size):
@@ -275,8 +278,9 @@ def check_bunching_matches_prefix_sum(dist, d, n_ticks, size):
     assert engine_rng.random() == oracle_rng.random()
 
 
-@pytest.mark.parametrize("dist", BUNCH_INPUTS, ids=lambda d: type(d).__name__)
-@pytest.mark.parametrize("d", [1, 3, 64, 1024])
+@pytest.mark.parametrize("dist,d", BUNCH_CASES,
+                         ids=[f"{d}-{type(dist).__name__}"
+                              for dist, d in BUNCH_CASES])
 @pytest.mark.parametrize("n_ticks", [1, 20])
 def test_input_bunching_matches_prefix_sum(dist, d, n_ticks):
     # two trials past a chunk boundary, so the last chunk is a short one
@@ -325,150 +329,53 @@ def serial_monte_carlo(cfg, trials, seed):
     return data, truncated, n_ignored
 
 
-def _threaded_bunch_cfg():
-    """Input bunching with just enough waits per trial to use threads."""
+def _bit_plane_bunch_cfg():
+    """Input bunching on a Box at the smallest bunch that sums bit planes."""
     return replace(_cfg(Protocol.INPUT_BUNCH, Box(1.0, 0.30303), 2),
-                   bunch=_THREAD_WAITS // 2)
+                   bunch=_BIT_PLANES)
 
 
-class TestBlocksOnEveryCpu:
-    """``monte_carlo`` runs input bunching's blocks on every CPU the process
-    may use; the result must not depend on how many that is."""
-
-    @pytest.mark.parametrize("cpus", [1, 3])
+class TestSerialBlocks:
     @pytest.mark.parametrize("trials", [1, _BLOCK, 2 * _BLOCK + 1,
                                         5 * _BLOCK + 7])
     @pytest.mark.parametrize("protocol", list(Protocol),
                              ids=lambda p: p.value)
-    def test_matches_serial_block_loop(self, monkeypatch, protocol, trials,
-                                       cpus):
-        monkeypatch.setattr(protocols, "_cpus", lambda: cpus)
+    def test_matches_serial_block_loop(self, protocol, trials):
         cfg = _cfg(protocol, Box(1.0, 0.30303), 2)
         if protocol is Protocol.INPUT_BUNCH:
-            cfg = _threaded_bunch_cfg()
-        # a seed per CPU count, so rows a block failed to write cannot
-        # hold the equal values a freed array of the last case left
-        seed = 17 + cpus
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)  # threads interleave more often
-        try:
-            matrix = monte_carlo(cfg, trials, seed)
-        finally:
-            sys.setswitchinterval(interval)
-        data, truncated, n_ignored = serial_monte_carlo(cfg, trials, seed)
+            cfg = _bit_plane_bunch_cfg()
+        matrix = monte_carlo(cfg, trials, 17)
+        data, truncated, n_ignored = serial_monte_carlo(cfg, trials, 17)
         assert np.array_equal(matrix.data, data, equal_nan=True)
         assert np.array_equal(matrix.truncated, truncated)
         assert np.array_equal(matrix.n_ignored, n_ignored)
 
-    @pytest.mark.parametrize("cfg", [
-        _cfg(Protocol.DYN_SWITCH, Box(1.0, 0.30303), 2),
-        _cfg(Protocol.DYN_SWITCH_FEEDBACK, Box(1.0, 0.30303), 2),
-        _cfg(Protocol.EC_BUNCH, Box(1.0, 0.30303), 2),
-        replace(_threaded_bunch_cfg(), bunch=_THREAD_WAITS // 2 - 1),
-    ], ids=["dyn-switch", "dyn-switch-feedback", "ec-bunch",
-            "input-bunch-few-waits"])
-    def test_small_arrays_stay_on_the_calling_thread(self, monkeypatch,
-                                                      cfg):
-        monkeypatch.setattr(protocols, "_cpus", lambda: 3)
-        check_rows, ran_on = protocols.check_rows, set()
-
-        def recording_check_rows(times):
-            ran_on.add(threading.get_ident())
-            check_rows(times)
-
-        monkeypatch.setattr(protocols, "check_rows", recording_check_rows)
-        monte_carlo(cfg, 3 * _BLOCK, 0)
-        assert ran_on == {threading.get_ident()}
-
-    @pytest.mark.parametrize("blocks", [2, 3, 5])
-    def test_caller_runs_the_last_block(self, monkeypatch, blocks):
-        monkeypatch.setattr(protocols, "_cpus", lambda: 3)
-        check_rows, last_on = protocols.check_rows, []
-
-        def recording_check_rows(times):
-            if len(times) == 5:
-                last_on.append(threading.get_ident())
-            check_rows(times)
-
-        monkeypatch.setattr(protocols, "check_rows", recording_check_rows)
-        monte_carlo(_threaded_bunch_cfg(), (blocks - 1) * _BLOCK + 5, 0)
-        assert last_on == [threading.get_ident()]
-
-    def test_caller_waits_for_helper_blocks(self, monkeypatch):
-        # a barrier makes the helper take a block while the calling thread
-        # is in its first one; the helper's block then outlasts the rest
-        monkeypatch.setattr(protocols, "_cpus", lambda: 2)
-        check_rows, caller = protocols.check_rows, threading.get_ident()
-        both_busy, waited = threading.Barrier(2, timeout=10), set()
-        helper_done = []
-
-        def slow_helper_check_rows(times):
-            me = threading.get_ident()
-            if me not in waited:
-                waited.add(me)
-                both_busy.wait()
-            if me != caller:
-                time.sleep(0.2)
-                helper_done.append(len(times))
-            check_rows(times)
-
-        monkeypatch.setattr(protocols, "check_rows", slow_helper_check_rows)
-        monte_carlo(_threaded_bunch_cfg(), 2 * _BLOCK + 5, 0)
-        assert helper_done == [_BLOCK]
-
-    def test_caller_does_not_wait_for_helpers_to_start(self, monkeypatch):
-        # helpers that never start leave every block to the calling thread
-        monkeypatch.setattr(protocols, "_cpus", lambda: 3)
-        monkeypatch.setattr(protocols._thread, "start_new_thread",
-                            lambda function, args: None)
-        cfg, trials = _threaded_bunch_cfg(), 2 * _BLOCK + 5
-        matrix = monte_carlo(cfg, trials, 3)
-        data, truncated, n_ignored = serial_monte_carlo(cfg, trials, 3)
-        assert np.array_equal(matrix.data, data, equal_nan=True)
-        assert np.array_equal(matrix.n_ignored, n_ignored)
-
-    @staticmethod
-    def _fail_on_helper(monkeypatch):
-        """Run a three-block run on two threads, with ``check_rows``
-        failing the block a helper thread runs.  A barrier holds the
-        calling thread in its first block until the helper has taken one.
-        Returns the row counts of the blocks that failed."""
-        monkeypatch.setattr(protocols, "_cpus", lambda: 2)
-        check_rows, caller = protocols.check_rows, threading.get_ident()
-        both_busy, waited = threading.Barrier(2, timeout=10), set()
-        failed_rows = []
+    def test_block_failure_raises_and_exits_2(self, monkeypatch, capsys,
+                                              tmp_path):
+        # the second of three blocks fails its row check: monte_carlo
+        # raises at once, and run exits 2 with the message
+        check_rows, checked = protocols.check_rows, []
 
         def failing_check_rows(times):
-            me = threading.get_ident()
-            if me not in waited:
-                waited.add(me)
-                both_busy.wait()
-            if me != caller:
-                failed_rows.append(len(times))
-                raise ValueError("bad row on a helper thread")
+            checked.append(len(times))
+            if len(checked) % 3 == 2:
+                raise ValueError("bad row in the second block")
             check_rows(times)
 
         monkeypatch.setattr(protocols, "check_rows", failing_check_rows)
-        return failed_rows
-
-    def test_helper_failure_reaches_the_caller(self, monkeypatch):
-        failed_rows = self._fail_on_helper(monkeypatch)
-        with pytest.raises(ValueError, match="helper thread"):
-            monte_carlo(_threaded_bunch_cfg(), 2 * _BLOCK + 5, 0)
-        # the helper took the second block; the last is the caller's
-        assert failed_rows == [_BLOCK]
-
-    def test_helper_failure_exits_2(self, monkeypatch, capsys, tmp_path):
-        failed_rows = self._fail_on_helper(monkeypatch)
+        with pytest.raises(ValueError, match="second block"):
+            monte_carlo(_bit_plane_bunch_cfg(), 2 * _BLOCK + 5, 0)
+        assert checked == [_BLOCK, _BLOCK]
         config = tmp_path / "run.ini"
-        config.write_text(f"[run]\nticks = 2\nbunch = {_THREAD_WAITS // 2}\n")
+        config.write_text("[run]\nticks = 2\nbunch = 8\n")
+        checked.clear()
         code = main(["run", "--config", str(config), "--protocol", "3",
                      "--trials", str(2 * _BLOCK + 5)])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert "helper thread" in captured.err
-        assert failed_rows == [_BLOCK]
+        assert "second block" in captured.err
+        assert checked == [_BLOCK, _BLOCK]
 
 
 class TestInvariants:

@@ -230,6 +230,12 @@ class TestCrossNodeSpread:
         with pytest.raises(ValueError, match="nonnegative"):
             cross_node_spread(np.array([[1.0, 2.0], [1.1, 2.5]]), -1)
 
+    @pytest.mark.parametrize("traces", [[], np.empty((0, 3))],
+                             ids=["list", "array"])
+    def test_no_trace_rejected(self, traces):
+        with pytest.raises(ValueError, match="at least one node trace"):
+            cross_node_spread(traces, 0)
+
 
 class TestEngineAgainstOracle:
     @settings(max_examples=60, deadline=None)

@@ -281,9 +281,10 @@ class TestBoundFormulas:
         # theorem 1 holds for every j at sigma_in = 0 ...
         (Protocol.DYN_SWITCH, 0.0, 1, 0.0),
         (Protocol.DYN_SWITCH, 0.0, 100, 0.0),
-        # ... and while j sigma_in < tau = 2/3 otherwise
+        # ... and while j sigma_in < tau - sigma_ec = 0.98 (2/3) otherwise
         (Protocol.DYN_SWITCH, 0.33, 1, 5 / 6 * 0.33 * 0.04),
-        (Protocol.DYN_SWITCH, 0.33, 2, 5 * 4 / 6 * 0.33 * 0.04),
+        (Protocol.DYN_SWITCH, 0.32, 2, 5 * 4 / 6 * 0.32 * 0.04),
+        (Protocol.DYN_SWITCH, 0.33, 2, None),      # 0.66 reaches the window
         (Protocol.DYN_SWITCH, 0.33, 3, None),
         (Protocol.DYN_SWITCH, 1 / 3, 1, 5 / 6 / 3 * 0.04),
         (Protocol.DYN_SWITCH, 1 / 3, 2, None),     # j at the limit itself
@@ -310,9 +311,10 @@ class TestBoundFormulas:
             assert bound is None
         else:
             assert bound == pytest.approx(expected, rel=1e-14, abs=0.0)
-        # the bound table states the same theorems on the same cells
+        # the bound table states the same theorems on the same cells, at
+        # the same bar_Sigma_EC = 2 / 2500^0.5 = 0.04
         if protocol in (Protocol.DYN_SWITCH, Protocol.DYN_SWITCH_FEEDBACK):
-            table = corollary_bounds(sigma_in, 64, 0.5, j)
+            table = corollary_bounds(sigma_in, 2500, 0.5, j)
             covered = table[protocol is Protocol.DYN_SWITCH_FEEDBACK]
             assert (covered is None) == (expected is None)
 
@@ -519,8 +521,10 @@ class TestPrepare:
         assert prepare(cfg).bar_sigma_ec is None
 
     def test_theorem_bound_follows_the_run_period(self):
-        # theorem 1 covers tick j of a run exactly while the period chooser
-        # at tick j would still allow the run's cell m
+        # theorem 1 covers tick j >= period_tick of a run exactly while the
+        # period chooser at tick j, for the run's EC window, would still
+        # allow the run's cell m
+        ratio = quasi_ideal_ratio(256, 0.1)
         for width, period_tick in itertools.product((0.05, 0.1015, 0.2),
                                                     (1, 2, 3)):
             prep = prepare(ProtocolConfig(
@@ -529,12 +533,37 @@ class TestPrepare:
             for j in range(1, 16):
                 try:
                     m_j = _search(Protocol.DYN_SWITCH, prep.mu_in,
-                                  prep.sigma_in, j)[0]
+                                  prep.sigma_in, j, ratio)[0]
                 except ValueError:
                     m_j = 0
                 assert (theorem_bound(prep, j) is not None) == \
-                    (m_j >= prep.m)
+                    (j >= period_tick and m_j >= prep.m)
             assert theorem_bound(prep, period_tick) is not None
+
+    def test_no_theorem1_bound_before_the_targeted_tick(self):
+        # the period was chosen for tick 3, too wide for theorem 1's bound
+        # at ticks 1 and 2; feedback's period ignores the targeted tick
+        cfg = ProtocolConfig(Protocol.DYN_SWITCH, Box(1.0, 0.1015), 0.01, 3,
+                             ec=QuasiIdealSpec(d=256), period_tick=3)
+        prep = prepare(cfg)
+        assert [theorem_bound(prep, j) is None for j in (1, 2, 3)] == \
+            [True, True, False]
+        fb = prepare(replace(cfg, protocol=Protocol.DYN_SWITCH_FEEDBACK))
+        assert theorem_bound(fb, 1) is not None
+
+    def test_no_feedback_contract_keeps_the_window_out(self):
+        # sigma_in = 0.198 fits tau = 0.25, but not tau - sigma_ec = 0.15:
+        # the arrivals would reach the detector window
+        cfg = ProtocolConfig(Protocol.DYN_SWITCH, Box(1.0, 0.2), 0.01, 1,
+                             ec=ExplicitEC(0.25, 0.1, 0.0))
+        with pytest.raises(ValueError, match="below tau - sigma_ec"):
+            prepare(cfg)
+        assert prepare(replace(cfg, ec=ExplicitEC(0.25, 0.05, 0.0))).m is None
+        # theorem 1's hypothesis at tau 2/3 holds as long as the contract
+        # would: j sigma_in < tau - sigma_ec = (2/3) (1 - bar_sigma_ec / 2)
+        assert theorem1_bound(0.6, 0.19, 1) > 0
+        with pytest.raises(ValueError, match="bar_sigma_ec"):
+            theorem1_bound(0.6, 0.21, 1)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
