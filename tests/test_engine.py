@@ -10,8 +10,12 @@ EC) and in distribution otherwise.  Input bunching has a second oracle,
 draws and sums them in another order, so the two agree draw for draw to
 rounding.
 ``serial_monte_carlo`` simulates ``monte_carlo``'s blocks each into its
-own arrays and stacks them; ``monte_carlo`` must agree with it bit for bit.
+own arrays and stacks them; ``monte_carlo`` must agree with it bit for bit,
+whatever number of CPUs the process is told it has.
 """
+import _thread
+import os
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -335,40 +339,110 @@ def _bit_plane_bunch_cfg():
                    bunch=_BIT_PLANES)
 
 
-class TestSerialBlocks:
+def _one_thread_on_cpus(monkeypatch, cpus):
+    """Report ``cpus`` CPUs to the process and make starting any thread
+    fail, so a run that still passes ran on the calling thread alone."""
+    def no_thread(*args, **kwargs):
+        raise AssertionError("monte_carlo started a thread")
+
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    if hasattr(os, "sched_getaffinity"):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)))
+    monkeypatch.setattr(_thread, "start_new_thread", no_thread)
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+
+
+class TestBlocksOnEveryCpu:
+    """``monte_carlo`` runs its blocks one after another on the calling
+    thread, however many CPUs the process may use: the result must not
+    depend on that number, no block may run on another thread, and a
+    failing block must reach the caller."""
+
+    @pytest.mark.parametrize("cpus", [1, 3])
     @pytest.mark.parametrize("trials", [1, _BLOCK, 2 * _BLOCK + 1,
                                         5 * _BLOCK + 7])
     @pytest.mark.parametrize("protocol", list(Protocol),
                              ids=lambda p: p.value)
-    def test_matches_serial_block_loop(self, protocol, trials):
+    def test_matches_serial_block_loop(self, monkeypatch, protocol, trials,
+                                       cpus):
+        _one_thread_on_cpus(monkeypatch, cpus)
         cfg = _cfg(protocol, Box(1.0, 0.30303), 2)
         if protocol is Protocol.INPUT_BUNCH:
             cfg = _bit_plane_bunch_cfg()
-        matrix = monte_carlo(cfg, trials, 17)
-        data, truncated, n_ignored = serial_monte_carlo(cfg, trials, 17)
+        # a seed per CPU count, so rows a block failed to write cannot
+        # hold the equal values a freed array of the last case left
+        seed = 17 + cpus
+        matrix = monte_carlo(cfg, trials, seed)
+        data, truncated, n_ignored = serial_monte_carlo(cfg, trials, seed)
         assert np.array_equal(matrix.data, data, equal_nan=True)
         assert np.array_equal(matrix.truncated, truncated)
         assert np.array_equal(matrix.n_ignored, n_ignored)
 
-    def test_block_failure_raises_and_exits_2(self, monkeypatch, capsys,
-                                              tmp_path):
-        # the second of three blocks fails its row check: monte_carlo
-        # raises at once, and run exits 2 with the message
+    @pytest.mark.parametrize("cfg", [
+        _cfg(Protocol.DYN_SWITCH, Box(1.0, 0.30303), 2),
+        _cfg(Protocol.DYN_SWITCH_FEEDBACK, Box(1.0, 0.30303), 2),
+        _cfg(Protocol.EC_BUNCH, Box(1.0, 0.30303), 2),
+        replace(_bit_plane_bunch_cfg(), bunch=_BIT_PLANES // 2 - 1),
+    ], ids=["dyn-switch", "dyn-switch-feedback", "ec-bunch",
+            "input-bunch-few-waits"])
+    def test_small_arrays_stay_on_the_calling_thread(self, monkeypatch,
+                                                      cfg):
+        check_rows, ran_on = protocols.check_rows, []
+
+        def recording_check_rows(times):
+            ran_on.append(threading.get_ident())
+            check_rows(times)
+
+        monkeypatch.setattr(protocols, "check_rows", recording_check_rows)
+        _one_thread_on_cpus(monkeypatch, 3)
+        monte_carlo(cfg, 3 * _BLOCK, 0)
+        assert ran_on == [threading.get_ident()] * 3
+
+    @pytest.mark.parametrize("blocks", [2, 3, 5])
+    def test_caller_runs_the_last_block(self, monkeypatch, blocks):
+        check_rows, ran_on = protocols.check_rows, []
+
+        def recording_check_rows(times):
+            ran_on.append((len(times), threading.get_ident()))
+            check_rows(times)
+
+        monkeypatch.setattr(protocols, "check_rows", recording_check_rows)
+        _one_thread_on_cpus(monkeypatch, 3)
+        monte_carlo(_bit_plane_bunch_cfg(), (blocks - 1) * _BLOCK + 5, 0)
+        # the blocks in order, the short last one included, all on the
+        # calling thread
+        caller = threading.get_ident()
+        assert ran_on == [(_BLOCK, caller)] * (blocks - 1) + [(5, caller)]
+
+    @staticmethod
+    def _fail_on_helper(monkeypatch):
+        """Make ``check_rows`` fail the second block of every run, the
+        block a second CPU would take.  Returns the row counts of the
+        blocks checked."""
         check_rows, checked = protocols.check_rows, []
 
         def failing_check_rows(times):
             checked.append(len(times))
-            if len(checked) % 3 == 2:
+            if len(checked) == 2:
                 raise ValueError("bad row in the second block")
             check_rows(times)
 
         monkeypatch.setattr(protocols, "check_rows", failing_check_rows)
+        _one_thread_on_cpus(monkeypatch, 2)
+        return checked
+
+    def test_helper_failure_reaches_the_caller(self, monkeypatch):
+        checked = self._fail_on_helper(monkeypatch)
         with pytest.raises(ValueError, match="second block"):
             monte_carlo(_bit_plane_bunch_cfg(), 2 * _BLOCK + 5, 0)
+        # the failure stops the loop before the last block
         assert checked == [_BLOCK, _BLOCK]
+
+    def test_helper_failure_exits_2(self, monkeypatch, capsys, tmp_path):
+        checked = self._fail_on_helper(monkeypatch)
         config = tmp_path / "run.ini"
         config.write_text("[run]\nticks = 2\nbunch = 8\n")
-        checked.clear()
         code = main(["run", "--config", str(config), "--protocol", "3",
                      "--trials", str(2 * _BLOCK + 5)])
         captured = capsys.readouterr()
