@@ -20,6 +20,7 @@ from .inaccuracy import ConfidenceInterval
 _MASS_TOL = 1e-12
 _STD_NORMAL = NormalDist()
 _BIT_PLANES = 1024  # bunch size from which a Box sums its cells by bit plane
+_CHUNK = 1 << 16    # waits a per-wait bunch sum draws at once
 
 
 class WaitingTimeDistribution(ABC):
@@ -37,7 +38,9 @@ class WaitingTimeDistribution(ABC):
 
     def bunch_sums(self, rng: np.random.Generator, size, d) -> np.ndarray:
         """Draw an array of shape ``size`` (a tuple) of sums of d waits."""
-        return self.sample(rng, (*size, d)).sum(axis=-1)
+        return _in_chunks(
+            lambda shape: self.sample(rng, (*shape, d)).sum(axis=-1),
+            size, d)
 
     @property
     @abstractmethod
@@ -51,6 +54,16 @@ class WaitingTimeDistribution(ABC):
     def support(self):
         """(lo, hi) of the support, or None when unbounded."""
         return None
+
+
+def _in_chunks(sums, size, d) -> np.ndarray:
+    """Sums of d waits, shape ``size``, from ``sums(shape)`` called on as
+    many rows of ``size`` at a time, in order, as hold at most ``_CHUNK``
+    waits (at least one row), so that few waits drawn one by one are ever
+    held at once."""
+    rows = max(1, _CHUNK // (math.prod(size[1:]) * d))
+    return np.concatenate([sums((min(rows, size[0] - r), *size[1:]))
+                           for r in range(0, size[0], rows)])
 
 
 def _check_eps(eps: float):
@@ -113,9 +126,12 @@ class Box(WaitingTimeDistribution):
             planes = rng.binomial(d, 0.5, (*size, 32))
             cells = planes @ (1 << np.arange(32, dtype=np.int64))
         else:
-            n = math.prod(size) * d
-            u = rng.bit_generator.random_raw(-(-n // 2)).view(np.uint32)[:n]
-            cells = u.reshape(*size, d).sum(axis=-1, dtype=np.uint64)
+            def cell_sums(shape):
+                n = math.prod(shape) * d
+                u = rng.bit_generator.random_raw(-(-n // 2)).view(
+                    np.uint32)[:n]
+                return u.reshape(*shape, d).sum(axis=-1, dtype=np.uint64)
+            cells = _in_chunks(cell_sums, size, d)
         lo = self.center - self.width / 2
         return d * lo + self.width * 2.0 ** -32 * (cells + d / 2)
 

@@ -21,7 +21,14 @@ from .inaccuracy import ConfidenceInterval
 from .protocols import check_rows, largest_period, switching
 
 _PHASE_MARGIN = 0.75  # fraction of the safe phase band a node may use
-_BLOCK = 128          # trials per block; peak memory grows with it
+# trials per block.  The per-block cost (streams, the node loop of
+# ``_arrivals``, the small calls of each output step) is paid once per
+# block, while peak memory grows with the block.  `network --trials 5000`
+# in-process, medians of 7 interleaved rounds (2-vCPU shared host, raw
+# time, peak RSS of the process): 128 trials 0.049 s and 38.0 MB; 512
+# trials 0.030 s and 38.9 MB; 1024 trials 0.025 s and 40.2 MB.  512
+# takes most of the gain for a peak within 3 % of 128's.
+_BLOCK = 512
 
 
 @dataclass(frozen=True)

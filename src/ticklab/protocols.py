@@ -31,7 +31,6 @@ from .inaccuracy import InaccuracyEstimate, empirical_inaccuracy
 
 _M_CAP = 10 ** 6
 _BLOCK = 4096        # trials per random stream
-_CHUNK = 1 << 16     # waits per input-bunching chunk
 
 
 def largest_period(mu: float, offset: float, fits,
@@ -284,8 +283,9 @@ def prepare(cfg: ProtocolConfig) -> PreparedRun:
 def check_rows(times: np.ndarray):
     """The tick-time invariant for a block of nonempty tick traces, one
     per row: raise ``ValueError`` unless every row is nonnegative and
-    strictly increasing."""
-    if (times[:, 0] < 0).any() or (np.diff(times, axis=1) <= 0).any():
+    strictly increasing.  A NaN compares false, so it fails both."""
+    if not ((times[:, 0] >= 0).all()
+            and (times[:, 1:] > times[:, :-1]).all()):
         raise ValueError(
             "tick times must be nonnegative and strictly increasing")
 
@@ -331,13 +331,9 @@ def _simulate(prep: PreparedRun, rng, out: np.ndarray,
     dist = cfg.input_dist
     size, n_out = out.shape
     if cfg.protocol is Protocol.INPUT_BUNCH:
-        d = cfg.bunch
-        rows = max(1, _CHUNK // (n_out * d))
-        for r in range(0, size, rows):
-            n = min(rows, size - r)
-            # each trial draws its n_out bunches in order
-            bunches = dist.bunch_sums(rng, (n, n_out), d)
-            np.cumsum(bunches, axis=1, out=out[r:r + n])
+        # each trial draws its n_out bunches in order
+        np.cumsum(dist.bunch_sums(rng, (size, n_out), cfg.bunch), axis=1,
+                  out=out)
     elif cfg.protocol is Protocol.EC_BUNCH:
         # the EC free-runs from its reset state at time 0
         ec = np.zeros(size)

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import ticklab
-
+from ticklab import cli
 from ticklab.cli import (ConfigError, build_parser, fit_slope, main,
                          parse_dist)
 from ticklab.distributions import Box, Delta, DeltaMixture, Gaussian
@@ -121,6 +121,27 @@ class TestDeterminism:
         strip = lambda t: [line for line in t.splitlines()
                            if not line.startswith("# generated")]
         assert strip(text) == strip(out.read_text())
+
+    def test_parser_built_once_keeps_no_state(self, capsys, monkeypatch):
+        # main builds its parser on the first call of a process; a network
+        # call in between leaves the next run's output as it was
+        built = []
+
+        def counting_build_parser():
+            built.append(True)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+        run = ("run", "--protocol", "3", "--trials", "80", "--d", "16")
+        _, first = _run(capsys, *run)
+        code, _ = _run(capsys, "network", "--trials", "20")
+        assert code == 0
+        _, again = _run(capsys, *run)
+        strip = lambda t: [line for line in t.splitlines()
+                           if not line.startswith("# generated")]
+        assert strip(first) == strip(again)
+        assert len(built) == 1
 
     def test_env_variable_overrides_seed(self, capsys, monkeypatch):
         monkeypatch.setenv("TICKLAB_SEED", "4242")

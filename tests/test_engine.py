@@ -28,8 +28,8 @@ from ticklab import (Box, Delta, DeltaMixture, EnhancingClock, ExplicitEC,
                      Gaussian, Mode, Protocol, ProtocolConfig, QuasiIdealSpec,
                      monte_carlo, prepare, protocols)
 from ticklab.cli import main
-from ticklab.distributions import _BIT_PLANES
-from ticklab.protocols import _BLOCK, _CHUNK, _simulate
+from ticklab.distributions import _BIT_PLANES, _CHUNK
+from ticklab.protocols import _BLOCK, _simulate
 
 SWITCHING = (Protocol.DYN_SWITCH, Protocol.DYN_SWITCH_FEEDBACK)
 

@@ -8,6 +8,7 @@ from ticklab import (Box, Delta, ExplicitEC, Gaussian, NetworkScenario,
                      NodeConfig, cross_node_spread, network_spreads,
                      plan_scenario, quasi_ideal_ratio, run_network,
                      sample_tick_phase, wrap_phase)
+from ticklab import network
 from ticklab.network import (_BLOCK, _PHASE_MARGIN, _arrivals_safe,
                              _simulate)
 
@@ -308,6 +309,19 @@ class TestEngineAgainstOracle:
         assert np.array_equal(one.outputs[2],
                               run_network(scenario, 11).outputs[2])
 
+    def test_spreads_do_not_depend_on_the_block_size(self, monkeypatch):
+        # the default CLI scenario at 128- and at 512-trial blocks; the
+        # seeds differ, since the first block of either size starts from
+        # the same streams.  Two KS tests at family-wise 5 percent
+        scenario = plan_scenario(Box(1.0, 0.1), 8, 0.1, 256)
+        runs = []
+        for block, seed in ((128, 1), (512, 2)):
+            monkeypatch.setattr(network, "_BLOCK", block)
+            runs.append(network_spreads(scenario, 2048, seed, 4))
+        for name, small, large in zip(("enhanced", "raw"), *runs):
+            p = stats.ks_2samp(small, large).pvalue
+            assert p > 0.05 / 2, f"{name} spread: KS p-value {p:.2e}"
+
     def test_run_network_is_a_one_trial_block(self):
         scenario = plan_scenario(Box(1.0, 0.1), 4, 0.1, 256)
         result = run_network(scenario, 6)
@@ -327,6 +341,19 @@ class TestBroadcast:
         for out in result.outputs:
             assert len(out) == 20
             assert np.diff(out) == pytest.approx(np.full(19, 0.5), abs=1e-9)
+
+    def test_extended_on_a_full_block(self):
+        # the scenario above on every trial of one full block, each of
+        # which needs several chunks of broadcast ticks
+        nodes = (NodeConfig(delay=0.0), NodeConfig(delay=0.0))
+        scenario = NetworkScenario(central=Delta(0.1), ec=_ideal_ec(),
+                                   nodes=nodes, n_outputs=20)
+        out, arr = _simulate(scenario, np.random.SeedSequence(0).spawn(1)[0],
+                             _BLOCK)
+        assert out.shape == (_BLOCK, 2, 20)
+        assert arr.shape[2] > 4 * (scenario.n_outputs + 2)
+        np.testing.assert_allclose(np.diff(out, axis=2), 0.5, rtol=0,
+                                   atol=1e-9)
 
     def test_reordering_jitter_rejected(self):
         # jitter spans 1.5, more than the shortest central wait of 0.95

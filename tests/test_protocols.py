@@ -369,8 +369,12 @@ class TestCheckRows:
     """The tick-time invariant ``check_rows``: each row of a block is one
     tick trace, nonnegative and strictly increasing."""
 
+    # NaN fails every comparison, and inf does not increase past inf
     @pytest.mark.parametrize("times", [[-0.1], [-0.1, 1.0], [1.0, 1.0],
-                                       [1.0, 2.0, 1.5]])
+                                       [1.0, 2.0, 1.5], [np.nan],
+                                       [0.0, np.nan], [np.nan, 1.0],
+                                       [np.inf, np.inf],
+                                       [0.0, np.inf, np.inf]])
     def test_rejects_negative_or_non_increasing(self, times):
         with pytest.raises(ValueError, match="nonnegative and strictly"):
             check_rows(np.array([times]))
