@@ -205,6 +205,9 @@ def _protocol_rows(experiment: str, cfg: dict, name: str, d: int,
     eps, eps0 = float(cfg["eps"]), float(cfg["eps0"])
     eps_ec, eta = float(cfg["eps_ec"]), float(cfg["eta"])
     trials, seed = int(cfg["trials"]), int(cfg["seed"])
+    if trials < 2:
+        raise ConfigError("trials must be at least 2: an inaccuracy "
+                          "estimate needs two samples")
     # built for every protocol, so a bad eps_ec is rejected even where
     # input bunching leaves it unused
     ec = QuasiIdealSpec(d=d, eta=eta, eps_tail=eps_ec)
@@ -216,17 +219,13 @@ def _protocol_rows(experiment: str, cfg: dict, name: str, d: int,
         pc = ProtocolConfig(protocol=protocol, input_dist=dist, eps=eps,
                             n_ticks=n_ticks, ec=ec, period_tick=period_tick)
     matrix = monte_carlo(pc, trials, seed)
-    rows = []
-    for j in js:
-        est = matrix.estimate(j, eps0)
-        rows.append(_row(
-            experiment=experiment, protocol=name, d=d, eta=eta, eps=eps,
-            eps0=eps0, eps_ec=eps_ec, trials=trials, j=j,
-            sigma_out=est.interval.sigma, mu_out=est.interval.mu,
-            Sigma_out=est.sigma_ratio,
-            bound=theorem_bound(matrix.prep, j),
-            truncated_trials=matrix.n_truncated, seed=seed))
-    return rows
+    return [_row(experiment=experiment, protocol=name, d=d, eta=eta, eps=eps,
+                 eps0=eps0, eps_ec=eps_ec, trials=trials, j=est.tick_index,
+                 sigma_out=est.interval.sigma, mu_out=est.interval.mu,
+                 Sigma_out=est.sigma_ratio,
+                 bound=theorem_bound(matrix.prep, est.tick_index),
+                 truncated_trials=matrix.n_truncated, seed=seed)
+            for est in matrix.estimates(js, eps0)]
 
 
 def cmd_sweep(cfg: dict) -> list[dict]:

@@ -82,6 +82,45 @@ def _coverage_count(n: int, eps: float) -> int:
     return k
 
 
+def _scan_windows(x: np.ndarray, js, eps: float) -> list[InaccuracyEstimate]:
+    """The minimal-ratio window of each row of ``x``, shape (len(js), n),
+    every row already sorted ascending; row r is the samples of tick
+    ``js[r]``.
+
+    A sorted row is valid when its ends are: numpy sorts NaN last, so
+    ``x[:, -1]`` shows a NaN or +inf and ``x[:, 0]`` a -inf or a value
+    <= 0.  The first invalid row names the error.  Each row scans every
+    window of ``k = ceil((1 - eps) n)`` consecutive order statistics, and
+    ``argmin`` keeps the first minimum, the smallest left endpoint.
+    """
+    n = x.shape[1]
+    if n < 2:
+        raise ValueError("need at least two samples")
+    ends = x[:, [0, -1]]
+    finite = np.isfinite(ends).all(axis=1)
+    bad = np.flatnonzero(~finite | (ends[:, 0] <= 0))
+    if bad.size:
+        raise ValueError("tick-time samples must be finite"
+                         if not finite[bad[0]] else
+                         "tick-time samples must be strictly positive")
+    k = _coverage_count(n, eps)
+    lo = x[:, : n - k + 1]
+    hi = x[:, k - 1:]
+    center = (lo + hi) / 2
+    ratio = hi - lo
+    ratio /= center
+    i = np.argmin(ratio, axis=1)
+    rows = np.arange(x.shape[0])
+    estimates = []
+    for j, mu, sigma in zip(js, center[rows, i].tolist(),
+                            (hi[rows, i] - lo[rows, i]).tolist()):
+        interval = ConfidenceInterval(mu, sigma, eps)
+        estimates.append(InaccuracyEstimate(
+            sigma_ratio=j * sigma / mu, interval=interval, tick_index=j,
+            eps=eps, n_samples=n))
+    return estimates
+
+
 def empirical_inaccuracy(samples, j: int, eps: float) -> InaccuracyEstimate:
     """Exact minimiser of j * sigma / mu over empirical coverage intervals.
 
@@ -93,22 +132,10 @@ def empirical_inaccuracy(samples, j: int, eps: float) -> InaccuracyEstimate:
     """
     if j < 1:
         raise ValueError("tick index must be a positive integer")
-    x = np.sort(_validated_samples(samples))
-    n = x.size
-    k = _coverage_count(n, eps)
-    lo = x[: n - k + 1]
-    hi = x[k - 1:]
-    center = (lo + hi) / 2
-    ratio = (hi - lo) / center
-    i = int(np.argmin(ratio))  # first occurrence: smallest left endpoint
-    interval = ConfidenceInterval(float(center[i]), float(hi[i] - lo[i]), eps)
-    return InaccuracyEstimate(
-        sigma_ratio=j * interval.sigma / interval.mu,
-        interval=interval,
-        tick_index=j,
-        eps=eps,
-        n_samples=n,
-    )
+    x = np.asarray(samples, dtype=float)
+    if x.ndim != 1:
+        raise ValueError("need at least two samples")
+    return _scan_windows(np.sort(x)[np.newaxis], [j], eps)[0]
 
 
 def bruteforce_inaccuracy(samples, j: int, eps: float) -> InaccuracyEstimate:

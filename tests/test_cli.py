@@ -391,6 +391,26 @@ class TestCommands:
         assert code == 2
         assert text == ""
 
+    @pytest.mark.parametrize("experiment", ["run", "sweep"])
+    def test_estimate_needs_two_trials(self, capsys, monkeypatch,
+                                       experiment):
+        # no inaccuracy estimate exists below two samples, so one trial is
+        # rejected before any is simulated
+        def no_simulation(*args):
+            raise AssertionError("monte_carlo ran")
+
+        monkeypatch.setattr(cli, "monte_carlo", no_simulation)
+        code = main([experiment, "--trials", "1"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert "trials" in err
+
+    def test_network_runs_one_trial(self, capsys):
+        code, text = _run(capsys, "network", "--trials", "1", "--seed", "2")
+        assert code == 0
+        assert any(line.startswith("network,enhanced,") for line
+                   in text.splitlines())
+
     @pytest.mark.parametrize("tick", ["-1", "5"])
     def test_network_tick_outside_outputs(self, capsys, tmp_path, tick):
         cfg = tmp_path / "net.ini"
@@ -574,6 +594,18 @@ def test_ec_window_check_survives_optimize(tmp_path):
     assert done.returncode == 2
     assert done.stdout == ""
     assert "EC window width" in done.stderr
+
+
+def test_sample_checks_survive_optimize():
+    # the estimator's sample checks are raises, not asserts, so python -O
+    # keeps them
+    script = ("from ticklab import empirical_inaccuracy\n"
+              "try:\n"
+              "    empirical_inaccuracy([1.0, float('nan')], 1, 0.1)\n"
+              "except ValueError as exc:\n"
+              "    print(exc)\n")
+    done = _python("-O", "-c", script)
+    assert done.stdout == "tick-time samples must be finite\n"
 
 
 def _reject_constant(token):

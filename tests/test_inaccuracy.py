@@ -5,13 +5,53 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ticklab import (Box, DeltaMixture, Gaussian, bruteforce_inaccuracy,
-                     chebyshev_bound, empirical_inaccuracy,
-                     hoeffding_inaccuracy_bound, hoeffding_tail)
+from ticklab import (Box, DeltaMixture, Gaussian, Protocol, ProtocolConfig,
+                     TrialMatrix, bruteforce_inaccuracy, chebyshev_bound,
+                     empirical_inaccuracy, hoeffding_inaccuracy_bound,
+                     hoeffding_tail, prepare)
 
 positive_samples = st.lists(
     st.floats(min_value=0.01, max_value=100.0, allow_nan=False),
     min_size=2, max_size=200)
+
+_PREP = prepare(ProtocolConfig(Protocol.INPUT_BUNCH, Box(1.0, 0.5), 0.01, 1,
+                               bunch=1))
+
+
+def _matrix(data, truncated=None) -> TrialMatrix:
+    """A ``TrialMatrix`` holding ``data``, shape (trials, ticks), whose
+    ``truncated`` rows (default none) are NaN."""
+    data = np.array(data, dtype=float)
+    truncated = np.zeros(len(data), dtype=bool) if truncated is None \
+        else np.array(truncated)
+    data[truncated] = np.nan
+    return TrialMatrix(prep=_PREP, data=data, truncated=truncated,
+                       n_ignored=np.zeros(len(data), dtype=int))
+
+
+def batch_estimates(samples, j, eps):
+    """``samples`` as the middle tick of three, the other two valid, all
+    estimated in one ``TrialMatrix.estimates`` call."""
+    x = np.asarray(samples, dtype=float)
+    good = np.linspace(1.0, 2.0, x.size)
+    return _matrix(np.column_stack([good, x, good])).estimates([1, 2, 3],
+                                                               eps)
+
+
+@st.composite
+def trial_matrices(draw):
+    """Small matrices of rounded, often tied, tick times with some
+    truncated rows and at least two kept."""
+    ticks = draw(st.integers(min_value=1, max_value=5))
+    trials = draw(st.integers(min_value=2, max_value=60))
+    value = st.floats(min_value=0.5, max_value=3.0).map(
+        lambda v: round(v, 1))
+    data = draw(st.lists(st.lists(value, min_size=ticks, max_size=ticks),
+                         min_size=trials, max_size=trials))
+    truncated = draw(st.lists(st.booleans(), min_size=trials,
+                              max_size=trials).filter(
+        lambda t: t.count(False) >= 2))
+    return _matrix(data, truncated)
 
 
 class TestEmpiricalInaccuracy:
@@ -44,11 +84,51 @@ class TestEmpiricalInaccuracy:
             empirical_inaccuracy([1.0, 2.0], 1, 1.0)
 
     @pytest.mark.parametrize("estimator", [empirical_inaccuracy,
-                                           bruteforce_inaccuracy])
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+                                           bruteforce_inaccuracy,
+                                           batch_estimates])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_samples(self, estimator, bad):
+        for at in (0, 2, 4):  # first, middle, last
+            samples = [1.0, 1.1, 0.9, 1.2]
+            samples.insert(at, bad)
+            with pytest.raises(ValueError, match="must be finite"):
+                estimator(samples, 1, 0.1)
+        # a non-finite sample is named before a nonpositive one
         with pytest.raises(ValueError, match="must be finite"):
-            estimator([1.0, 1.1, bad, 0.9], 1, 0.1)
+            estimator([0.0, 1.0, bad], 1, 0.1)
+
+    @pytest.mark.parametrize("estimator", [empirical_inaccuracy,
+                                           bruteforce_inaccuracy,
+                                           batch_estimates])
+    @pytest.mark.parametrize("bad", [0.0, -0.0, -2.0, -5e-324])
+    def test_rejects_nonpositive_samples(self, estimator, bad):
+        for at in (0, 2, 4):  # first, middle, last
+            samples = [1.0, 1.1, 0.9, 1.2]
+            samples.insert(at, bad)
+            with pytest.raises(ValueError, match="strictly positive"):
+                estimator(samples, 1, 0.1)
+
+    def test_batch_names_its_first_bad_tick(self):
+        # each tick fails as its own estimate would, and the first in
+        # the requested order names the error
+        matrix = _matrix([[1.0, 0.0], [1.1, 2.0], [math.nan, 3.0]])
+        for js, message in (([1, 2], "must be finite"),
+                            ([2, 1], "strictly positive")):
+            with pytest.raises(ValueError, match=message):
+                matrix.estimates(js, 0.1)
+
+    def test_estimates_need_two_kept_trials(self):
+        matrix = _matrix([[1.0], [1.1], [1.2]], truncated=[True, False, True])
+        with pytest.raises(ValueError, match="need at least two samples"):
+            matrix.estimates([1], 0.1)
+
+    @pytest.mark.parametrize("js", [[0], [4, 1], [1, 4, 2], [1, 2, -1]])
+    def test_estimates_check_every_tick_first(self, js):
+        # one trial holding a NaN would fail the scan; the range check
+        # comes before anything is gathered or sorted
+        matrix = _matrix([[1.0, math.nan, 1.0]])
+        with pytest.raises(ValueError, match="tick index out of range"):
+            matrix.estimates(js, 0.1)
 
     def test_coverage_count_resists_float_noise(self):
         # (1 - 0.01) * 100000 overshoots 99000 in floating point; the
@@ -78,6 +158,21 @@ class TestEmpiricalInaccuracy:
         slow = bruteforce_inaccuracy(samples, 1, eps)
         assert fast.sigma_ratio == slow.sigma_ratio
         assert fast.interval == slow.interval
+
+    @settings(max_examples=60, deadline=None)
+    @given(trial_matrices(), st.sampled_from([0.0, 0.01, 0.1, 0.34, 0.6]),
+           st.data())
+    def test_batch_matches_oracle(self, matrix, eps, data):
+        # unsorted, repeated tick indices, e.g. [3, 1, 3]
+        js = data.draw(st.lists(
+            st.integers(min_value=1, max_value=matrix.data.shape[1]),
+            min_size=1, max_size=6))
+        batch = matrix.estimates(js, eps)
+        for j, fast in zip(js, batch):
+            slow = bruteforce_inaccuracy(matrix.tick_samples(j), j, eps)
+            assert fast.sigma_ratio == slow.sigma_ratio
+            assert fast.interval == slow.interval
+        assert batch == [matrix.estimate(j, eps) for j in js]
 
     @settings(max_examples=60, deadline=None)
     @given(positive_samples,

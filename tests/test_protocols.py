@@ -611,6 +611,13 @@ class TestMonteCarlo:
         samples = matrix.tick_samples(3)
         assert samples.size == 200 - matrix.n_truncated
         assert np.all(np.isfinite(samples))
+        # the last-tick mask is the full-row test on the one block's ticks
+        prep = matrix.prep
+        out = np.empty((200, 3))
+        _simulate(prep, np.random.default_rng(
+            np.random.SeedSequence(3).spawn(1)[0]), out, np.zeros(200, int))
+        assert np.array_equal(matrix.truncated,
+                              (out > prep.horizon).any(axis=1))
 
     def test_frequency_preservation(self):
         # mean output spacing stays within 1% of the input mean
