@@ -149,8 +149,7 @@ class EnhancingClock(ExplicitEC):
             raise ValueError("advance only applies with the detector off")
         if dt < 0:
             raise ValueError("cannot advance backwards")
-        return replace(self,
-                       phase=float(wrap_phase(self.phase + dt, self.tau)))
+        return replace(self, phase=wrap_phase(self.phase + dt, self.tau))
 
     def switched(self, mode: Mode) -> "EnhancingClock":
         return replace(self, mode=mode)

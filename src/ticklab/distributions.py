@@ -15,7 +15,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .inaccuracy import ConfidenceInterval
+from .inaccuracy import ConfidenceInterval, _check_tail
 
 _MASS_TOL = 1e-12
 _STD_NORMAL = NormalDist()
@@ -66,11 +66,6 @@ def _in_chunks(sums, size, d) -> np.ndarray:
                            for r in range(0, size[0], rows)])
 
 
-def _check_eps(eps: float):
-    if not 0.0 <= eps < 1.0:
-        raise ValueError("tail level must lie in [0, 1)")
-
-
 @dataclass(frozen=True)
 class Delta(WaitingTimeDistribution):
     """Point mass: a perfectly regular tick signal."""
@@ -91,7 +86,7 @@ class Delta(WaitingTimeDistribution):
         return self.time
 
     def confidence(self, eps):
-        _check_eps(eps)
+        _check_tail(eps)
         return ConfidenceInterval(self.time, 0.0, eps)
 
     def support(self):
@@ -143,7 +138,7 @@ class Box(WaitingTimeDistribution):
         # Any sub-interval of length (1 - eps) * width carries the required
         # mass and has the same sigma, so the minimal ratio keeps the right
         # end of the interval at the right edge of the support.
-        _check_eps(eps)
+        _check_tail(eps)
         sigma = (1.0 - eps) * self.width
         mu = self.center + self.width / 2 - sigma / 2
         return ConfidenceInterval(mu, sigma, eps)
@@ -201,7 +196,7 @@ class Gaussian(WaitingTimeDistribution):
         return self.mu + self.sd * _STD_NORMAL.pdf(a) / _STD_NORMAL.cdf(-a)
 
     def confidence(self, eps):
-        _check_eps(eps)
+        _check_tail(eps)
         if eps == 0.0:
             raise ValueError("no finite interval covers a Gaussian at eps=0")
 
@@ -278,7 +273,7 @@ class DeltaMixture(WaitingTimeDistribution):
         return sum(t * p for t, p in self.atoms)
 
     def confidence(self, eps):
-        _check_eps(eps)
+        _check_tail(eps)
         times = [t for t, _ in self.atoms]
         probs = [p for _, p in self.atoms]
         n = len(times)

@@ -44,22 +44,27 @@ class ConfidenceInterval:
 
 @dataclass(frozen=True)
 class InaccuracyEstimate:
-    """Result of minimising j * sigma / mu over admissible intervals.
+    """Result of minimising j * sigma / mu over admissible intervals."""
 
-    ``sigma_ratio`` always equals ``tick_index * interval.sigma /
-    interval.mu`` exactly.
-    """
-
-    sigma_ratio: float
     interval: ConfidenceInterval
     tick_index: int
-    eps: float
     n_samples: int
 
-    def __post_init__(self):
-        expected = self.tick_index * self.interval.sigma / self.interval.mu
-        if self.sigma_ratio != expected:
-            raise ValueError("sigma_ratio inconsistent with stored interval")
+    @property
+    def sigma_ratio(self) -> float:
+        return self.tick_index * self.interval.sigma / self.interval.mu
+
+
+def _check_tail(eps: float):
+    """Reject a tail level outside [0, 1), nan included."""
+    if not 0.0 <= eps < 1.0:
+        raise ValueError("tail level must lie in [0, 1)")
+
+
+def _check_tick(j: int):
+    """Reject a tick index below 1, nan included."""
+    if not j >= 1:
+        raise ValueError("tick index must be a positive integer")
 
 
 def _validated_samples(samples) -> np.ndarray:
@@ -74,8 +79,8 @@ def _validated_samples(samples) -> np.ndarray:
 
 
 def _coverage_count(n: int, eps: float) -> int:
-    if not 0.0 <= eps < 1.0:
-        raise ValueError("tail level must lie in [0, 1)")
+    """k = ceil((1 - eps) n), the fewest of n samples a window covers."""
+    _check_tail(eps)
     k = math.ceil((1.0 - eps) * n - _CEIL_GUARD)
     if k < 1:
         raise ValueError("coverage count vanished; eps too close to 1")
@@ -111,14 +116,9 @@ def _scan_windows(x: np.ndarray, js, eps: float) -> list[InaccuracyEstimate]:
     ratio /= center
     i = np.argmin(ratio, axis=1)
     rows = np.arange(x.shape[0])
-    estimates = []
-    for j, mu, sigma in zip(js, center[rows, i].tolist(),
-                            (hi[rows, i] - lo[rows, i]).tolist()):
-        interval = ConfidenceInterval(mu, sigma, eps)
-        estimates.append(InaccuracyEstimate(
-            sigma_ratio=j * sigma / mu, interval=interval, tick_index=j,
-            eps=eps, n_samples=n))
-    return estimates
+    return [InaccuracyEstimate(ConfidenceInterval(mu, sigma, eps), j, n)
+            for j, mu, sigma in zip(js, center[rows, i].tolist(),
+                                    (hi[rows, i] - lo[rows, i]).tolist())]
 
 
 def empirical_inaccuracy(samples, j: int, eps: float) -> InaccuracyEstimate:
@@ -130,8 +130,7 @@ def empirical_inaccuracy(samples, j: int, eps: float) -> InaccuracyEstimate:
     interval strictly decreases sigma / mu.  Ties are broken towards the
     smallest left endpoint so the result is deterministic.
     """
-    if j < 1:
-        raise ValueError("tick index must be a positive integer")
+    _check_tick(j)
     x = np.asarray(samples, dtype=float)
     if x.ndim != 1:
         raise ValueError("need at least two samples")
@@ -144,8 +143,7 @@ def bruteforce_inaccuracy(samples, j: int, eps: float) -> InaccuracyEstimate:
     Kept deliberately independent of :func:`empirical_inaccuracy`; the test
     suite checks exact agreement between the two on randomised inputs.
     """
-    if j < 1:
-        raise ValueError("tick index must be a positive integer")
+    _check_tick(j)
     x = np.sort(_validated_samples(samples))
     n = x.size
     k = _coverage_count(n, eps)
@@ -157,14 +155,9 @@ def bruteforce_inaccuracy(samples, j: int, eps: float) -> InaccuracyEstimate:
             if best is None or r < best[0]:
                 best = (r, float(center), float(x[b] - x[a]))
     assert best is not None
-    interval = ConfidenceInterval(best[1], best[2], eps)
     return InaccuracyEstimate(
-        sigma_ratio=j * interval.sigma / interval.mu,
-        interval=interval,
-        tick_index=j,
-        eps=eps,
-        n_samples=n,
-    )
+        interval=ConfidenceInterval(best[1], best[2], eps), tick_index=j,
+        n_samples=n)
 
 
 def hoeffding_tail(eps: float, j: int, n: float) -> float:
@@ -172,8 +165,7 @@ def hoeffding_tail(eps: float, j: int, n: float) -> float:
     interval: 1 - (1 - eps)^j (1 - 2 exp(-n^2 / 2)), clamped to [0, 1]."""
     if not 0.0 <= eps <= 1.0:
         raise ValueError("tail level must lie in [0, 1]")
-    if not j >= 1:
-        raise ValueError("tick index must be a positive integer")
+    _check_tick(j)
     if not n > 0:
         raise ValueError("n must be positive")
     value = 1.0 - (1.0 - eps) ** j * (1.0 - 2.0 * math.exp(-n * n / 2.0))
@@ -188,8 +180,7 @@ def hoeffding_inaccuracy_bound(sigma_ratio_1: float, j: int, n: float) -> float:
     """
     if not 0 <= sigma_ratio_1 <= 1:
         raise ValueError("first-tick inaccuracy must lie in [0, 1]")
-    if not j >= 1:
-        raise ValueError("tick index must be a positive integer")
+    _check_tick(j)
     if not n > 0:
         raise ValueError("n must be positive")
     return 2.0 * n * math.sqrt(j) * sigma_ratio_1
@@ -200,8 +191,7 @@ def chebyshev_bound(r1: float, j: int, eps: float) -> float:
     first-tick accuracy R_1 = mean^2 / variance (uses R_j = j * R_1)."""
     if not r1 > 0:
         raise ValueError("R_1 must be positive")
-    if not j >= 1:
-        raise ValueError("tick index must be a positive integer")
+    _check_tick(j)
     if not 0.0 < eps <= 1.0:
         raise ValueError("bound diverges at eps = 0")
     return math.sqrt(j / (eps * r1))

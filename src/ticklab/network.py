@@ -17,8 +17,8 @@ import numpy as np
 from .clocks import (ExplicitEC, quasi_ideal_params, quasi_ideal_ratio,
                      wrap_phase)
 from .distributions import Box, WaitingTimeDistribution
-from .inaccuracy import ConfidenceInterval
-from .protocols import check_rows, largest_period, switching
+from .inaccuracy import ConfidenceInterval, _coverage_count
+from .protocols import _blocks, check_rows, largest_period, switching
 
 _PHASE_MARGIN = 0.75  # fraction of the safe phase band a node may use
 # trials per block.  The per-block cost (streams, the node loop of
@@ -82,7 +82,7 @@ def _arrivals_safe(central: ConfidenceInterval, ec: ExplicitEC,
     of the pre-synchronized EC grid give or take half the central and
     jitter widths, keep within ``_PHASE_MARGIN`` of the detector band."""
     lo, hi = jitter.support() if jitter is not None else (0.0, 0.0)
-    s0 = float(wrap_phase(central.mu + delay, ec.tau))
+    s0 = wrap_phase(central.mu + delay, ec.tau)
     slack = central.sigma / 2 + (hi - lo) / 2
     return abs(s0) + slack <= _PHASE_MARGIN * ((ec.tau - ec.sigma) / 2)
 
@@ -174,7 +174,7 @@ def run_network(scenario: NetworkScenario, seed: int) -> NetworkResult:
     ``network_spreads(scenario, 1, seed, k)``.  Nodes only see their own
     arrivals, never each other's state.  The result holds arrays of shape
     (nodes, n_outputs) and (nodes, n), n > n_outputs."""
-    seq, = np.random.SeedSequence(seed).spawn(1)
+    (_, seq), = _blocks(1, seed, 1)
     out, arr = _simulate(scenario, seq, 1)
     check_rows(arr[0])
     return NetworkResult(outputs=out[0], arrivals=arr[0])
@@ -186,21 +186,18 @@ def network_spreads(scenario: NetworkScenario, trials: int, seed: int,
     each of ``trials`` independent trials.
 
     Returns the spreads of the enhanced outputs and of the raw arrivals,
-    each of shape (trials,).  Trials run in blocks of ``_BLOCK``; block b
-    runs on ``SeedSequence(seed).spawn(n_blocks)[b]``, so the result is
+    each of shape (trials,).  Trials run in blocks of ``_BLOCK``, each on
+    its own stream (see ``protocols._blocks``), so the result is
     bit-identical for a fixed (seed, trials) and every full block's rows
     do not depend on the trial count.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    blocks = _blocks(trials, seed, _BLOCK)
     if not 0 <= k < scenario.n_outputs:
         raise ValueError(
             f"tick index {k} outside [0, {scenario.n_outputs})")
     enhanced = np.empty(trials)
     raw = np.empty(trials)
-    streams = np.random.SeedSequence(seed).spawn(-(-trials // _BLOCK))
-    for b, seq in enumerate(streams):
-        rows = slice(b * _BLOCK, min((b + 1) * _BLOCK, trials))
+    for rows, seq in blocks:
         out, arr = _simulate(scenario, seq, rows.stop - rows.start)
         enhanced[rows] = np.ptp(out[:, :, k], axis=1)
         raw[rows] = np.ptp(arr[:, :, k], axis=1)
@@ -276,9 +273,6 @@ def cross_node_spread(traces, k: int, eps: float = 0.0):
             raise ValueError("a trace has too few ticks for this index")
         values.append(trace[k])
     x = np.sort(np.asarray(values, dtype=float))
-    n = x.size
-    if not 0.0 <= eps < 1.0:
-        raise ValueError("tail level must lie in [0, 1)")
-    m = max(1, math.ceil((1.0 - eps) * n - 1e-9))
-    widths = x[m - 1:] - x[: n - m + 1]
+    m = _coverage_count(x.size, eps)
+    widths = x[m - 1:] - x[: x.size - m + 1]
     return float(x[-1] - x[0]), float(widths.min())

@@ -27,7 +27,8 @@ import numpy as np
 from .clocks import (ExplicitEC, _check_ec_tail, _check_eta, fire_delay,
                      quasi_ideal_params)
 from .distributions import WaitingTimeDistribution
-from .inaccuracy import InaccuracyEstimate, _scan_windows
+from .inaccuracy import (InaccuracyEstimate, _check_tail, _check_tick,
+                         _scan_windows)
 
 _M_CAP = 10 ** 6
 _BLOCK = 4096        # trials per random stream
@@ -50,15 +51,11 @@ def largest_period(mu: float, offset: float, fits,
     return lo, mu / (lo + offset)
 
 
-def _no_feedback_fits(j: int, sigma_in: float, room: float) -> bool:
-    """Theorem 1's hypothesis: j sigma_in < room, the input confidence
-    interval up to tick j fits in one EC period's room tau - sigma_ec."""
+def _room_fits(j: int, sigma_in: float, room: float) -> bool:
+    """Theorem 1's hypothesis and the switching protocols' contract:
+    j sigma_in < room, the input confidence interval up to tick j fits in
+    one EC period's room tau - sigma_ec."""
     return j * sigma_in < room
-
-
-def _feedback_fits(sigma_in: float, ec: ExplicitEC) -> bool:
-    """The feedback contract: sigma_in < tau - sigma_ec."""
-    return sigma_in < ec.tau - ec.sigma
 
 
 def _ec_bunch_fits(mu_in: float, width: float, ec: ExplicitEC) -> bool:
@@ -77,19 +74,21 @@ def ec_bar_sigma(ec: ExplicitEC) -> float:
 
 
 def _bound(protocol: Protocol, sigma_in: float, bar_sigma_ec: float | None,
-           j: int, mu_in: float = 1.0, tau: float = 1.0 / 1.5) -> float | None:
+           j: int, mu_in: float = 1.0,
+           room: float | None = None) -> float | None:
     """The paper's bound on output j of ``protocol`` for an input of mean
-    mu_in and width sigma_in, Sigma_in = sigma_in / mu_in, and an EC of
-    period tau: theorem 1, (5 j^2 / 6) Sigma_in bar_Sigma_EC, for dynamics
-    switching while ``_no_feedback_fits`` with room
-    tau - sigma_ec = tau (1 - bar_Sigma_EC / 2); theorem 2, Sigma_in
-    bar_Sigma_EC, for the one i.i.d. gap of feedback while Sigma_in < 1.
-    The default is a unit-mean input in the widest period cell (m = 1).
+    mu_in and width sigma_in, Sigma_in = sigma_in / mu_in, and an EC whose
+    period leaves ``room`` = tau - sigma_ec: theorem 1, (5 j^2 / 6)
+    Sigma_in bar_Sigma_EC, for dynamics switching while ``_room_fits``;
+    theorem 2, Sigma_in bar_Sigma_EC, for the one i.i.d. gap of feedback
+    while Sigma_in < 1.  The default is a unit-mean input in the widest
+    period cell, tau = 1 / 1.5 and room tau (1 - bar_Sigma_EC / 2).
     This is the one place a failed hypothesis becomes None."""
     if not (0.0 <= sigma_in < math.inf and j >= 1):
         raise ValueError("need a finite sigma_in >= 0 and a tick index >= 1")
-    if protocol is Protocol.DYN_SWITCH and \
-            _no_feedback_fits(j, sigma_in, tau * (1.0 - bar_sigma_ec / 2)):
+    if protocol is Protocol.DYN_SWITCH and _room_fits(
+            j, sigma_in, (1.0 / 1.5) * (1.0 - bar_sigma_ec / 2)
+            if room is None else room):
         return 5.0 * j * j / 6.0 * (sigma_in / mu_in) * bar_sigma_ec
     if protocol is Protocol.DYN_SWITCH_FEEDBACK and j == 1 \
             and sigma_in < mu_in:
@@ -119,10 +118,11 @@ def theorem2_bound(sigma_in: float, bar_sigma_ec: float) -> float:
 def theorem_bound(prep: PreparedRun, j: int) -> float | None:
     """The paper's bound on tick j of the run ``prep``, None where no
     theorem covers it.  Theorem 1's hypothesis is tested on the run's own
-    input width and EC, as its period chooser tested it, and a tick before
-    ``period_tick``, whose period was chosen for a later tick, has none."""
+    input width and room tau - sigma_ec, as ``prepare`` tested it, and a
+    tick before ``period_tick``, whose period was chosen for a later tick,
+    has none."""
     bound = _bound(prep.cfg.protocol, prep.sigma_in, prep.bar_sigma_ec, j,
-                   prep.mu_in, prep.ec and prep.ec.tau)
+                   prep.mu_in, prep.ec and prep.ec.tau - prep.ec.sigma)
     if prep.cfg.protocol is Protocol.DYN_SWITCH and j < prep.cfg.period_tick:
         return None
     return bound
@@ -148,8 +148,7 @@ def output_epsilon_budget(eps: float, eps_ec: float, j: int) -> float:
     interval, capped at 1."""
     if not 0.0 <= eps <= 1.0 or not 0.0 <= eps_ec <= 1.0:
         raise ValueError("tail levels must lie in [0, 1]")
-    if j < 1:
-        raise ValueError("tick index must be a positive integer")
+    _check_tick(j)
     return min(1.0, j * eps + (j + 1) * eps_ec)
 
 
@@ -189,10 +188,8 @@ class ProtocolConfig:
     def __post_init__(self):
         if self.n_ticks < 1:
             raise ValueError("need at least one output tick")
-        if not 0.0 <= self.eps < 1.0:
-            raise ValueError("tail level must lie in [0, 1)")
-        if self.period_tick < 1:
-            raise ValueError("tick index must be a positive integer")
+        _check_tail(self.eps)
+        _check_tick(self.period_tick)
         if self.protocol is Protocol.INPUT_BUNCH:
             if self.bunch is None or self.bunch < 1:
                 raise ValueError("input bunching needs a counter capacity")
@@ -229,15 +226,16 @@ def _contract(cfg: ProtocolConfig, mu_in: float, sigma_in: float):
     ``ExplicitEC``; and the message of an EC that breaks the rule."""
     if not (0.0 < mu_in < math.inf and 0.0 <= sigma_in < math.inf):
         raise ValueError("need 0 < mu_in < inf and 0 <= sigma_in < inf")
-    if cfg.protocol is Protocol.DYN_SWITCH:
-        j = cfg.period_tick
-        return ((mu_in, 0.5, _M_CAP),
-                lambda ec: _no_feedback_fits(j, sigma_in, ec.tau - ec.sigma),
-                "input confidence width times the targeted tick must stay "
-                "below tau - sigma_ec")
-    if cfg.protocol is Protocol.DYN_SWITCH_FEEDBACK:
-        return ((mu_in, 0.0, _M_CAP), lambda ec: _feedback_fits(sigma_in, ec),
-                "input confidence width must stay below tau - sigma_ec")
+    if cfg.protocol in _SWITCHING:
+        # feedback restarts the input at every output: tick 1's rule, on
+        # the lattice tau = mu_in / m
+        fb = cfg.protocol is Protocol.DYN_SWITCH_FEEDBACK
+        j = 1 if fb else cfg.period_tick
+        return ((mu_in, 0.0 if fb else 0.5, _M_CAP),
+                lambda ec: _room_fits(j, sigma_in, ec.tau - ec.sigma),
+                "input confidence width must stay below tau - sigma_ec" if fb
+                else "input confidence width times the targeted tick must "
+                "stay below tau - sigma_ec")
     # EC bunching: the mean gap tau / 2 = mu_in / (m + 1/2) puts the input
     # interval mid-gap on the EC tick grid
     lo, hi = cfg.input_dist.support() or (mu_in - sigma_in / 2,
@@ -396,28 +394,40 @@ class TrialMatrix:
         return self.estimates([j], eps)[0]
 
 
+def _blocks(trials: int, seed: int, block: int):
+    """Iterate over ``trials`` trials, ``block`` at a time, as (rows, seq):
+    the slice of block b's rows and its stream, child b of the seed's
+    ``SeedSequence``.  The trial count is checked at once; each child is
+    spawned when its block is reached, the same children as one
+    ``spawn(n_blocks)``, none before the caller has allocated its output."""
+    if trials < 1:
+        raise ValueError("need at least one trial")
+
+    def blocks():
+        root = np.random.SeedSequence(seed)
+        for start in range(0, trials, block):
+            yield slice(start, min(start + block, trials)), root.spawn(1)[0]
+    return blocks()
+
+
 def monte_carlo(cfg: ProtocolConfig, trials: int,
                 seed: int) -> TrialMatrix:
     """Run independent trials in blocks of ``_BLOCK`` trials.
 
-    Block b draws from its own stream,
-    ``default_rng(SeedSequence(seed).spawn(n_blocks)[b])``, and runs its
+    Block b draws from its own stream (see ``_blocks``) and runs its
     trials in lockstep.  The result is bit-identical for a fixed
     (seed, trials); blocks are independent, so the rows of every full
     block do not depend on the total trial count.  The blocks run one
     after another on the calling thread, each filling its own rows.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    blocks = _blocks(trials, seed, _BLOCK)
     prep = prepare(cfg)
     switching = cfg.protocol in _SWITCHING
     n_out = cfg.n_ticks + 1 if switching else cfg.n_ticks
     out = np.empty((trials, n_out))
     n_ignored = np.zeros(trials, dtype=int)
-    streams = np.random.SeedSequence(seed).spawn(-(-trials // _BLOCK))
-    for b, stream in enumerate(streams):
-        rows = slice(b * _BLOCK, (b + 1) * _BLOCK)
-        _simulate(prep, np.random.default_rng(stream), out[rows],
+    for rows, seq in blocks:
+        _simulate(prep, np.random.default_rng(seq), out[rows],
                   n_ignored[rows])
     # check_rows proved every row strictly increasing: its last tick is
     # its latest

@@ -405,6 +405,16 @@ class TestCommands:
         assert (code, out) == (2, "")
         assert "trials" in err
 
+    @pytest.mark.parametrize("experiment",
+                             ["run", "sweep", "bounds", "network"])
+    def test_oversized_dimension_is_config_error(self, capsys, experiment):
+        # d = 10^400 overflows a float: an error line and exit code 2, not
+        # a traceback
+        code = main([experiment, "--d", str(10 ** 400)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.startswith("error: ")
+
     def test_network_runs_one_trial(self, capsys):
         code, text = _run(capsys, "network", "--trials", "1", "--seed", "2")
         assert code == 0
@@ -606,6 +616,28 @@ def test_sample_checks_survive_optimize():
               "    print(exc)\n")
     done = _python("-O", "-c", script)
     assert done.stdout == "tick-time samples must be finite\n"
+
+
+@pytest.mark.parametrize("trials", [10 ** 30, 2 ** 62],
+                         ids=["10^30", "2^62"])
+@pytest.mark.parametrize("experiment", ["run", "network"])
+def test_impossible_trial_count_fails_at_once(experiment, trials):
+    # the output arrays are allocated before any block's stream is
+    # spawned, so both counts fail there at once; spawning first would
+    # build 2^50 streams for 2^62 trials.  The child's address space is
+    # capped, so that such a regression fails instead of filling memory
+    script = (
+        "import resource, time\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 31, 1 << 31))\n"
+        "import ticklab.cli\n"
+        "start = time.monotonic()\n"
+        f"code = ticklab.cli.main([{experiment!r}, '--trials', "
+        f"'{trials}'])\n"
+        "print(code, time.monotonic() - start)\n")
+    done = _python("-c", script)
+    code, seconds = done.stdout.split()
+    assert code == "2" and float(seconds) < 5.0
+    assert done.stderr.startswith("error: ")
 
 
 def _reject_constant(token):

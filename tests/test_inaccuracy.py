@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ticklab import (Box, DeltaMixture, Gaussian, Protocol, ProtocolConfig,
-                     TrialMatrix, bruteforce_inaccuracy, chebyshev_bound,
-                     empirical_inaccuracy, hoeffding_inaccuracy_bound,
-                     hoeffding_tail, prepare)
+from ticklab import (Box, Delta, DeltaMixture, ExplicitEC, Gaussian,
+                     Protocol, ProtocolConfig, TrialMatrix,
+                     bruteforce_inaccuracy, chebyshev_bound,
+                     cross_node_spread, empirical_inaccuracy,
+                     hoeffding_inaccuracy_bound, hoeffding_tail,
+                     output_epsilon_budget, prepare)
+from ticklab.inaccuracy import _coverage_count
 
 positive_samples = st.lists(
     st.floats(min_value=0.01, max_value=100.0, allow_nan=False),
@@ -280,3 +283,70 @@ class TestChebyshev:
         for j in (1, 2, 4):
             emp = empirical_inaccuracy(sums[:, j - 1], j, 0.05).sigma_ratio
             assert emp <= chebyshev_bound(r1, j, 0.05)
+
+
+_THREE = [1.0, 1.1, 1.2]
+
+
+def _ec_run(eps=0.01, period_tick=1):
+    return ProtocolConfig(Protocol.DYN_SWITCH, Box(1.0, 0.5), eps, 1,
+                          ec=ExplicitEC(0.7, 0.1, 0.0),
+                          period_tick=period_tick)
+
+
+_TICK_ENTRIES = {
+    "empirical_inaccuracy": lambda j: empirical_inaccuracy(_THREE, j, 0.1),
+    "bruteforce_inaccuracy": lambda j: bruteforce_inaccuracy(_THREE, j,
+                                                             0.1),
+    "hoeffding_tail": lambda j: hoeffding_tail(0.01, j, 2.0),
+    "hoeffding_inaccuracy_bound": lambda j: hoeffding_inaccuracy_bound(
+        0.1, j, 2.0),
+    "chebyshev_bound": lambda j: chebyshev_bound(100.0, j, 0.04),
+    "output_epsilon_budget": lambda j: output_epsilon_budget(0.01, 0.001,
+                                                             j),
+    "period_tick": lambda j: _ec_run(period_tick=j),
+}
+
+
+@pytest.mark.parametrize("j", [0, -1, math.nan], ids=["0", "-1", "nan"])
+@pytest.mark.parametrize("entry", _TICK_ENTRIES)
+def test_tick_index_must_be_positive(entry, j):
+    with pytest.raises(ValueError,
+                       match="^tick index must be a positive integer$"):
+        _TICK_ENTRIES[entry](j)
+
+
+_TAIL_ENTRIES = {
+    "Delta.confidence": Delta(1.0).confidence,
+    "Box.confidence": Box(1.0, 0.5).confidence,
+    "Gaussian.confidence": Gaussian(1.0, 0.1).confidence,
+    "DeltaMixture.confidence": DeltaMixture(((0.9, 0.5),
+                                             (1.1, 0.5))).confidence,
+    "ProtocolConfig.eps": lambda eps: _ec_run(eps=eps),
+    "empirical_inaccuracy": lambda eps: empirical_inaccuracy(_THREE, 1,
+                                                             eps),
+    "bruteforce_inaccuracy": lambda eps: bruteforce_inaccuracy(_THREE, 1,
+                                                               eps),
+    "TrialMatrix.estimates": lambda eps: _matrix(
+        [[1.0, 2.0], [1.1, 2.1], [1.2, 2.2]]).estimates([1, 2], eps),
+    "cross_node_spread": lambda eps: cross_node_spread(
+        [[1.0], [1.1], [1.2]], 0, eps),
+}
+
+
+@pytest.mark.parametrize("eps", [math.nan, -0.1, 1.0],
+                         ids=["nan", "-0.1", "1.0"])
+@pytest.mark.parametrize("entry", _TAIL_ENTRIES)
+def test_tail_level_must_lie_in_unit_interval(entry, eps):
+    with pytest.raises(ValueError,
+                       match=r"^tail level must lie in \[0, 1\)$"):
+        _TAIL_ENTRIES[entry](eps)
+
+
+def test_cross_node_spread_trims_to_the_estimators_count():
+    # (1 - 0.7) 10 = 3.0000000000000004, so the trimmed width spans the
+    # k = 3 values that the estimator's window would, not 4
+    assert (1 - 0.7) * 10 == 3.0000000000000004
+    assert _coverage_count(10, 0.7) == 3
+    values = [0.0, 10.0, 11.0, 12.0, 30.0, 31.0, 50.0, 51.0, 52.0, 53.0]
+    assert cross_node_spread([[v] for v in values], 0, 0.7) == (53.0, 2.0)

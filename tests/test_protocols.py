@@ -582,6 +582,54 @@ class TestPrepare:
                            ec=QuasiIdealSpec(d=256), period_tick=0)
 
 
+class TestRoomRule:
+    """Theorem 1's hypothesis and the switching contracts are one rule,
+    j sigma_in < tau - sigma_ec, tested on the run's own EC."""
+
+    def test_run_meeting_the_hypothesis_gets_its_bound(self):
+        # sigma_in = 0.4999999999999999 lies below tau - sigma_ec =
+        # 0.49999999999999994, while tau (1 - bar_Sigma_EC / 2) rounds
+        # to sigma_in itself
+        ec = ExplicitEC(0.7, 0.2, 0.001)
+        prep = prepare(ProtocolConfig(Protocol.DYN_SWITCH,
+                                      Box(1.0, 0.4999999999999999), 0.0, 1,
+                                      ec=ec))
+        assert theorem_bound(prep, 1) == \
+            5.0 / 6.0 * (prep.sigma_in / prep.mu_in) * ec_bar_sigma(ec)
+        assert theorem_bound(prep, 1) == pytest.approx(0.238, abs=1e-3)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(min_value=0.01, max_value=1.5),
+           st.floats(min_value=0.0, max_value=0.99),
+           st.integers(min_value=1, max_value=6), st.booleans())
+    def test_prepare_accepts_exactly_where_theorem_1_applies(
+            self, tau, ratio, j, above):
+        ec = ExplicitEC(tau, ratio * tau, 0.001)
+        # an input width one ulp to either side of (tau - sigma_ec) / j; a
+        # Box at eps 0 has exactly its width as its confidence width
+        dist = Box(1.0, math.nextafter((ec.tau - ec.sigma) / j,
+                                       math.inf if above else 0.0))
+
+        def accepts(protocol, tick):
+            try:
+                prepare(ProtocolConfig(protocol, dist, 0.0, j, ec=ec,
+                                       period_tick=tick))
+            except ValueError:
+                return False
+            return True
+
+        cfg = ProtocolConfig(Protocol.DYN_SWITCH, dist, 0.0, j, ec=ec,
+                             period_tick=j)
+        interval = dist.confidence(0.0)
+        prep = PreparedRun(cfg=cfg, mu_in=interval.mu,
+                           sigma_in=interval.sigma, ec=ec, m=None,
+                           horizon=10.0)
+        assert accepts(Protocol.DYN_SWITCH, j) == \
+            (theorem_bound(prep, j) is not None)
+        assert accepts(Protocol.DYN_SWITCH_FEEDBACK, 1) == \
+            accepts(Protocol.DYN_SWITCH, 1)
+
+
 class TestMonteCarlo:
     def test_bit_identical_for_fixed_seed(self):
         cfg = ProtocolConfig(protocol=Protocol.DYN_SWITCH,
