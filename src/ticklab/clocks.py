@@ -117,9 +117,14 @@ def fire_delay(idle, ec: ExplicitEC, rng, size=None) -> np.ndarray:
 def delay_to_phase(idle: np.ndarray, phi: np.ndarray, tau) -> np.ndarray:
     """Time for the hand of an EC idle ``idle`` since its reset to turn to
     the tick phase ``phi`` by the module's rule, elementwise; scalars give
-    a float."""
+    a float.  An array result gets its extra period in place; ``idle``
+    and ``phi`` are left as they are."""
     s = wrap_phase(idle, tau)
-    return phi - s + tau * (phi <= s)
+    d = phi - s
+    if isinstance(d, float):
+        return d + tau * (phi <= s)
+    np.add(d, tau, out=d, where=phi <= s)
+    return d
 
 
 class Mode(Enum):

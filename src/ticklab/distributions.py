@@ -175,12 +175,12 @@ class Gaussian(WaitingTimeDistribution):
         return self.mu + self.sd * _STD_NORMAL.inv_cdf(p)
 
     def sample(self, rng, size):
-        out = rng.normal(self.mu, self.sd, int(np.prod(size)))
+        out = rng.normal(self.mu, self.sd, size)
         bad = out <= 0
         while bad.any():
             out[bad] = rng.normal(self.mu, self.sd, int(bad.sum()))
             bad = out <= 0
-        return out.reshape(size)
+        return out
 
     def bunch_sums(self, rng, size, d):
         # d untruncated normals sum to one normal, within total variation

@@ -10,6 +10,7 @@ estimator of that quantity together with the classical tail bounds
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,9 +62,15 @@ def _check_tail(eps: float):
         raise ValueError("tail level must lie in [0, 1)")
 
 
+def _is_count(n) -> bool:
+    """n is an integer >= 1, a Python or a numpy one; a float, even 2.0,
+    is not."""
+    return isinstance(n, numbers.Integral) and n >= 1
+
+
 def _check_tick(j: int):
-    """Reject a tick index below 1, nan included."""
-    if not j >= 1:
+    """Reject a tick index that is not an integer >= 1."""
+    if not _is_count(j):
         raise ValueError("tick index must be a positive integer")
 
 

@@ -28,7 +28,7 @@ from .clocks import (ExplicitEC, _check_ec_tail, _check_eta, fire_delay,
                      quasi_ideal_params)
 from .distributions import WaitingTimeDistribution
 from .inaccuracy import (InaccuracyEstimate, _check_tail, _check_tick,
-                         _scan_windows)
+                         _is_count, _scan_windows)
 
 _M_CAP = 10 ** 6
 _BLOCK = 4096        # trials per random stream
@@ -84,7 +84,7 @@ def _bound(protocol: Protocol, sigma_in: float, bar_sigma_ec: float | None,
     while Sigma_in < 1.  The default is a unit-mean input in the widest
     period cell, tau = 1 / 1.5 and room tau (1 - bar_Sigma_EC / 2).
     This is the one place a failed hypothesis becomes None."""
-    if not (0.0 <= sigma_in < math.inf and j >= 1):
+    if not (0.0 <= sigma_in < math.inf and _is_count(j)):
         raise ValueError("need a finite sigma_in >= 0 and a tick index >= 1")
     if protocol is Protocol.DYN_SWITCH and _room_fits(
             j, sigma_in, (1.0 / 1.5) * (1.0 - bar_sigma_ec / 2)
@@ -186,13 +186,16 @@ class ProtocolConfig:
     period_tick: int = 1              # j targeted by the period chooser
 
     def __post_init__(self):
-        if self.n_ticks < 1:
-            raise ValueError("need at least one output tick")
+        if not _is_count(self.n_ticks):
+            raise ValueError("the output tick count n_ticks must be a "
+                             f"positive integer, got {self.n_ticks!r}")
         _check_tail(self.eps)
         _check_tick(self.period_tick)
         if self.protocol is Protocol.INPUT_BUNCH:
-            if self.bunch is None or self.bunch < 1:
-                raise ValueError("input bunching needs a counter capacity")
+            if self.bunch is None or not _is_count(self.bunch):
+                raise ValueError("input bunching needs a counter capacity "
+                                 "bunch, a positive integer, got "
+                                 f"{self.bunch!r}")
         elif self.ec is None:
             raise ValueError(f"{self.protocol.value} needs an EC spec")
 
@@ -323,21 +326,29 @@ def _simulate(prep: PreparedRun, rng, out: np.ndarray,
     Fills ``out``, shape (trials, ticks), with the absolute output ticks
     and adds each trial's count of ignored input ticks to the zeroed
     ``n_ignored``, both in place.  Horizon truncation is left to the
-    caller.
+    caller.  ``out`` may have either memory order; it is filled one
+    tick's column at a time, so a tick-major (Fortran-order) ``out``
+    is written contiguously.
     """
     cfg = prep.cfg
     dist = cfg.input_dist
     size, n_out = out.shape
     if cfg.protocol is Protocol.INPUT_BUNCH:
-        # each trial draws its n_out bunches in order
-        np.cumsum(dist.bunch_sums(rng, (size, n_out), cfg.bunch), axis=1,
-                  out=out)
+        # each trial draws its n_out bunches in order; the prefix sum runs
+        # column by column, cumsum's additions in cumsum's order
+        sums = dist.bunch_sums(rng, (size, n_out), cfg.bunch)
+        out[:, 0] = sums[:, 0]
+        for k in range(1, n_out):
+            np.add(out[:, k - 1], sums[:, k], out=out[:, k])
     elif cfg.protocol is Protocol.EC_BUNCH:
         # the EC free-runs from its reset state at time 0
         ec = np.zeros(size)
         t_in = np.zeros(size)
         for k in range(n_out):
+            # the input tick lies strictly after the EC's last tick, so
+            # every trial fires at least once
             t_in = _next_after(t_in, ec, dist, rng, n_ignored)
+            ec += fire_delay(0.0, prep.ec, rng, size)
             behind = np.flatnonzero(ec < t_in)
             while behind.size:
                 ec[behind] += fire_delay(0.0, prep.ec, rng, behind.size)
@@ -424,7 +435,9 @@ def monte_carlo(cfg: ProtocolConfig, trials: int,
     prep = prepare(cfg)
     switching = cfg.protocol in _SWITCHING
     n_out = cfg.n_ticks + 1 if switching else cfg.n_ticks
-    out = np.empty((trials, n_out))
+    # tick-major, as the engine and the estimator walk it: each tick's
+    # column is contiguous
+    out = np.empty((trials, n_out), order="F")
     n_ignored = np.zeros(trials, dtype=int)
     for rows, seq in blocks:
         _simulate(prep, np.random.default_rng(seq), out[rows],

@@ -280,6 +280,35 @@ class TestIdleLaw:
         assert type(scalar) is float
         assert np.array([scalar]).tobytes() == array.tobytes()
 
+    def test_array_arguments_are_left_unchanged(self):
+        # the network passes a view of its arrival array as ``idle``
+        rng = np.random.default_rng(6)
+        ec = ExplicitEC(1.0, 0.3, 0.2)
+        arrivals = rng.uniform(0.0, 5.0, (40, 3, 4))
+        before = arrivals.copy()
+        idle = arrivals[:, :, 0]
+        phi = rng.uniform(-0.5, 1.0, idle.shape)
+        phi_before = phi.copy()
+        fire_delay(idle, ec, rng)
+        fire_delay(idle, ec, rng, idle.shape)
+        delay = delay_to_phase(idle, phi, ec.tau)
+        wrap_phase(idle, ec.tau)
+        assert arrivals.tobytes() == before.tobytes()
+        assert phi.tobytes() == phi_before.tobytes()
+        assert not np.shares_memory(delay, arrivals)
+        assert not np.shares_memory(delay, phi)
+
+    def test_scalar_calls_give_floats(self):
+        ec = ExplicitEC(1.0, 0.3, 0.2)
+        assert type(wrap_phase(0.7, 1.0)) is float
+        assert type(delay_to_phase(0.7, 0.4, 1.0)) is float
+        assert type(delay_to_phase(0.2, 0.4, 1.0)) is float
+        clock = EnhancingClock(1.0, 0.3, 0.2, mode=Mode.TICK)
+        assert type(clock.tick(np.random.default_rng(0))[0]) is float
+        # a scalar idle draws a 0-d phase, and the delay is a numpy float
+        delay = fire_delay(0.7, ec, np.random.default_rng(0))
+        assert isinstance(delay, float) and np.ndim(delay) == 0
+
     def test_lower_half_of_window_waits_for_next_turn(self):
         # switched on at s = -0.375, the dial point 0.625 inside the window
         # (0.25, 0.75): a tick phase ahead of it, in (0.625, 0.75), is

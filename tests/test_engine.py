@@ -314,6 +314,67 @@ class TestStreams:
                                   long.data[_BLOCK:_BLOCK + 300])
 
 
+class TestTickMajorLayout:
+    """``monte_carlo`` hands each block tick-major (Fortran-order) rows,
+    while ``simulate`` above fills C-order arrays: ``_simulate`` must fill
+    both alike, draw for draw."""
+
+    @pytest.mark.parametrize("n_ticks", [1, 20])
+    @pytest.mark.parametrize("protocol", list(Protocol),
+                             ids=lambda p: p.value)
+    def test_c_and_f_order_fill_alike(self, protocol, n_ticks):
+        prep = prepare(_cfg(protocol, Gaussian(1.0, 0.1), n_ticks))
+        filled = []
+        for out in (np.empty((300, n_ticks)),
+                    # a block's rows of a larger tick-major array
+                    np.empty((500, n_ticks), order="F")[100:400]):
+            n_ignored = np.zeros(300, dtype=int)
+            rng = np.random.default_rng(5)
+            _simulate(prep, rng, out, n_ignored)
+            filled.append((out.view(np.int64), n_ignored, rng.random()))
+        (c, c_ignored, c_next), (f, f_ignored, f_next) = filled
+        assert np.array_equal(c, f)
+        assert np.array_equal(c_ignored, f_ignored)
+        assert c_next == f_next  # both consumed the stream alike
+
+    @pytest.mark.parametrize("protocol", list(Protocol),
+                             ids=lambda p: p.value)
+    def test_tick_samples_are_data_columns(self, protocol):
+        matrix = monte_carlo(_cfg(protocol, Box(1.0, 0.30303), 5), 700, 3)
+        assert matrix.n_truncated == 0
+        assert matrix.data.shape == (700, 5)
+        assert matrix.data.strides[0] == matrix.data.itemsize
+        for j in range(1, 6):
+            assert np.array_equal(matrix.tick_samples(j),
+                                  matrix.data[:, j - 1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([Box(1.0, 0.5), Delta(0.7), Gaussian(1.0, 0.4)]),
+       st.lists(st.tuples(st.floats(min_value=0.0, max_value=50.0),
+                          st.integers(min_value=0, max_value=6),
+                          st.floats(min_value=0.0, max_value=0.99)),
+                min_size=1, max_size=40),
+       st.integers(min_value=0, max_value=2 ** 32))
+def test_next_after_is_strictly_after(dist, trials, seed):
+    # trial i's input sits at t_in and lags t by ``lag`` mean waits and a
+    # fraction of one
+    t_in = np.array([t for t, _, _ in trials])
+    t = t_in + np.array([(lag + frac) * dist.mean
+                         for _, lag, frac in trials])
+    n_ignored = np.zeros(len(trials), dtype=int)
+    nxt = protocols._next_after(t_in.copy(), t, dist,
+                                np.random.default_rng(seed), n_ignored)
+    assert (nxt > t).all()
+    assert (n_ignored >= 0).all()
+    if isinstance(dist, Delta):  # every tick passed over is counted
+        for i, start in enumerate(t_in):
+            tick, passed = start + dist.time, 0
+            while tick <= t[i]:
+                tick, passed = tick + dist.time, passed + 1
+            assert (nxt[i], n_ignored[i]) == (tick, passed)
+
+
 def serial_monte_carlo(cfg, trials, seed):
     """``monte_carlo``'s blocks one after another on the calling thread,
     each simulated into its own arrays and stacked: the data, truncated

@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ticklab import (Box, Delta, DeltaMixture, ExplicitEC, Gaussian,
-                     Protocol, ProtocolConfig, TrialMatrix,
-                     bruteforce_inaccuracy, chebyshev_bound,
-                     cross_node_spread, empirical_inaccuracy,
-                     hoeffding_inaccuracy_bound, hoeffding_tail,
-                     output_epsilon_budget, prepare)
+                     InaccuracyEstimate, Protocol, ProtocolConfig,
+                     TrialMatrix, bruteforce_inaccuracy, chebyshev_bound,
+                     corollary_bounds, cross_node_spread,
+                     empirical_inaccuracy, hoeffding_inaccuracy_bound,
+                     hoeffding_tail, output_epsilon_budget, prepare,
+                     theorem1_bound)
 from ticklab.inaccuracy import _coverage_count
 
 positive_samples = st.lists(
@@ -314,6 +315,35 @@ def test_tick_index_must_be_positive(entry, j):
     with pytest.raises(ValueError,
                        match="^tick index must be a positive integer$"):
         _TICK_ENTRIES[entry](j)
+
+
+@pytest.mark.parametrize("j", [1.5, 2.0, math.inf, np.float64(2.5)],
+                         ids=["1.5", "2.0", "inf", "float64"])
+@pytest.mark.parametrize("entry", _TICK_ENTRIES)
+def test_tick_index_must_be_an_integer(entry, j):
+    with pytest.raises(ValueError,
+                       match="^tick index must be a positive integer$"):
+        _TICK_ENTRIES[entry](j)
+
+
+@pytest.mark.parametrize("j", [2, np.int64(2), np.int32(2)],
+                         ids=["int", "int64", "int32"])
+@pytest.mark.parametrize("entry", _TICK_ENTRIES)
+def test_integer_tick_index_is_accepted(entry, j):
+    result = _TICK_ENTRIES[entry](j)
+    if isinstance(result, InaccuracyEstimate):
+        assert result.tick_index == 2
+
+
+@pytest.mark.parametrize("bound", [
+    lambda j: theorem1_bound(0.1, 0.04, j),
+    lambda j: corollary_bounds(0.1, 100, 0.1, j),
+], ids=["theorem1_bound", "corollary_bounds"])
+def test_bound_tick_index_must_be_an_integer(bound):
+    assert bound(2) == bound(np.int64(2))
+    for j in (1.5, 2.0):
+        with pytest.raises(ValueError, match="tick index >= 1"):
+            bound(j)
 
 
 _TAIL_ENTRIES = {

@@ -581,6 +581,33 @@ class TestPrepare:
                            input_dist=BOX_THIRD, eps=0.01, n_ticks=1,
                            ec=QuasiIdealSpec(d=256), period_tick=0)
 
+    @pytest.mark.parametrize("n_ticks", [0, math.nan, 2.5, 2.0, math.inf],
+                             ids=["0", "nan", "2.5", "2.0", "inf"])
+    @pytest.mark.parametrize("protocol", list(Protocol),
+                             ids=lambda p: p.value)
+    def test_tick_count_must_be_an_integer(self, protocol, n_ticks):
+        with pytest.raises(ValueError, match="^the output tick count "
+                           "n_ticks must be a positive integer, got "
+                           f"{n_ticks!r}$"):
+            ProtocolConfig(protocol, BOX_THIRD, 0.01, n_ticks,
+                           ec=QuasiIdealSpec(d=256), bunch=2)
+
+    @pytest.mark.parametrize("bunch", [None, 0, math.nan, 2.5, 2.0],
+                             ids=["None", "0", "nan", "2.5", "2.0"])
+    def test_bunch_must_be_an_integer(self, bunch):
+        with pytest.raises(ValueError, match="^input bunching needs a "
+                           "counter capacity bunch, a positive integer, "
+                           f"got {bunch!r}$"):
+            ProtocolConfig(Protocol.INPUT_BUNCH, BOX_THIRD, 0.01, 2,
+                           bunch=bunch)
+
+    def test_numpy_integer_counts_run(self):
+        cfg = ProtocolConfig(Protocol.INPUT_BUNCH, BOX_THIRD, 0.01,
+                             np.int64(3), bunch=np.int32(2))
+        plain = replace(cfg, n_ticks=3, bunch=2)
+        assert np.array_equal(monte_carlo(cfg, 50, 4).data,
+                              monte_carlo(plain, 50, 4).data)
+
 
 class TestRoomRule:
     """Theorem 1's hypothesis and the switching contracts are one rule,
