@@ -257,10 +257,8 @@ def cmd_bounds(cfg: dict) -> list[dict]:
         for j in _int_list(cfg, "j"):
             # the table evaluates both theorems at the d-dimensional EC
             # inaccuracy, which is what each corollary states
-            no_fb, fb = corollary_bounds(sigma_in, d, nu, j)
-            for name, value in (("theorem1", no_fb), ("theorem2", fb),
-                                ("corollary_no_feedback", no_fb),
-                                ("corollary_feedback", fb)):
+            for name, value in zip(("theorem1", "theorem2"),
+                                   corollary_bounds(sigma_in, d, nu, j)):
                 if value is not None:
                     rows.append(_row(experiment="bounds", protocol=name,
                                      d=d, j=j, Sigma_out=sigma_in,

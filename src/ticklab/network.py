@@ -17,7 +17,7 @@ import numpy as np
 from .clocks import (ExplicitEC, quasi_ideal_params, quasi_ideal_ratio,
                      wrap_phase)
 from .distributions import Box, WaitingTimeDistribution
-from .inaccuracy import ConfidenceInterval, _coverage_count
+from .inaccuracy import ConfidenceInterval, _coverage_count, _is_count
 from .protocols import _blocks, check_rows, largest_period, switching
 
 _PHASE_MARGIN = 0.75  # fraction of the safe phase band a node may use
@@ -65,8 +65,9 @@ class NetworkScenario:
         object.__setattr__(self, "nodes", tuple(self.nodes))
         if len(self.nodes) < 2:
             raise ValueError("a network needs at least 2 nodes")
-        if self.n_outputs < 1:
-            raise ValueError("need at least one output tick")
+        if not _is_count(self.n_outputs):
+            raise ValueError("the output count n_outputs must be a positive "
+                             f"integer, got {self.n_outputs!r}")
         central = self.central.confidence(self.eps)
         for i, node in enumerate(self.nodes):
             if not _arrivals_safe(central, self.ec, node.delay, node.jitter):
@@ -192,7 +193,8 @@ def network_spreads(scenario: NetworkScenario, trials: int, seed: int,
     do not depend on the trial count.
     """
     blocks = _blocks(trials, seed, _BLOCK)
-    if not 0 <= k < scenario.n_outputs:
+    _check_index(k)
+    if k >= scenario.n_outputs:
         raise ValueError(
             f"tick index {k} outside [0, {scenario.n_outputs})")
     enhanced = np.empty(trials)
@@ -219,8 +221,9 @@ def plan_scenario(central: WaitingTimeDistribution, n_nodes: int,
     that its run is checked against.  ``sigma_scale`` shrinks the EC
     window width without touching anything else.
     """
-    if n_nodes < 2:
-        raise ValueError("a network needs at least 2 nodes")
+    if not (_is_count(n_nodes) and n_nodes >= 2):
+        raise ValueError("a network needs an integer count of at least 2 "
+                         f"nodes, got {n_nodes!r}")
     if not 0.0 <= jitter_width < math.inf:
         raise ValueError("jitter width must be finite and nonnegative")
     if not 0.0 < sigma_scale <= 1.0:
@@ -255,6 +258,12 @@ def plan_scenario(central: WaitingTimeDistribution, n_nodes: int,
                            n_outputs=n_outputs, eps=eps)
 
 
+def _check_index(k: int):
+    """Reject a 0-based tick index that is not an integer >= 0."""
+    if not _is_count(k + 1):
+        raise ValueError(f"tick index {k!r} must be a nonnegative integer")
+
+
 def cross_node_spread(traces, k: int, eps: float = 0.0):
     """Spread of the k-th tick (0-based) across nodes; ``traces`` holds
     one sequence of tick times per node.
@@ -263,8 +272,7 @@ def cross_node_spread(traces, k: int, eps: float = 0.0):
     narrowest interval containing at least ceil((1 - eps) n) of the n
     node values.
     """
-    if k < 0:
-        raise ValueError(f"tick index {k} must be nonnegative")
+    _check_index(k)
     if len(traces) == 0:
         raise ValueError("need at least one node trace")
     values = []

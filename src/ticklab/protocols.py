@@ -211,7 +211,6 @@ class PreparedRun:
     sigma_in: float
     ec: ExplicitEC | None
     m: int | None
-    horizon: float
 
     @property
     def bar_sigma_ec(self) -> float | None:
@@ -258,9 +257,8 @@ def prepare(cfg: ProtocolConfig) -> PreparedRun:
     interval = cfg.input_dist.confidence(cfg.eps)
     mu_in, sigma_in = interval.mu, interval.sigma
     if cfg.protocol is Protocol.INPUT_BUNCH:
-        horizon = 4.0 * mu_in * cfg.bunch * (cfg.n_ticks + 1)
         return PreparedRun(cfg=cfg, mu_in=mu_in, sigma_in=sigma_in, ec=None,
-                           m=None, horizon=horizon)
+                           m=None)
 
     (mu, offset, cap), fits, message = _contract(cfg, mu_in, sigma_in)
     ec, m = cfg.ec, None
@@ -274,11 +272,7 @@ def prepare(cfg: ProtocolConfig) -> PreparedRun:
         ec = quasi_ideal_params(spec.d, spec.eta, tau, spec.eps_tail)
     elif not fits(ec):
         raise ValueError(message)
-    # the EC bunching output waits for a free-running gap of mean tau / 2
-    gap = ec.tau / 2 if cfg.protocol is Protocol.EC_BUNCH else ec.tau
-    horizon = 4.0 * (mu_in + gap) * (cfg.n_ticks + 2)
-    return PreparedRun(cfg=cfg, mu_in=mu_in, sigma_in=sigma_in, ec=ec, m=m,
-                       horizon=horizon)
+    return PreparedRun(cfg=cfg, mu_in=mu_in, sigma_in=sigma_in, ec=ec, m=m)
 
 
 def check_rows(times: np.ndarray):
@@ -325,10 +319,9 @@ def _simulate(prep: PreparedRun, rng, out: np.ndarray,
 
     Fills ``out``, shape (trials, ticks), with the absolute output ticks
     and adds each trial's count of ignored input ticks to the zeroed
-    ``n_ignored``, both in place.  Horizon truncation is left to the
-    caller.  ``out`` may have either memory order; it is filled one
-    tick's column at a time, so a tick-major (Fortran-order) ``out``
-    is written contiguously.
+    ``n_ignored``, both in place.  ``out`` may have either memory order;
+    it is filled one tick's column at a time, so a tick-major
+    (Fortran-order) ``out`` is written contiguously.
     """
     cfg = prep.cfg
     dist = cfg.input_dist
@@ -369,35 +362,31 @@ class TrialMatrix:
     For the switching protocols the entry at column j (1-based) is
     t_out_j - t_out_0, so tick j spans j protocol cycles; each trial runs
     one extra output to anchor t_out_0.  For the bunching protocols the
-    entry is the j-th output time itself.  Truncated trials hold NaN rows
-    and are excluded from estimates.
+    entry is the j-th output time itself.  Every trial is kept.
     """
 
     prep: PreparedRun
     data: np.ndarray
-    truncated: np.ndarray
     n_ignored: np.ndarray
+    # no trial is ever dropped; kept for the ``truncated_trials`` column
+    n_truncated = 0
 
-    @property
-    def n_truncated(self) -> int:
-        return int(self.truncated.sum())
+    def _column(self, j: int) -> int:
+        """The 0-based column of tick j, an integer in [1, ticks]."""
+        _check_tick(j)
+        if j > self.data.shape[1]:
+            raise ValueError("tick index out of range")
+        return j - 1
 
     def tick_samples(self, j: int) -> np.ndarray:
-        if not 1 <= j <= self.data.shape[1]:
-            raise ValueError("tick index out of range")
-        return self.data[~self.truncated, j - 1]
+        return self.data[:, self._column(j)]
 
     def estimates(self, js, eps: float) -> list[InaccuracyEstimate]:
         """The estimate of each tick in ``js``, in its order, as
         ``empirical_inaccuracy`` gives it: the requested columns are
-        copied once as rows, cleared of truncated trials, sorted in place
-        and scanned together."""
+        copied once as rows, sorted in place and scanned together."""
         js = list(js)
-        if not all(1 <= j <= self.data.shape[1] for j in js):
-            raise ValueError("tick index out of range")
-        x = self.data.T[[j - 1 for j in js]]
-        if self.truncated.any():
-            x = x[:, ~self.truncated]
+        x = self.data.T[[self._column(j) for j in js]]
         x.sort(axis=1)
         return _scan_windows(x, js, eps)
 
@@ -411,8 +400,9 @@ def _blocks(trials: int, seed: int, block: int):
     ``SeedSequence``.  The trial count is checked at once; each child is
     spawned when its block is reached, the same children as one
     ``spawn(n_blocks)``, none before the caller has allocated its output."""
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    if not _is_count(trials):
+        raise ValueError("the trial count must be a positive integer, got "
+                         f"{trials!r}")
 
     def blocks():
         root = np.random.SeedSequence(seed)
@@ -442,14 +432,8 @@ def monte_carlo(cfg: ProtocolConfig, trials: int,
     for rows, seq in blocks:
         _simulate(prep, np.random.default_rng(seq), out[rows],
                   n_ignored[rows])
-    # check_rows proved every row strictly increasing: its last tick is
-    # its latest
-    truncated = out[:, -1] > prep.horizon
     data = out
     if switching:  # each tick relative to the anchoring first output
         data = out[:, 1:]
         data -= out[:, :1]
-    if truncated.any():
-        data[truncated] = np.nan
-    return TrialMatrix(prep=prep, data=data, truncated=truncated,
-                       n_ignored=n_ignored)
+    return TrialMatrix(prep=prep, data=data, n_ignored=n_ignored)

@@ -275,7 +275,9 @@ class TestCommands:
     def test_bounds_pure_table(self, capsys):
         code, text = _run(capsys, "bounds")
         assert code == 0
-        assert "theorem1" in text and "corollary_feedback" in text
+        assert "theorem1" in text and "theorem2" in text
+        # each value once: the corollaries are the theorems' rows
+        assert "corollary" not in text
 
     def test_run_emits_per_tick_rows(self, capsys):
         code, text = _run(capsys, "run", "--protocol", "2", "--trials",
@@ -349,19 +351,6 @@ class TestCommands:
         assert float(rows[0]["bound"]) == 0.0
         assert [r["bound"] != "" for r in rows] == \
             [True, protocol == "1", protocol == "1"]
-
-    @pytest.mark.parametrize("sigma_in", ["0", "0.33", "0.5", "0.7", "1.2"])
-    def test_bounds_corollary_only_with_its_theorem(self, capsys, tmp_path,
-                                                    sigma_in):
-        cfg = _ini(tmp_path, "bounds", f"sigma_in = {sigma_in}\n")
-        code, text = _run(capsys, "bounds", "--config", cfg)
-        assert code == 0
-        names = {(r["d"], r["j"], r["protocol"]) for r in _table(text)}
-        for theorem, corollary in (("theorem1", "corollary_no_feedback"),
-                                   ("theorem2", "corollary_feedback")):
-            with_theorem = {(d, j) for d, j, p in names if p == theorem}
-            with_corollary = {(d, j) for d, j, p in names if p == corollary}
-            assert with_theorem == with_corollary
 
     def test_bounds_at_zero_input_inaccuracy(self, capsys, tmp_path):
         cfg = _ini(tmp_path, "bounds", "sigma_in = 0\n")

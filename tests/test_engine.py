@@ -166,7 +166,6 @@ class TestExactAgreement:
         prep = prepare(cfg)
         out, n_ignored = simulate(prep, np.random.default_rng(0), 1)
         times, oracle_ignored = oracle_trial(prep, np.random.default_rng(1))
-        assert (out[0] <= prep.horizon).all()
         assert out[0] == pytest.approx(times, rel=1e-12)
         assert n_ignored[0] == oracle_ignored
         matrix = monte_carlo(cfg, 3, 0)
@@ -218,7 +217,6 @@ def _cfg(protocol, dist, n_ticks, **kw):
 def test_agreement_in_distribution(protocol, dist, n_ticks):
     cfg = _cfg(protocol, dist, n_ticks)
     engine = monte_carlo(cfg, KS_TRIALS, 2024)
-    assert engine.n_truncated == 0
     oracle = oracle_matrix(cfg, KS_TRIALS, 2025)
     for j in range(1, n_ticks + 1):
         p = stats.ks_2samp(engine.tick_samples(j), oracle[:, j - 1]).pvalue
@@ -341,7 +339,6 @@ class TestTickMajorLayout:
                              ids=lambda p: p.value)
     def test_tick_samples_are_data_columns(self, protocol):
         matrix = monte_carlo(_cfg(protocol, Box(1.0, 0.30303), 5), 700, 3)
-        assert matrix.n_truncated == 0
         assert matrix.data.shape == (700, 5)
         assert matrix.data.strides[0] == matrix.data.itemsize
         for j in range(1, 6):
@@ -377,8 +374,8 @@ def test_next_after_is_strictly_after(dist, trials, seed):
 
 def serial_monte_carlo(cfg, trials, seed):
     """``monte_carlo``'s blocks one after another on the calling thread,
-    each simulated into its own arrays and stacked: the data, truncated
-    and n_ignored of its ``TrialMatrix``."""
+    each simulated into its own arrays and stacked: the data and
+    n_ignored of its ``TrialMatrix``."""
     prep = prepare(cfg)
     switching = cfg.protocol in SWITCHING
     n_out = cfg.n_ticks + 1 if switching else cfg.n_ticks
@@ -388,10 +385,8 @@ def serial_monte_carlo(cfg, trials, seed):
               for b, stream in enumerate(streams)]
     out = np.concatenate([out for out, _ in blocks])
     n_ignored = np.concatenate([n for _, n in blocks])
-    truncated = (out > prep.horizon).any(axis=1)
     data = out[:, 1:] - out[:, :1] if switching else out
-    data[truncated] = np.nan
-    return data, truncated, n_ignored
+    return data, n_ignored
 
 
 def _bit_plane_bunch_cfg():
@@ -435,9 +430,8 @@ class TestBlocksOnEveryCpu:
         # hold the equal values a freed array of the last case left
         seed = 17 + cpus
         matrix = monte_carlo(cfg, trials, seed)
-        data, truncated, n_ignored = serial_monte_carlo(cfg, trials, seed)
-        assert np.array_equal(matrix.data, data, equal_nan=True)
-        assert np.array_equal(matrix.truncated, truncated)
+        data, n_ignored = serial_monte_carlo(cfg, trials, seed)
+        assert np.array_equal(matrix.data, data)
         assert np.array_equal(matrix.n_ignored, n_ignored)
 
     @pytest.mark.parametrize("cfg", [
@@ -521,7 +515,6 @@ class TestInvariants:
             eps=0.01, n_ticks=6,
             ec=ExplicitEC(tau=2.5, sigma=0.1, eps_tail=0.01))
         matrix = monte_carlo(cfg, 500, 8)
-        assert matrix.n_truncated == 0
         assert (matrix.n_ignored > 0).all()
         assert (np.diff(matrix.data, axis=1) > 0).all()
         assert (matrix.data[:, 0] > 0).all()
@@ -530,7 +523,7 @@ class TestInvariants:
                              ids=lambda p: p.value)
     def test_rows_strictly_increasing(self, protocol):
         matrix = monte_carlo(_cfg(protocol, Gaussian(1.0, 0.05), 8), 500, 9)
-        data = matrix.data[~matrix.truncated]
+        data = matrix.data
         assert (data[:, 0] > 0).all()
         assert (np.diff(data, axis=1) > 0).all()
         if protocol is Protocol.DYN_SWITCH_FEEDBACK:

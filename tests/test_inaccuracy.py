@@ -22,14 +22,10 @@ _PREP = prepare(ProtocolConfig(Protocol.INPUT_BUNCH, Box(1.0, 0.5), 0.01, 1,
                                bunch=1))
 
 
-def _matrix(data, truncated=None) -> TrialMatrix:
-    """A ``TrialMatrix`` holding ``data``, shape (trials, ticks), whose
-    ``truncated`` rows (default none) are NaN."""
+def _matrix(data) -> TrialMatrix:
+    """A ``TrialMatrix`` holding ``data``, shape (trials, ticks)."""
     data = np.array(data, dtype=float)
-    truncated = np.zeros(len(data), dtype=bool) if truncated is None \
-        else np.array(truncated)
-    data[truncated] = np.nan
-    return TrialMatrix(prep=_PREP, data=data, truncated=truncated,
+    return TrialMatrix(prep=_PREP, data=data,
                        n_ignored=np.zeros(len(data), dtype=int))
 
 
@@ -44,18 +40,15 @@ def batch_estimates(samples, j, eps):
 
 @st.composite
 def trial_matrices(draw):
-    """Small matrices of rounded, often tied, tick times with some
-    truncated rows and at least two kept."""
+    """Small matrices of rounded, often tied, tick times with at least
+    two trials."""
     ticks = draw(st.integers(min_value=1, max_value=5))
     trials = draw(st.integers(min_value=2, max_value=60))
     value = st.floats(min_value=0.5, max_value=3.0).map(
         lambda v: round(v, 1))
     data = draw(st.lists(st.lists(value, min_size=ticks, max_size=ticks),
                          min_size=trials, max_size=trials))
-    truncated = draw(st.lists(st.booleans(), min_size=trials,
-                              max_size=trials).filter(
-        lambda t: t.count(False) >= 2))
-    return _matrix(data, truncated)
+    return _matrix(data)
 
 
 class TestEmpiricalInaccuracy:
@@ -122,16 +115,19 @@ class TestEmpiricalInaccuracy:
                 matrix.estimates(js, 0.1)
 
     def test_estimates_need_two_kept_trials(self):
-        matrix = _matrix([[1.0], [1.1], [1.2]], truncated=[True, False, True])
+        matrix = _matrix([[1.0, 2.0]])
         with pytest.raises(ValueError, match="need at least two samples"):
             matrix.estimates([1], 0.1)
 
     @pytest.mark.parametrize("js", [[0], [4, 1], [1, 4, 2], [1, 2, -1]])
     def test_estimates_check_every_tick_first(self, js):
-        # one trial holding a NaN would fail the scan; the range check
-        # comes before anything is gathered or sorted
+        # one trial holding a NaN would fail the scan; the tick checks
+        # come before anything is gathered or sorted, and the first bad
+        # tick in js names the error
         matrix = _matrix([[1.0, math.nan, 1.0]])
-        with pytest.raises(ValueError, match="tick index out of range"):
+        message = "out of range" if min(js) >= 1 else \
+            "must be a positive integer"
+        with pytest.raises(ValueError, match=f"^tick index {message}$"):
             matrix.estimates(js, 0.1)
 
     def test_coverage_count_resists_float_noise(self):
@@ -287,6 +283,7 @@ class TestChebyshev:
 
 
 _THREE = [1.0, 1.1, 1.2]
+_TWO_TICKS = np.column_stack([_THREE, _THREE])  # three trials, two ticks
 
 
 def _ec_run(eps=0.01, period_tick=1):
@@ -306,6 +303,9 @@ _TICK_ENTRIES = {
     "output_epsilon_budget": lambda j: output_epsilon_budget(0.01, 0.001,
                                                              j),
     "period_tick": lambda j: _ec_run(period_tick=j),
+    "tick_samples": lambda j: _matrix(_TWO_TICKS).tick_samples(j),
+    "TrialMatrix.estimates": lambda j: _matrix(_TWO_TICKS).estimates(
+        [j], 0.1)[0],
 }
 
 

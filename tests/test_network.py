@@ -379,8 +379,20 @@ class TestBroadcast:
             network_spreads(scenario, 20, 0, 0)
 
     @pytest.mark.parametrize("trials,k", [(0, 0), (-3, 0), (10, -1),
-                                          (10, 5)])
+                                          (10, 5), (2.5, 0), (10.0, 0),
+                                          (np.nan, 0), (10, 0.5),
+                                          (10, np.nan)])
     def test_bad_trial_count_or_tick_rejected(self, trials, k):
         scenario = plan_scenario(Box(1.0, 0.1), 2, 0.1, 256, n_outputs=5)
         with pytest.raises(ValueError):
             network_spreads(scenario, trials, 0, k)
+
+    @pytest.mark.parametrize("build", [
+        lambda: plan_scenario(Box(1.0, 0.1), 2.5, 0.1, 256),
+        lambda: plan_scenario(Box(1.0, 0.1), 2, 0.1, 256, n_outputs=2.5),
+        lambda: plan_scenario(Box(1.0, 0.1), 2, 0.1, 256, n_outputs=np.nan),
+        lambda: cross_node_spread([[1.0, 2.0], [1.1, 2.1]], 0.5),
+    ], ids=["n_nodes", "n_outputs", "n_outputs-nan", "cross_node_spread"])
+    def test_bad_count_rejected(self, build):
+        with pytest.raises(ValueError, match="integer"):
+            build()

@@ -238,8 +238,7 @@ def _unit_cell_run(protocol, sigma_in):
     tau = 1 / 1.5 if protocol is Protocol.DYN_SWITCH else 1.0
     ec = ExplicitEC(tau, 0.02 * tau, 0.0)
     cfg = ProtocolConfig(protocol, Delta(1.0), 0.01, 1, ec=ec, bunch=1)
-    return PreparedRun(cfg=cfg, mu_in=1.0, sigma_in=sigma_in, ec=ec, m=1,
-                       horizon=10.0)
+    return PreparedRun(cfg=cfg, mu_in=1.0, sigma_in=sigma_in, ec=ec, m=1)
 
 
 class TestBoundFormulas:
@@ -427,7 +426,6 @@ class TestDeterministicTraces:
         prep = _delta_prep(Protocol.DYN_SWITCH, tau=2.0 / 9.0, n_ticks=1)
         times = _one_trial(prep)
         assert times.shape == (1,)
-        assert times[0] <= prep.horizon
 
 
 class TestPrepare:
@@ -605,8 +603,11 @@ class TestPrepare:
         cfg = ProtocolConfig(Protocol.INPUT_BUNCH, BOX_THIRD, 0.01,
                              np.int64(3), bunch=np.int32(2))
         plain = replace(cfg, n_ticks=3, bunch=2)
-        assert np.array_equal(monte_carlo(cfg, 50, 4).data,
+        assert np.array_equal(monte_carlo(cfg, np.int64(50), 4).data,
                               monte_carlo(plain, 50, 4).data)
+        for trials in (2.5, 50.0, math.nan):
+            with pytest.raises(ValueError, match="trial count"):
+                monte_carlo(plain, trials, 4)
 
 
 class TestRoomRule:
@@ -649,8 +650,7 @@ class TestRoomRule:
                              period_tick=j)
         interval = dist.confidence(0.0)
         prep = PreparedRun(cfg=cfg, mu_in=interval.mu,
-                           sigma_in=interval.sigma, ec=ec, m=None,
-                           horizon=10.0)
+                           sigma_in=interval.sigma, ec=ec, m=None)
         assert accepts(Protocol.DYN_SWITCH, j) == \
             (theorem_bound(prep, j) is not None)
         assert accepts(Protocol.DYN_SWITCH_FEEDBACK, 1) == \
@@ -674,25 +674,20 @@ class TestMonteCarlo:
         assert np.all(matrix.data == matrix.data[0])
         assert matrix.data[0] == pytest.approx([1.0, 2.0])
 
-    def test_truncation_excluded_from_samples(self):
-        # a rare wait of 100 pushes a trial past the default horizon of
-        # 4 x 1.0 x 4 x (3 + 1) = 64
+    def test_slow_trials_are_kept(self):
+        # a trial holds a wait of 100 with probability 1 - 0.995^(4 j),
+        # 2-6 % over ticks 1-3, more than the window's 1 % tail: the 99 %
+        # window of tick j must reach from 4 j to 4 j + 99
         cfg = ProtocolConfig(protocol=Protocol.INPUT_BUNCH,
                              input_dist=DeltaMixture(((1.0, 0.995),
                                                       (100.0, 0.005))),
                              eps=0.01, n_ticks=3, bunch=4)
-        matrix = monte_carlo(cfg, 200, 3)
-        assert matrix.n_truncated > 0
-        samples = matrix.tick_samples(3)
-        assert samples.size == 200 - matrix.n_truncated
-        assert np.all(np.isfinite(samples))
-        # the last-tick mask is the full-row test on the one block's ticks
-        prep = matrix.prep
-        out = np.empty((200, 3))
-        _simulate(prep, np.random.default_rng(
-            np.random.SeedSequence(3).spawn(1)[0]), out, np.zeros(200, int))
-        assert np.array_equal(matrix.truncated,
-                              (out > prep.horizon).any(axis=1))
+        matrix = monte_carlo(cfg, 2000, 3)
+        assert matrix.data.shape == (2000, 3)
+        assert np.isfinite(matrix.data).all()
+        for est in matrix.estimates([1, 2, 3], 0.01):
+            assert est.interval.sigma == 99.0
+            assert est.interval.left == 4.0 * est.tick_index
 
     def test_frequency_preservation(self):
         # mean output spacing stays within 1% of the input mean
