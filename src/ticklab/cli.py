@@ -261,7 +261,7 @@ def cmd_bounds(cfg: dict) -> list[dict]:
                                    corollary_bounds(sigma_in, d, nu, j)):
                 if value is not None:
                     rows.append(_row(experiment="bounds", protocol=name,
-                                     d=d, j=j, Sigma_out=sigma_in,
+                                     d=d, eta=nu, j=j, Sigma_out=sigma_in,
                                      bound=value, seed=seed))
     return rows
 

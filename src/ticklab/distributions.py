@@ -8,6 +8,7 @@ center.
 """
 from __future__ import annotations
 
+import functools
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -19,8 +20,11 @@ from .inaccuracy import ConfidenceInterval, _check_tail
 
 _MASS_TOL = 1e-12
 _STD_NORMAL = NormalDist()
-_BIT_PLANES = 1024  # bunch size from which a Box sums its cells by bit plane
-_CHUNK = 1 << 16    # waits a per-wait bunch sum draws at once
+_BIT_PLANES = 256    # bunch size from which a Box sums its cells by bit plane
+_ALIAS_MAX = 4096    # largest bunch whose planes come from an alias table
+_CHUNK = 1 << 16     # waits a per-wait bunch sum draws at once
+_ALIAS_CHUNK = 1 << 14  # random words an alias plane draw takes at once
+_PLANE_WEIGHTS = 2.0 ** np.arange(32)  # plane b's count is worth 2^b cells
 
 
 class WaitingTimeDistribution(ABC):
@@ -56,14 +60,15 @@ class WaitingTimeDistribution(ABC):
         return None
 
 
-def _in_chunks(sums, size, d) -> np.ndarray:
-    """Sums of d waits, shape ``size``, from ``sums(shape)`` called on as
-    many rows of ``size`` at a time, in order, as hold at most ``_CHUNK``
-    waits (at least one row), so that few waits drawn one by one are ever
-    held at once."""
-    rows = max(1, _CHUNK // (math.prod(size[1:]) * d))
+def _in_chunks(sums, size, draws, chunk=_CHUNK) -> np.ndarray:
+    """Bunch sums, shape ``size``, from ``sums(shape)`` called on as many
+    rows of ``size`` at a time, in order, as hold at most ``chunk`` draws
+    at ``draws`` per bunch (at least one row): waits, or the random words
+    of bit planes, so that the draws held at once stay few.  An empty
+    ``size`` takes one empty call."""
+    rows = max(1, chunk // max(1, math.prod(size[1:]) * draws))
     return np.concatenate([sums((min(rows, size[0] - r), *size[1:]))
-                           for r in range(0, size[0], rows)])
+                           for r in range(0, max(1, size[0]), rows)])
 
 
 @dataclass(frozen=True)
@@ -115,11 +120,15 @@ class Box(WaitingTimeDistribution):
 
     def bunch_sums(self, rng, size, d):
         # each wait is the midpoint of one of 2^32 cells of the support, so
-        # a bunch sums exactly as integers: two cell indices per random word,
-        # or from _BIT_PLANES on by bit plane b, 2^b Bin(d, 1/2) of them
-        if d >= _BIT_PLANES:
-            planes = rng.binomial(d, 0.5, (*size, 32))
-            cells = planes @ (1 << np.arange(32, dtype=np.int64))
+        # a bunch sums exactly as integers: two cell indices per random
+        # word, or from _BIT_PLANES on by bit plane b, where the d indices'
+        # bit b sums to N_b ~ Bin(d, 1/2) and the cells to sum_b 2^b N_b
+        if d > _ALIAS_MAX:
+            cells = rng.binomial(d, 0.5, (*size, 32)) @ _PLANE_WEIGHTS
+        elif d >= _BIT_PLANES:
+            cells = _in_chunks(
+                lambda shape: _alias_planes(rng, shape, d) @ _PLANE_WEIGHTS,
+                size, 32, _ALIAS_CHUNK)
         else:
             def cell_sums(shape):
                 n = math.prod(shape) * d
@@ -145,6 +154,63 @@ class Box(WaitingTimeDistribution):
 
     def support(self):
         return (self.center - self.width / 2, self.center + self.width / 2)
+
+
+def _alias_planes(rng, shape, d) -> np.ndarray:
+    """Bit-plane counts of shape (*shape, 32) as floats, each one Bin(d, 1/2)
+    count (within total variation 2^-53) from one random 64-bit word
+    through ``_binomial_alias(d)``."""
+    shift, bound, pair = _binomial_alias(d)
+    u = rng.bit_generator.random_raw((*shape, 32))
+    col = (u >> shift).view(np.intp)
+    # 2 col + 1 above the column's threshold, where its alias lies
+    idx = col << 1
+    idx += u >= bound[col]
+    return pair[idx]
+
+
+@functools.lru_cache(maxsize=32)  # 196 kB a table at d = 4096
+def _binomial_alias(d) -> tuple:
+    """Exact integer alias table of Bin(d, 1/2) over 64-bit words, built
+    on first use and kept: ``(shift, bound, pair)``, read-only.
+
+    Outcome k has C(d, k) 2^(64 - d) of the 2^64 words, rounded to an
+    integer, and the mode takes the rounding residual, so the counts sum to
+    2^64 exactly.  The table's law is within total variation 2^-58.8 of
+    Bin(d, 1/2) at d = 1024 and 2^-57.8 at d = 4096, inside the 2^-53 a
+    Gaussian's one-normal bunch sum allows.  Vose's method, in Python
+    ints, deals the counts into K = 2^L > d columns of 2^shift words,
+    shift = 64 - L.  Word u lies in column c = u >> shift
+    and draws ``pair[2 c + (u >= bound[c])]``: c below the column's
+    threshold, ``bound[c]``, and the column's alias from there on.  A full
+    column is its own alias, with bound 2^64 - 1.
+    """
+    d = int(d)  # a numpy integer would overflow the exact arithmetic
+    bits = d.bit_length()
+    shift, cap = 64 - bits, 1 << (64 - bits)
+    mass, c = [], 1
+    for k in range(d + 1):  # c = C(d, k)
+        mass.append(((c << 64) + (1 << (d - 1))) >> d)
+        c = c * (d - k) // (k + 1)
+    mass[d // 2] += (1 << 64) - sum(mass)
+    mass += [0] * ((1 << bits) - d - 1)
+    bound = [(1 << 64) - 1] * len(mass)
+    alias = list(range(len(mass)))
+    small = [k for k, m in enumerate(mass) if m < cap]
+    large = [k for k, m in enumerate(mass) if m > cap]
+    while small:  # the masses left always sum to cap per column left
+        s, big = small.pop(), large.pop()
+        bound[s], alias[s] = (s << shift) + mass[s], big
+        mass[big] -= cap - mass[s]
+        if mass[big] < cap:
+            small.append(big)
+        elif mass[big] > cap:
+            large.append(big)
+    bound = np.array(bound, dtype=np.uint64)
+    pair = np.array([v for col, a in enumerate(alias) for v in (col, a)],
+                    dtype=float)
+    bound.flags.writeable = pair.flags.writeable = False
+    return np.uint64(shift), bound, pair
 
 
 @dataclass(frozen=True)

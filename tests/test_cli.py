@@ -272,12 +272,18 @@ class TestConfigHandling:
 
 
 class TestCommands:
-    def test_bounds_pure_table(self, capsys):
+    def test_bounds_pure_table(self, capsys, tmp_path):
         code, text = _run(capsys, "bounds")
         assert code == 0
         assert "theorem1" in text and "theorem2" in text
         # each value once: the corollaries are the theorems' rows
         assert "corollary" not in text
+        # every row is computed at the EC inaccuracy that nu sets
+        assert {r["eta"] for r in _table(text)} == {"0.1"}
+        cfg = _ini(tmp_path, "bounds", "nu = 0.25\n")
+        code, text = _run(capsys, "bounds", "--config", cfg)
+        assert code == 0
+        assert {r["eta"] for r in _table(text)} == {"0.25"}
 
     def test_run_emits_per_tick_rows(self, capsys):
         code, text = _run(capsys, "run", "--protocol", "2", "--trials",
@@ -583,6 +589,15 @@ def test_gaussian_run_loads_no_scipy():
         "== 'scipy'))\n")
     done = _python("-c", script)
     assert done.stdout.split() == ["0", "[]"]
+
+
+def test_import_builds_no_alias_table():
+    # the Box alias tables are built on first use, so that the import time
+    # of every command stays free of them
+    script = ("import ticklab.cli\n"
+              "from ticklab.distributions import _binomial_alias\n"
+              "print(_binomial_alias.cache_info().currsize)\n")
+    assert _python("-c", script).stdout == "0\n"
 
 
 def test_ec_window_check_survives_optimize(tmp_path):

@@ -7,7 +7,8 @@ import pytest
 from scipy import optimize, stats
 
 from ticklab import Box, Delta, DeltaMixture, Gaussian
-from ticklab.distributions import _BIT_PLANES, _normal_tail
+from ticklab.distributions import (_ALIAS_MAX, _BIT_PLANES, _binomial_alias,
+                                   _normal_tail)
 
 
 class TestDelta:
@@ -66,36 +67,105 @@ def lattice_sums(box, seed, n, d):
     """n sums of d waits of ``box`` from a fresh ``default_rng(seed)``, each
     wait a 2^-32 lattice midpoint of one 32-bit word and the words summed
     as integers, at any d: the sum ``Box.bunch_sums`` draws below
-    ``_BIT_PLANES``."""
-    raw = np.random.default_rng(seed).bit_generator.random_raw(-(-n * d // 2))
-    cells = raw.view(np.uint32)[:n * d].reshape(n, d).sum(-1, dtype=np.uint64)
+    ``_BIT_PLANES``.  Drawn 64 bunches at a time, so that a large d holds
+    few words at once."""
+    rng = np.random.default_rng(seed)
+    cells = []
+    for rows in np.diff(np.r_[0:n:64, n]):
+        raw = rng.bit_generator.random_raw(-(-rows * d // 2))
+        u = raw.view(np.uint32)[:rows * d].reshape(rows, d)
+        cells.append(u.sum(-1, dtype=np.uint64))
+    cells = np.concatenate(cells)
     return d * box.support()[0] + box.width * 2.0 ** -32 * (cells + d / 2)
+
+
+def alias_columns(d):
+    """``_binomial_alias(d)``'s table as a plain alias table in Python ints:
+    the column width 2^shift and each column's threshold and alias.  Below
+    its threshold a column draws its own index, from there on its alias; a
+    full column, which is its own alias, has threshold 2^shift."""
+    shift, bound, pair = _binomial_alias(d)
+    shift = int(shift)
+    thresholds, aliases = [], []
+    for c in range(len(bound)):
+        assert int(pair[2 * c]) == c
+        alias = int(pair[2 * c + 1])
+        thresholds.append(1 << shift if alias == c
+                          else int(bound[c]) - (c << shift))
+        aliases.append(alias)
+    return shift, thresholds, aliases
+
+
+def alias_sums(box, words, d):
+    """Exact sums of d waits of ``box`` from the 64-bit ``words``, 32 per
+    bunch: word b of a bunch gives the count N_b of bit plane b by one plain
+    alias lookup on ``alias_columns(d)``, and the bunch's cells sum to
+    sum_b 2^b N_b, the sum ``Box.bunch_sums`` draws from ``_BIT_PLANES``
+    to ``_ALIAS_MAX``."""
+    shift, thresholds, aliases = alias_columns(d)
+    counts = []
+    for w in words:
+        c = w >> shift
+        counts.append(c if w & ((1 << shift) - 1) < thresholds[c]
+                      else aliases[c])
+    lo, width = Fraction(box.support()[0]), Fraction(box.width)
+    sums = []
+    for k in range(0, len(counts), 32):
+        cells = sum(n << b for b, n in enumerate(counts[k:k + 32]))
+        # each wait is its cell's midpoint, lo + width (u + 1/2) / 2^32
+        sums.append(d * lo + width * Fraction(2 * cells + d, 2 ** 33))
+    return sums
+
+
+class TestBinomialAlias:
+    @pytest.mark.parametrize("d", [_BIT_PLANES, 257, 1000, 1024, _ALIAS_MAX])
+    def test_table_law_is_within_2_53_of_the_binomial(self, d):
+        shift, thresholds, aliases = alias_columns(d)
+        cap = 1 << shift
+        assert len(thresholds) == 2 ** (64 - shift) > d
+        assert all(0 <= t <= cap for t in thresholds)
+        mass = [0] * len(thresholds)
+        for c, (t, a) in enumerate(zip(thresholds, aliases)):
+            mass[c] += t
+            mass[a] += cap - t
+        assert sum(mass) == 2 ** 64
+        assert not any(mass[d + 1:])
+        # twice the distance to C(d, k) / 2^d, in units of 2^-(64 + d);
+        # math.comb at every k would take a second at d = 4096
+        l1, comb = 0, 1
+        for k, m in enumerate(mass[:d + 1]):
+            assert k != d // 2 or comb == math.comb(d, k)
+            l1 += abs((m << d) - (comb << 64))
+            comb = comb * (d - k) // (k + 1)
+        assert Fraction(l1, 2 ** (65 + d)) <= Fraction(1, 2 ** 53)
 
 
 class TestBoxBunchSums:
     BOX = Box(center=1.0, width=0.33)
 
     def test_bit_planes_match_lattice_sums(self):
-        # family-wise 5 % over the two d
-        ds = (_BIT_PLANES, 4 * _BIT_PLANES)
+        # the alias range's ends and the binomial planes above it;
+        # family-wise 5 % over the three d
+        ds = (_BIT_PLANES, 1024, _ALIAS_MAX + 1)
         for i, d in enumerate(ds):
             planes = self.BOX.bunch_sums(np.random.default_rng(30 + i),
                                          (2000,), d)
             lattice = lattice_sums(self.BOX, 40 + i, 2000, d)
             assert stats.ks_2samp(planes, lattice).pvalue > 0.05 / len(ds)
 
-    def test_bit_plane_sum_matches_exact_binomial_sum(self):
-        # bit b of the d cell indices sums to the b-th of 32 binomials drawn
-        # from the same stream, so the cells sum to sum_b 2^b N_b
-        shape, d = (3, 5), _BIT_PLANES + 1
-        sums = self.BOX.bunch_sums(np.random.default_rng(9), shape, d)
-        planes = np.random.default_rng(9).binomial(d, 0.5, (*shape, 32))
-        lo = Fraction(self.BOX.support()[0])
-        width = Fraction(self.BOX.width)
-        for got, counts in zip(sums.ravel(), planes.reshape(-1, 32)):
-            cells = sum(int(n) << b for b, n in enumerate(counts))
-            exact = d * lo + width * Fraction(2 * cells + d, 2 ** 33)
-            assert abs(Fraction(float(got)) - exact) <= 1e-15 * exact
+    @pytest.mark.parametrize("d", [_BIT_PLANES, 1000, _ALIAS_MAX])
+    def test_alias_plane_sum_matches_exact_alias_lookup(self, d):
+        # one 64-bit word per plane, read by a plain alias lookup, and the
+        # generator left where the oracle's is
+        shape = (3, 5)
+        rng = np.random.default_rng(9)
+        sums = self.BOX.bunch_sums(rng, shape, d)
+        oracle_rng = np.random.default_rng(9)
+        words = oracle_rng.bit_generator.random_raw(math.prod(shape) * 32)
+        exact = alias_sums(self.BOX, [int(w) for w in words], d)
+        for got, want in zip(sums.ravel(), exact):
+            assert abs(Fraction(float(got)) - want) <= 1e-15 * want
+        assert rng.random() == oracle_rng.random()
 
     def test_law_matches_float_sums(self):
         # family-wise 5 % over the four d
@@ -108,12 +178,30 @@ class TestBoxBunchSums:
                                      (n, d)).sum(-1)
             assert stats.ks_2samp(lattice, floats).pvalue > 0.05 / len(ds)
 
-    @pytest.mark.parametrize("d", [1, 3, 64, 1024])
+    @pytest.mark.parametrize("d", [1, 3, 64, 1024, _ALIAS_MAX + 1])
     def test_sums_lie_strictly_inside_the_support(self, d):
         sums = self.BOX.bunch_sums(np.random.default_rng(d), (300, 2), d)
         lo, hi = self.BOX.support()
         assert sums.shape == (300, 2)
         assert (sums > d * lo).all() and (sums < d * hi).all()
+
+    @pytest.mark.parametrize("shape", [(0, 3), (4, 0)])
+    @pytest.mark.parametrize("dist,d", [
+        (BOX, 3), (BOX, _BIT_PLANES), (BOX, _ALIAS_MAX + 1),
+        (Gaussian(1.0, 0.5), 3)])
+    def test_empty_shapes_draw_empty_sums(self, dist, d, shape):
+        sums = dist.bunch_sums(np.random.default_rng(0), shape, d)
+        assert sums.shape == shape
+
+    def test_numpy_integer_bunch_draws_alike(self):
+        # the alias table's exact ints must not take a numpy integer's
+        # fixed width, so the table is built anew from one
+        _binomial_alias.cache_clear()
+        sums = [self.BOX.bunch_sums(np.random.default_rng(6), (40, 2), n)
+                for n in (np.int32(_BIT_PLANES), np.int64(_BIT_PLANES),
+                          _BIT_PLANES)]
+        assert np.array_equal(sums[0], sums[2])
+        assert np.array_equal(sums[1], sums[2])
 
     def test_float_sum_matches_exact_integer_sum(self):
         # (3, 5) bunches of 7 waits: 105 words, so half of the last 64-bit

@@ -6,9 +6,9 @@ machine (``tick`` / ``advance``) and the scalar input clock
 It draws its random numbers in a different order than the engine, so the
 two agree exactly only where nothing is random (Delta input, zero-width
 EC) and in distribution otherwise.  Input bunching has a second oracle,
-``prefix_sum_bunching``, which builds every wait from the engine's own
-draws and sums them in another order, so the two agree draw for draw to
-rounding.
+``prefix_sum_bunching``, which builds every wait, or a Box's alias-plane
+bunch sum, from the engine's own draws and sums them in another order, so
+the two agree draw for draw to rounding.
 ``serial_monte_carlo`` simulates ``monte_carlo``'s blocks each into its
 own arrays and stacks them; ``monte_carlo`` must agree with it bit for bit,
 whatever number of CPUs the process is told it has.
@@ -28,8 +28,10 @@ from ticklab import (Box, Delta, DeltaMixture, EnhancingClock, ExplicitEC,
                      Gaussian, Mode, Protocol, ProtocolConfig, QuasiIdealSpec,
                      monte_carlo, prepare, protocols)
 from ticklab.cli import main
-from ticklab.distributions import _BIT_PLANES, _CHUNK
+from ticklab.distributions import _ALIAS_CHUNK, _ALIAS_MAX, _BIT_PLANES, _CHUNK
 from ticklab.protocols import _BLOCK, _simulate
+
+from test_distributions import alias_sums
 
 SWITCHING = (Protocol.DYN_SWITCH, Protocol.DYN_SWITCH_FEEDBACK)
 
@@ -243,12 +245,24 @@ def bunch_waits(dist, rng, n, n_out, d):
     return waits.reshape(n, n_out * d)
 
 
+def alias_bunch_range(dist, d):
+    """Whether ``dist.bunch_sums`` draws d-wait sums by alias planes."""
+    return isinstance(dist, Box) and _BIT_PLANES <= d <= _ALIAS_MAX
+
+
 def prefix_sum_bunching(prep, rng, size):
     """Input bunching's output ticks as a prefix sum over every input
     wait, keeping every d-th: the engine's draws, chunk for chunk, summed
-    in a different order."""
+    in a different order.  A Box in the alias range has no waits, so there
+    the prefix sum runs over the alias oracle's exact bunch sums, drawn
+    from the same words."""
     cfg = prep.cfg
     d, n_out = cfg.bunch, cfg.n_ticks
+    if alias_bunch_range(cfg.input_dist, d):
+        words = rng.bit_generator.random_raw(size * n_out * 32)
+        sums = alias_sums(cfg.input_dist, [int(w) for w in words], d)
+        sums = np.array([float(x) for x in sums]).reshape(size, n_out)
+        return np.cumsum(sums, axis=1)
     rows = max(1, _CHUNK // (n_out * d))
     out = np.empty((size, n_out))
     for r in range(0, size, rows):
@@ -260,10 +274,12 @@ def prefix_sum_bunching(prep, rng, size):
 
 BUNCH_INPUTS = [Box(1.0, 0.33), Gaussian(1.0, 0.5), Delta(0.7),
                 DeltaMixture(((0.9, 0.25), (1.05, 0.5), (1.3, 0.25)))]
-# a Box sums bit planes from _BIT_PLANES on, which no per-wait oracle
-# draws, so its largest case is the largest lattice bunch
-BUNCH_CASES = [(dist, min(d, _BIT_PLANES - 1) if isinstance(dist, Box)
-                else d) for d in (1, 3, 64, 1024) for dist in BUNCH_INPUTS]
+# a Box sums lattice words below _BIT_PLANES and alias planes up to
+# _ALIAS_MAX: it takes both ranges' ends and a bunch inside each
+BUNCH_CASES = [(dist, d) for d in (1, 3, 64, 1024) for dist in BUNCH_INPUTS
+               if not isinstance(dist, Box)] + [
+    (BUNCH_INPUTS[0], d)
+    for d in (1, 3, 64, _BIT_PLANES - 1, _BIT_PLANES, 1023, _ALIAS_MAX)]
 
 
 def check_bunching_matches_prefix_sum(dist, d, n_ticks, size):
@@ -285,9 +301,13 @@ def check_bunching_matches_prefix_sum(dist, d, n_ticks, size):
                               for dist, d in BUNCH_CASES])
 @pytest.mark.parametrize("n_ticks", [1, 20])
 def test_input_bunching_matches_prefix_sum(dist, d, n_ticks):
-    # two trials past a chunk boundary, so the last chunk is a short one
-    size = max(1, _CHUNK // (n_ticks * d)) + 2
-    check_bunching_matches_prefix_sum(dist, d, n_ticks, size)
+    # two trials past a chunk boundary, so the last chunk is a short one;
+    # an alias plane draw chunks 32 words per bunch
+    if alias_bunch_range(dist, d):
+        rows = _ALIAS_CHUNK // (n_ticks * 32)
+    else:
+        rows = _CHUNK // (n_ticks * d)
+    check_bunching_matches_prefix_sum(dist, d, n_ticks, max(1, rows) + 2)
 
 
 def test_box_bunching_drops_the_odd_half_word():
