@@ -29,6 +29,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
+from .clocks import _check_ec_tail, _check_eta
 from .distributions import Box, Delta, DeltaMixture, Gaussian
 from .inaccuracy import bruteforce_inaccuracy, empirical_inaccuracy
 from .network import network_spreads, plan_scenario
@@ -208,14 +209,16 @@ def _protocol_rows(experiment: str, cfg: dict, name: str, d: int,
     if trials < 2:
         raise ConfigError("trials must be at least 2: an inaccuracy "
                           "estimate needs two samples")
-    # built for every protocol, so a bad eps_ec is rejected even where
-    # input bunching leaves it unused
-    ec = QuasiIdealSpec(d=d, eta=eta, eps_tail=eps_ec)
     if protocol is Protocol.INPUT_BUNCH:
+        # input bunching runs no EC, and its d is the bunch size, but a
+        # bad eta or eps_ec is rejected all the same
+        _check_eta(eta)
+        _check_ec_tail(eps_ec)
         pc = ProtocolConfig(protocol=protocol, input_dist=dist, eps=eps,
                             n_ticks=n_ticks, bunch=bunch)
         d = bunch
     else:
+        ec = QuasiIdealSpec(d=d, eta=eta, eps_tail=eps_ec)
         pc = ProtocolConfig(protocol=protocol, input_dist=dist, eps=eps,
                             n_ticks=n_ticks, ec=ec, period_tick=period_tick)
     matrix = monte_carlo(pc, trials, seed)

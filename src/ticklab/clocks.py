@@ -28,6 +28,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .inaccuracy import _is_count
+
 
 def wrap_phase(x, tau: float) -> np.ndarray:
     """Map x into the phase domain (-tau/2, tau/2], elementwise.  The ceil
@@ -174,11 +176,17 @@ class EnhancingClock(ExplicitEC):
         return EnhancingClock(self.tau, self.sigma, self.eps_tail)
 
 
+def _check_dimension(d):
+    """Reject an EC dimension that is not an integer >= 2."""
+    if not (_is_count(d) and d >= 2):
+        raise ValueError("the EC dimension d must be an integer of at "
+                         f"least 2, got {d!r}")
+
+
 def quasi_ideal_ratio(d: int, eta: float) -> float:
     """sigma / tau = d^(eta-1) + d^(3 eta/4 - 1) / pi^2 of the
     d-dimensional Quasi-Ideal Clock."""
-    if d < 2:
-        raise ValueError("dimension must be at least 2")
+    _check_dimension(d)
     _check_eta(eta)
     return d ** (eta - 1.0) + d ** (0.75 * eta - 1.0) / math.pi / math.pi
 

@@ -20,11 +20,12 @@ from .inaccuracy import ConfidenceInterval, _check_tail
 
 _MASS_TOL = 1e-12
 _STD_NORMAL = NormalDist()
-_BIT_PLANES = 256    # bunch size from which a Box sums its cells by bit plane
+_BIT_PLANES = 64     # bunch size from which a Box sums its cells by bit plane
 _ALIAS_MAX = 4096    # largest bunch whose planes come from an alias table
 _CHUNK = 1 << 16     # waits a per-wait bunch sum draws at once
-_ALIAS_CHUNK = 1 << 14  # random words an alias plane draw takes at once
+_ALIAS_CHUNK = 1 << 14  # words or counts a bit-plane bunch sum draws at once
 _PLANE_WEIGHTS = 2.0 ** np.arange(32)  # plane b's count is worth 2^b cells
+_PAIR_WEIGHTS = 4.0 ** np.arange(16)  # planes 2p and 2p + 1's count: 4^p
 
 
 class WaitingTimeDistribution(ABC):
@@ -64,8 +65,8 @@ def _in_chunks(sums, size, draws, chunk=_CHUNK) -> np.ndarray:
     """Bunch sums, shape ``size``, from ``sums(shape)`` called on as many
     rows of ``size`` at a time, in order, as hold at most ``chunk`` draws
     at ``draws`` per bunch (at least one row): waits, or the random words
-    of bit planes, so that the draws held at once stay few.  An empty
-    ``size`` takes one empty call."""
+    or binomial counts of bit planes, so that the draws held at once stay
+    few.  An empty ``size`` takes one empty call."""
     rows = max(1, chunk // max(1, math.prod(size[1:]) * draws))
     return np.concatenate([sums((min(rows, size[0] - r), *size[1:]))
                            for r in range(0, max(1, size[0]), rows)])
@@ -122,13 +123,18 @@ class Box(WaitingTimeDistribution):
         # each wait is the midpoint of one of 2^32 cells of the support, so
         # a bunch sums exactly as integers: two cell indices per random
         # word, or from _BIT_PLANES on by bit plane b, where the d indices'
-        # bit b sums to N_b ~ Bin(d, 1/2) and the cells to sum_b 2^b N_b
+        # bit b sums to N_b ~ Bin(d, 1/2) and the cells to sum_b 2^b N_b;
+        # up to _ALIAS_MAX one random word draws the pair of planes 2p and
+        # 2p + 1 as M_p = N_2p + 2 N_2p+1, and the cells sum to
+        # sum_p 4^p M_p
         if d > _ALIAS_MAX:
-            cells = rng.binomial(d, 0.5, (*size, 32)) @ _PLANE_WEIGHTS
+            cells = _in_chunks(
+                lambda shape: rng.binomial(d, 0.5, (*shape, 32))
+                @ _PLANE_WEIGHTS, size, 32, _ALIAS_CHUNK)
         elif d >= _BIT_PLANES:
             cells = _in_chunks(
-                lambda shape: _alias_planes(rng, shape, d) @ _PLANE_WEIGHTS,
-                size, 32, _ALIAS_CHUNK)
+                lambda shape: _alias_pairs(rng, shape, d) @ _PAIR_WEIGHTS,
+                size, 16, _ALIAS_CHUNK)
         else:
             def cell_sums(shape):
                 n = math.prod(shape) * d
@@ -156,12 +162,13 @@ class Box(WaitingTimeDistribution):
         return (self.center - self.width / 2, self.center + self.width / 2)
 
 
-def _alias_planes(rng, shape, d) -> np.ndarray:
-    """Bit-plane counts of shape (*shape, 32) as floats, each one Bin(d, 1/2)
-    count (within total variation 2^-53) from one random 64-bit word
-    through ``_binomial_alias(d)``."""
-    shift, bound, pair = _binomial_alias(d)
-    u = rng.bit_generator.random_raw((*shape, 32))
+def _alias_pairs(rng, shape, d) -> np.ndarray:
+    """Counts of pairs of bit planes, shape (*shape, 16), as floats: each
+    is M = N_0 + 2 N_1 of two Bin(d, 1/2) plane counts (within total
+    variation 2^-53), from one random 64-bit word through
+    ``_pair_alias(d)``."""
+    shift, bound, pair = _pair_alias(d)
+    u = rng.bit_generator.random_raw((*shape, 16))
     col = (u >> shift).view(np.intp)
     # 2 col + 1 above the column's threshold, where its alias lies
     idx = col << 1
@@ -169,31 +176,59 @@ def _alias_planes(rng, shape, d) -> np.ndarray:
     return pair[idx]
 
 
-@functools.lru_cache(maxsize=32)  # 196 kB a table at d = 4096
-def _binomial_alias(d) -> tuple:
-    """Exact integer alias table of Bin(d, 1/2) over 64-bit words, built
-    on first use and kept: ``(shift, bound, pair)``, read-only.
+@functools.lru_cache(maxsize=32)  # at most 48 kB a table (d = 4096)
+def _pair_alias(d) -> tuple:
+    """Exact integer alias table over 64-bit words of M = N_0 + 2 N_1, for
+    i.i.d. N_0, N_1 ~ Bin(d, 1/2), built on first use and kept:
+    ``(shift, bound, pair)``, read-only.
 
-    Outcome k has C(d, k) 2^(64 - d) of the 2^64 words, rounded to an
-    integer, and the mode takes the rounding residual, so the counts sum to
-    2^64 exactly.  The table's law is within total variation 2^-58.8 of
-    Bin(d, 1/2) at d = 1024 and 2^-57.8 at d = 4096, inside the 2^-53 a
-    Gaussian's one-normal bunch sum allows.  Vose's method, in Python
-    ints, deals the counts into K = 2^L > d columns of 2^shift words,
-    shift = 64 - L.  Word u lies in column c = u >> shift
-    and draws ``pair[2 c + (u >= bound[c])]``: c below the column's
-    threshold, ``bound[c]``, and the column's alias from there on.  A full
-    column is its own alias, with bound 2^64 - 1.
+    Bin(d, 1/2)'s outcome k has C(d, k) 2^(64 - d) of the 2^64 words,
+    rounded to an integer, and the mode takes the rounding residual, so
+    the counts sum to 2^64 exactly.  M's outcome m has the sum over
+    a + 2 b = m of those counts' products, out of 2^128, divided by 2^64
+    and rounded, and again the mode takes the residual.  The sums are
+    exact convolutions of the counts' 16-bit limbs in floats, each below
+    2^47.  The table's law is within total variation 2^-58.5 of M's at
+    d = 256 and 2^-57.6 at d = 1024.  At d = 4096 it is within twice the
+    binomial counts' 2^-57.8 plus its own rounding, 2^-56.6: 2^-55.7.  All
+    lie inside the 2^-53 a Gaussian's one-normal bunch sum allows.
+
+    Vose's method, in Python ints, deals the counts of the outcomes from
+    ``first``, the first with a count, to the last into K = 2^L columns of
+    2^shift words, shift = 64 - L.  Word u lies in column c = u >> shift
+    and draws ``pair[2 c + (u >= bound[c])]``: first + c below the
+    column's threshold, ``bound[c]``, and the column's alias from there on.
+    A full column is its own alias, with bound 2^64 - 1.
     """
     d = int(d)  # a numpy integer would overflow the exact arithmetic
-    bits = d.bit_length()
-    shift, cap = 64 - bits, 1 << (64 - bits)
-    mass, c = [], 1
+    binom, c = [], 1
     for k in range(d + 1):  # c = C(d, k)
-        mass.append(((c << 64) + (1 << (d - 1))) >> d)
+        binom.append(((c << 64) + (1 << (d - 1))) >> d)
         c = c * (d - k) // (k + 1)
-    mass[d // 2] += (1 << 64) - sum(mass)
-    mass += [0] * ((1 << bits) - d - 1)
+    binom[d // 2] += (1 << 64) - sum(binom)
+    lo = next(k for k, m in enumerate(binom) if m)  # the last is d - lo
+    limbs = np.array([[m >> s & 0xFFFF for m in binom[lo:d + 1 - lo]]
+                      for s in (0, 16, 32, 48)], dtype=float)
+    n = limbs.shape[1]
+    spread = np.zeros((4, 2 * n - 1))  # the counts of 2 N_1
+    spread[:, ::2] = limbs
+    prods = np.zeros((7, 3 * n - 2))  # row s is worth 2^(16 s)
+    for i in range(4):
+        for j in range(4):
+            prods[i + j] += np.convolve(limbs[i], spread[j])
+    prods = prods.astype(np.int64)
+    prods[3] += 1 << 15  # rounds at 2^64
+    for s in range(6):
+        prods[s + 1] += prods[s] >> 16
+    rounded = (prods[4] & 0xFFFF) | (prods[5] & 0xFFFF) << 16 | prods[6] << 32
+    mass = rounded.tolist()
+    head = next(k for k, m in enumerate(mass) if m)
+    first = 3 * lo + head
+    mass = mass[head:len(mass) - head]
+    mass[mass.index(max(mass))] += (1 << 64) - sum(mass)
+    bits = len(mass).bit_length()
+    shift, cap = 64 - bits, 1 << (64 - bits)
+    mass += [0] * ((1 << bits) - len(mass))
     bound = [(1 << 64) - 1] * len(mass)
     alias = list(range(len(mass)))
     small = [k for k, m in enumerate(mass) if m < cap]
@@ -207,8 +242,7 @@ def _binomial_alias(d) -> tuple:
         elif mass[big] > cap:
             large.append(big)
     bound = np.array(bound, dtype=np.uint64)
-    pair = np.array([v for col, a in enumerate(alias) for v in (col, a)],
-                    dtype=float)
+    pair = np.column_stack((range(len(alias)), alias)).ravel() + float(first)
     bound.flags.writeable = pair.flags.writeable = False
     return np.uint64(shift), bound, pair
 

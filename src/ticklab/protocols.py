@@ -24,8 +24,8 @@ from enum import Enum
 
 import numpy as np
 
-from .clocks import (ExplicitEC, _check_ec_tail, _check_eta, fire_delay,
-                     quasi_ideal_params)
+from .clocks import (ExplicitEC, _check_dimension, _check_ec_tail,
+                     _check_eta, fire_delay, quasi_ideal_params)
 from .distributions import WaitingTimeDistribution
 from .inaccuracy import (InaccuracyEstimate, _check_tail, _check_tick,
                          _is_count, _scan_windows)
@@ -135,8 +135,7 @@ def corollary_bounds(sigma_in: float, d: int, nu: float,
     ((5 j^2 / 3) Sigma_in / d^(1-nu), 2 Sigma_in / d^(1-nu)), each None
     where its theorem does not apply, as ``theorem1_bound`` and
     ``theorem2_bound`` state them."""
-    if d < 2:
-        raise ValueError("dimension must be at least 2")
+    _check_dimension(d)
     if not 0.0 < nu < 1.0:
         raise ValueError("nu must lie in (0, 1)")
     bar_ec = 2.0 / d ** (1.0 - nu)
@@ -171,6 +170,7 @@ class QuasiIdealSpec:
     eps_tail: float = 0.001
 
     def __post_init__(self):
+        _check_dimension(self.d)
         _check_eta(self.eta)
         _check_ec_tail(self.eps_tail)
 

@@ -595,8 +595,8 @@ def test_import_builds_no_alias_table():
     # the Box alias tables are built on first use, so that the import time
     # of every command stays free of them
     script = ("import ticklab.cli\n"
-              "from ticklab.distributions import _binomial_alias\n"
-              "print(_binomial_alias.cache_info().currsize)\n")
+              "from ticklab.distributions import _pair_alias\n"
+              "print(_pair_alias.cache_info().currsize)\n")
     assert _python("-c", script).stdout == "0\n"
 
 

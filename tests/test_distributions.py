@@ -1,14 +1,17 @@
+import decimal
 import itertools
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy import optimize, stats
 
 from ticklab import Box, Delta, DeltaMixture, Gaussian
-from ticklab.distributions import (_ALIAS_MAX, _BIT_PLANES, _binomial_alias,
-                                   _normal_tail)
+from ticklab.distributions import (_ALIAS_CHUNK, _ALIAS_MAX, _BIT_PLANES,
+                                   _PLANE_WEIGHTS, _alias_pairs, _normal_tail,
+                                   _pair_alias)
 
 
 class TestDelta:
@@ -80,64 +83,148 @@ def lattice_sums(box, seed, n, d):
 
 
 def alias_columns(d):
-    """``_binomial_alias(d)``'s table as a plain alias table in Python ints:
-    the column width 2^shift and each column's threshold and alias.  Below
-    its threshold a column draws its own index, from there on its alias; a
-    full column, which is its own alias, has threshold 2^shift."""
-    shift, bound, pair = _binomial_alias(d)
-    shift = int(shift)
+    """``_pair_alias(d)``'s table as a plain alias table in Python ints: the
+    column width 2^shift, the first column's outcome, and each column's
+    threshold and alias.  Below its threshold column c draws first + c,
+    from there on its alias; a full column, which is its own alias, has
+    threshold 2^shift."""
+    shift, bound, pair = _pair_alias(d)
+    shift, first = int(shift), int(pair[0])
     thresholds, aliases = [], []
     for c in range(len(bound)):
-        assert int(pair[2 * c]) == c
+        assert int(pair[2 * c]) == first + c
         alias = int(pair[2 * c + 1])
-        thresholds.append(1 << shift if alias == c
+        thresholds.append(1 << shift if alias == first + c
                           else int(bound[c]) - (c << shift))
         aliases.append(alias)
-    return shift, thresholds, aliases
+    return shift, first, thresholds, aliases
+
+
+def alias_mass(d):
+    """The words of each outcome 0..3d of ``alias_columns(d)``'s table."""
+    shift, first, thresholds, aliases = alias_columns(d)
+    mass = [0] * (3 * d + 1)
+    for c, (t, a) in enumerate(zip(thresholds, aliases)):
+        assert 0 <= t <= 1 << shift
+        if t:
+            mass[first + c] += t
+        if t < 1 << shift:
+            mass[a] += (1 << shift) - t
+    return mass
 
 
 def alias_sums(box, words, d):
-    """Exact sums of d waits of ``box`` from the 64-bit ``words``, 32 per
-    bunch: word b of a bunch gives the count N_b of bit plane b by one plain
-    alias lookup on ``alias_columns(d)``, and the bunch's cells sum to
-    sum_b 2^b N_b, the sum ``Box.bunch_sums`` draws from ``_BIT_PLANES``
-    to ``_ALIAS_MAX``."""
-    shift, thresholds, aliases = alias_columns(d)
+    """Exact sums of d waits of ``box`` from the 64-bit ``words``, 16 per
+    bunch: word p of a bunch gives the count M_p = N_2p + 2 N_2p+1 of bit
+    planes 2p and 2p + 1 by one plain alias lookup on ``alias_columns(d)``,
+    and the bunch's cells sum to sum_p 4^p M_p, the sum ``Box.bunch_sums``
+    draws from ``_BIT_PLANES`` to ``_ALIAS_MAX``."""
+    shift, first, thresholds, aliases = alias_columns(d)
     counts = []
     for w in words:
         c = w >> shift
-        counts.append(c if w & ((1 << shift) - 1) < thresholds[c]
+        counts.append(first + c if w & ((1 << shift) - 1) < thresholds[c]
                       else aliases[c])
     lo, width = Fraction(box.support()[0]), Fraction(box.width)
     sums = []
-    for k in range(0, len(counts), 32):
-        cells = sum(n << b for b, n in enumerate(counts[k:k + 32]))
+    for k in range(0, len(counts), 16):
+        cells = sum(m << 2 * p for p, m in enumerate(counts[k:k + 16]))
         # each wait is its cell's midpoint, lo + width (u + 1/2) / 2^32
         sums.append(d * lo + width * Fraction(2 * cells + d, 2 ** 33))
     return sums
 
 
-class TestBinomialAlias:
-    @pytest.mark.parametrize("d", [_BIT_PLANES, 257, 1000, 1024, _ALIAS_MAX])
-    def test_table_law_is_within_2_53_of_the_binomial(self, d):
-        shift, thresholds, aliases = alias_columns(d)
-        cap = 1 << shift
-        assert len(thresholds) == 2 ** (64 - shift) > d
-        assert all(0 <= t <= cap for t in thresholds)
-        mass = [0] * len(thresholds)
-        for c, (t, a) in enumerate(zip(thresholds, aliases)):
-            mass[c] += t
-            mass[a] += cap - t
+def binomials(d):
+    """C(d, k) for k = 0..d; math.comb at every k would take a second at
+    d = 4096."""
+    combs = [1]
+    for k in range(d):
+        combs.append(combs[-1] * (d - k) // (k + 1))
+    return combs
+
+
+def rounded_binomial(d):
+    """The 2^64-word counts of Bin(d, 1/2) the pair table is built from:
+    C(d, k) 2^(64 - d) rounded, the residual on the mode."""
+    counts = [((c << 64) + (1 << (d - 1))) >> d for c in binomials(d)]
+    counts[d // 2] += (1 << 64) - sum(counts)
+    return counts
+
+
+def pair_law(d):
+    """4^d P(N_0 + 2 N_1 = m) for m = 0..3d and i.i.d. N_b ~ Bin(d, 1/2):
+    the coefficients of (1 + x)^d (1 + x^2)^d, by Kronecker substitution of
+    x = 10^w in one product of exact decimals, which the decimal module
+    multiplies by number-theoretic transform (Python ints take three times
+    as long at d = 1024)."""
+    w = len(str(4 ** d))  # each coefficient lies below 4^d
+    # highest power first, which C(d, k) = C(d, d - k) leaves as it is
+    combs = [str(c).zfill(w) for c in binomials(d)]
+    exact = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX)
+    digits = str(exact.multiply(decimal.Decimal("".join(combs)),
+                                decimal.Decimal(("0" * w).join(combs))))
+    digits = digits.zfill((3 * d + 1) * w)
+    return [int(digits[i:i + w]) for i in range(0, len(digits), w)][::-1]
+
+
+class TestPairAlias:
+    @pytest.mark.parametrize("d", [_BIT_PLANES, 256, 257, 1000, 1024])
+    def test_table_law_is_within_2_53_of_the_pair_law(self, d):
+        shift, _, thresholds, _ = alias_columns(d)
+        assert len(thresholds) == 2 ** (64 - shift)
+        mass = alias_mass(d)
         assert sum(mass) == 2 ** 64
-        assert not any(mass[d + 1:])
-        # twice the distance to C(d, k) / 2^d, in units of 2^-(64 + d);
-        # math.comb at every k would take a second at d = 4096
-        l1, comb = 0, 1
-        for k, m in enumerate(mass[:d + 1]):
-            assert k != d // 2 or comb == math.comb(d, k)
-            l1 += abs((m << d) - (comb << 64))
-            comb = comb * (d - k) // (k + 1)
-        assert Fraction(l1, 2 ** (65 + d)) <= Fraction(1, 2 ** 53)
+        # twice the distance to the exact law, in units of 2^-(64 + 2d)
+        l1 = sum(abs((m << 2 * d) - (p << 64))
+                 for m, p in zip(mass, pair_law(d)))
+        assert Fraction(l1, 2 ** (65 + 2 * d)) <= Fraction(1, 2 ** 53)
+
+    @pytest.mark.parametrize("d", [_BIT_PLANES, 257, _ALIAS_MAX])
+    def test_table_counts_are_the_rounded_convolution(self, d):
+        # the 2^128-word counts of N_0 + 2 N_1 by a double loop over the
+        # rounded binomial counts, divided by 2^64 and rounded, the
+        # residual on the mode; at _ALIAS_MAX, where the exact law takes
+        # seconds, the docstring's bound: twice the binomial counts'
+        # distance plus the rounding's
+        binom = rounded_binomial(d)
+        held = [k for k, m in enumerate(binom) if m]
+        exact = [0] * (3 * d + 1)
+        for a in held:
+            for b in held:
+                exact[a + 2 * b] += binom[a] * binom[b]
+        counts = [(p + (1 << 63)) >> 64 for p in exact]
+        counts[counts.index(max(counts))] += (1 << 64) - sum(counts)
+        assert alias_mass(d) == counts
+        # in units of 2^-(65 + d) and 2^-129
+        binom_l1 = sum(abs((m << d) - (c << 64))
+                       for m, c in zip(binom, binomials(d)))
+        round_l1 = sum(abs((m << 64) - p) for m, p in zip(counts, exact))
+        bound = (2 * Fraction(binom_l1, 2 ** (65 + d))
+                 + Fraction(round_l1, 2 ** 129))
+        assert bound <= Fraction(1, 2 ** 53)
+
+    @pytest.mark.parametrize("d", [_BIT_PLANES, 257])
+    def test_threshold_words_draw_the_alias(self, d):
+        # in each column that holds two outcomes, the word below the
+        # threshold still draws the column and the threshold word its alias
+        shift, first, thresholds, aliases = alias_columns(d)
+        split = [c for c, t in enumerate(thresholds) if 0 < t < 1 << shift]
+        words = [(c << shift) + thresholds[c] + k
+                 for c in split for k in (-1, 0)]
+        words += [0] * (-len(words) % 16)
+        raw = np.array(words, dtype=np.uint64)
+        rng = SimpleNamespace(bit_generator=SimpleNamespace(
+            random_raw=lambda shape: raw.reshape(shape)))
+        counts = _alias_pairs(rng, (len(words) // 16,), d).ravel()
+        expected = [v for c in split for v in (first + c, aliases[c])]
+        assert counts[:len(expected)].tolist() == expected
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_small_tables_hold_the_exact_law(self, d):
+        # the binomial counts are exact and the pair counts a whole number
+        # of words, so the table draws the exact law
+        assert [m * 4 ** d for m in alias_mass(d)] == [
+            p << 64 for p in pair_law(d)]
 
 
 class TestBoxBunchSums:
@@ -145,27 +232,40 @@ class TestBoxBunchSums:
 
     def test_bit_planes_match_lattice_sums(self):
         # the alias range's ends and the binomial planes above it;
-        # family-wise 5 % over the three d
-        ds = (_BIT_PLANES, 1024, _ALIAS_MAX + 1)
+        # family-wise 5 % over the four d
+        ds = (_BIT_PLANES, 1024, _ALIAS_MAX, _ALIAS_MAX + 1)
         for i, d in enumerate(ds):
             planes = self.BOX.bunch_sums(np.random.default_rng(30 + i),
                                          (2000,), d)
             lattice = lattice_sums(self.BOX, 40 + i, 2000, d)
             assert stats.ks_2samp(planes, lattice).pvalue > 0.05 / len(ds)
 
-    @pytest.mark.parametrize("d", [_BIT_PLANES, 1000, _ALIAS_MAX])
+    @pytest.mark.parametrize("d", [_BIT_PLANES, 256, 1000, _ALIAS_MAX])
     def test_alias_plane_sum_matches_exact_alias_lookup(self, d):
-        # one 64-bit word per plane, read by a plain alias lookup, and the
-        # generator left where the oracle's is
+        # one 64-bit word per pair of planes, read by a plain alias lookup,
+        # and the generator left where the oracle's is
         shape = (3, 5)
         rng = np.random.default_rng(9)
         sums = self.BOX.bunch_sums(rng, shape, d)
         oracle_rng = np.random.default_rng(9)
-        words = oracle_rng.bit_generator.random_raw(math.prod(shape) * 32)
+        words = oracle_rng.bit_generator.random_raw(math.prod(shape) * 16)
         exact = alias_sums(self.BOX, [int(w) for w in words], d)
         for got, want in zip(sums.ravel(), exact):
             assert abs(Fraction(float(got)) - want) <= 1e-15 * want
         assert rng.random() == oracle_rng.random()
+
+    def test_binomial_planes_draw_alike_in_chunks(self):
+        # above _ALIAS_MAX the planes are drawn _ALIAS_CHUNK counts at a
+        # time: (600, 2) bunches take three chunks and must draw what one
+        # draw of all their planes would
+        d, shape = _ALIAS_MAX + 1, (600, 2)
+        assert shape[0] * shape[1] * 32 > 2 * _ALIAS_CHUNK
+        sums = self.BOX.bunch_sums(np.random.default_rng(11), shape, d)
+        planes = np.random.default_rng(11).binomial(d, 0.5, (*shape, 32))
+        cells = planes @ _PLANE_WEIGHTS
+        lo = self.BOX.support()[0]
+        assert np.array_equal(
+            sums, d * lo + self.BOX.width * 2.0 ** -32 * (cells + d / 2))
 
     def test_law_matches_float_sums(self):
         # family-wise 5 % over the four d
@@ -187,7 +287,7 @@ class TestBoxBunchSums:
 
     @pytest.mark.parametrize("shape", [(0, 3), (4, 0)])
     @pytest.mark.parametrize("dist,d", [
-        (BOX, 3), (BOX, _BIT_PLANES), (BOX, _ALIAS_MAX + 1),
+        (BOX, 3), (BOX, 256), (BOX, _ALIAS_MAX + 1),
         (Gaussian(1.0, 0.5), 3)])
     def test_empty_shapes_draw_empty_sums(self, dist, d, shape):
         sums = dist.bunch_sums(np.random.default_rng(0), shape, d)
@@ -196,7 +296,7 @@ class TestBoxBunchSums:
     def test_numpy_integer_bunch_draws_alike(self):
         # the alias table's exact ints must not take a numpy integer's
         # fixed width, so the table is built anew from one
-        _binomial_alias.cache_clear()
+        _pair_alias.cache_clear()
         sums = [self.BOX.bunch_sums(np.random.default_rng(6), (40, 2), n)
                 for n in (np.int32(_BIT_PLANES), np.int64(_BIT_PLANES),
                           _BIT_PLANES)]

@@ -6,7 +6,7 @@ machine (``tick`` / ``advance``) and the scalar input clock
 It draws its random numbers in a different order than the engine, so the
 two agree exactly only where nothing is random (Delta input, zero-width
 EC) and in distribution otherwise.  Input bunching has a second oracle,
-``prefix_sum_bunching``, which builds every wait, or a Box's alias-plane
+``prefix_sum_bunching``, which builds every wait, or a Box's alias-pair
 bunch sum, from the engine's own draws and sums them in another order, so
 the two agree draw for draw to rounding.
 ``serial_monte_carlo`` simulates ``monte_carlo``'s blocks each into its
@@ -246,7 +246,8 @@ def bunch_waits(dist, rng, n, n_out, d):
 
 
 def alias_bunch_range(dist, d):
-    """Whether ``dist.bunch_sums`` draws d-wait sums by alias planes."""
+    """Whether ``dist.bunch_sums`` draws d-wait sums by alias pairs of
+    bit planes."""
     return isinstance(dist, Box) and _BIT_PLANES <= d <= _ALIAS_MAX
 
 
@@ -255,11 +256,11 @@ def prefix_sum_bunching(prep, rng, size):
     wait, keeping every d-th: the engine's draws, chunk for chunk, summed
     in a different order.  A Box in the alias range has no waits, so there
     the prefix sum runs over the alias oracle's exact bunch sums, drawn
-    from the same words."""
+    from the same words, 16 per bunch."""
     cfg = prep.cfg
     d, n_out = cfg.bunch, cfg.n_ticks
     if alias_bunch_range(cfg.input_dist, d):
-        words = rng.bit_generator.random_raw(size * n_out * 32)
+        words = rng.bit_generator.random_raw(size * n_out * 16)
         sums = alias_sums(cfg.input_dist, [int(w) for w in words], d)
         sums = np.array([float(x) for x in sums]).reshape(size, n_out)
         return np.cumsum(sums, axis=1)
@@ -274,12 +275,14 @@ def prefix_sum_bunching(prep, rng, size):
 
 BUNCH_INPUTS = [Box(1.0, 0.33), Gaussian(1.0, 0.5), Delta(0.7),
                 DeltaMixture(((0.9, 0.25), (1.05, 0.5), (1.3, 0.25)))]
-# a Box sums lattice words below _BIT_PLANES and alias planes up to
-# _ALIAS_MAX: it takes both ranges' ends and a bunch inside each
+# a Box sums lattice words below _BIT_PLANES and alias pairs of bit planes
+# up to _ALIAS_MAX: it takes both ranges' ends and odd and even bunches
+# inside the alias range, whose pair law has one mode or two
 BUNCH_CASES = [(dist, d) for d in (1, 3, 64, 1024) for dist in BUNCH_INPUTS
                if not isinstance(dist, Box)] + [
     (BUNCH_INPUTS[0], d)
-    for d in (1, 3, 64, _BIT_PLANES - 1, _BIT_PLANES, 1023, _ALIAS_MAX)]
+    for d in (1, 3, _BIT_PLANES - 1, _BIT_PLANES, 255, 256, 1023,
+              _ALIAS_MAX)]
 
 
 def check_bunching_matches_prefix_sum(dist, d, n_ticks, size):
@@ -302,9 +305,9 @@ def check_bunching_matches_prefix_sum(dist, d, n_ticks, size):
 @pytest.mark.parametrize("n_ticks", [1, 20])
 def test_input_bunching_matches_prefix_sum(dist, d, n_ticks):
     # two trials past a chunk boundary, so the last chunk is a short one;
-    # an alias plane draw chunks 32 words per bunch
+    # an alias pair draw chunks 16 words per bunch
     if alias_bunch_range(dist, d):
-        rows = _ALIAS_CHUNK // (n_ticks * 32)
+        rows = _ALIAS_CHUNK // (n_ticks * 16)
     else:
         rows = _CHUNK // (n_ticks * d)
     check_bunching_matches_prefix_sum(dist, d, n_ticks, max(1, rows) + 2)

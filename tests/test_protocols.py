@@ -599,6 +599,28 @@ class TestPrepare:
             ProtocolConfig(Protocol.INPUT_BUNCH, BOX_THIRD, 0.01, 2,
                            bunch=bunch)
 
+    @pytest.mark.parametrize("d", [1, 2.5, 2.0, math.nan, math.inf],
+                             ids=["1", "2.5", "2.0", "nan", "inf"])
+    def test_ec_dimension_must_be_an_integer(self, d):
+        # one rule for the spec, the window ratio and the corollaries
+        message = ("^the EC dimension d must be an integer of at least 2, "
+                   f"got {d!r}$")
+        for make in (lambda: QuasiIdealSpec(d=d),
+                     lambda: quasi_ideal_ratio(d, 0.1),
+                     lambda: corollary_bounds(0.33, d, 0.1, 1)):
+            with pytest.raises(ValueError, match=message):
+                make()
+
+    def test_numpy_integer_dimension_runs(self):
+        cfg = ProtocolConfig(Protocol.DYN_SWITCH, BOX_THIRD, 0.01, 2,
+                             ec=QuasiIdealSpec(d=np.int64(16)))
+        plain = replace(cfg, ec=QuasiIdealSpec(d=16))
+        assert prepare(cfg).ec == prepare(plain).ec
+        assert np.array_equal(monte_carlo(cfg, 50, 4).data,
+                              monte_carlo(plain, 50, 4).data)
+        assert (corollary_bounds(0.33, np.int64(16), 0.1, 1)
+                == corollary_bounds(0.33, 16, 0.1, 1))
+
     def test_numpy_integer_counts_run(self):
         cfg = ProtocolConfig(Protocol.INPUT_BUNCH, BOX_THIRD, 0.01,
                              np.int64(3), bunch=np.int32(2))
