@@ -156,6 +156,8 @@ class EnhancingClock(ExplicitEC):
             raise ValueError("advance only applies with the detector off")
         if dt < 0:
             raise ValueError("cannot advance backwards")
+        if not math.isfinite(dt):
+            raise ValueError(f"advance time dt must be finite, got {dt!r}")
         return replace(self, phase=wrap_phase(self.phase + dt, self.tau))
 
     def switched(self, mode: Mode) -> "EnhancingClock":

@@ -21,13 +21,15 @@ from .inaccuracy import ConfidenceInterval, _coverage_count, _is_count
 from .protocols import _blocks, check_rows, largest_period, switching
 
 _PHASE_MARGIN = 0.75  # fraction of the safe phase band a node may use
-# trials per block.  The per-block cost (streams, the node loop of
-# ``_arrivals``, the small calls of each output step) is paid once per
-# block, while peak memory grows with the block.  `network --trials 5000`
-# in-process, medians of 7 interleaved rounds (2-vCPU shared host, raw
-# time, peak RSS of the process): 128 trials 0.049 s and 38.0 MB; 512
-# trials 0.030 s and 38.9 MB; 1024 trials 0.025 s and 40.2 MB.  512
-# takes most of the gain for a peak within 3 % of 128's.
+# trials per block.  The per-block cost (three streams, the jitter draws
+# of ``_arrivals``, the small calls of each output step) is paid once per
+# block, while peak memory grows with the block.  ``network_spreads`` on
+# the default ``network`` scenario at 5000 trials, medians of 15
+# in-process interleaved rounds (2-vCPU shared host, raw time, tracemalloc
+# peak): 128 trials 0.027 s and 0.37 MB; 512 trials 0.013 s and 1.20 MB;
+# 1024 trials 0.012 s and 2.32 MB.  The process's peak RSS is 40.3 MB at
+# all three, set by the imports.  512 takes most of the gain at half of
+# 1024's traced peak.
 _BLOCK = 512
 
 
@@ -40,8 +42,9 @@ class NodeConfig:
     jitter: WaitingTimeDistribution | None = None
 
     def __post_init__(self):
-        if self.delay < 0:
-            raise ValueError("link delay must be nonnegative")
+        if not 0.0 <= self.delay < math.inf:
+            raise ValueError("link delay must be finite and nonnegative, "
+                             f"got {self.delay!r}")
         if self.jitter is not None:
             support = self.jitter.support()
             if support is None:
@@ -89,13 +92,16 @@ def _arrivals_safe(central: ConfidenceInterval, ec: ExplicitEC,
 
 
 def _arrivals(broadcast: np.ndarray, scenario: NetworkScenario,
-              rngs) -> np.ndarray:
-    """Broadcast ticks (trials, ticks) as received at every node, shape
-    (trials, nodes, ticks); node i draws its jitter from ``rngs[i]``."""
-    t = np.empty((broadcast.shape[0], len(scenario.nodes),
-                  broadcast.shape[1]))
-    for i, (node, rng) in enumerate(zip(scenario.nodes, rngs)):
-        t[:, i] = broadcast + node.delay
+              rng) -> np.ndarray:
+    """Broadcast ticks (ticks, trials) as received at every node, shape
+    (ticks, nodes, trials): one add of every node's delay, then each
+    jittered node, in node order, draws its jitter from ``rng``.  A node
+    without jitter draws nothing, so its arrivals come from the broadcast
+    alone; a jittered node's draws depend on the jitter laws of the nodes
+    before it."""
+    delays = np.array([node.delay for node in scenario.nodes])
+    t = broadcast[:, None, :] + delays[:, None]
+    for i, node in enumerate(scenario.nodes):
         if node.jitter is not None:
             t[:, i] += node.jitter.sample(rng, broadcast.shape) \
                 - node.jitter.mean
@@ -106,43 +112,48 @@ def _simulate(scenario: NetworkScenario, seq: np.random.SeedSequence,
               size: int):
     """Run ``size`` trials of ``scenario`` in lockstep.
 
-    ``seq`` spawns one stream for the central clock, one for the EC
-    fires of every node, and then one per node for its link jitter.
-    Returns the output ticks and the arrival ticks, shapes (size, nodes,
-    n_outputs) and (size, nodes, n), n > n_outputs.
+    ``seq`` spawns three streams, one per role: the central clock's
+    waits, the link jitter of every node (see ``_arrivals``), and the EC
+    fires of every node.  So a node without jitter gets its arrivals
+    from the central stream only, a jittered node's draws depend on the
+    jitter laws of the nodes before it, and every node's fires depend on
+    the node count.  The arrivals are laid out tick-major, (ticks, nodes,
+    size), like the outputs.  Returns the output ticks and the arrival
+    ticks, shapes (size, nodes, n_outputs) and (size, nodes, n),
+    n > n_outputs; the arrivals are a transposed view, so one tick of
+    every node and trial is contiguous.
 
     Each node runs ``switching`` over its arrivals.  Every EC was reset
     at time 0, which is what keeps the nodes mutually synchronized, so at
     the first arrival it has idled since time 0; after each output,
-    since that output.  Each (trial, node) keeps the index of its input
+    since that output.  Each (node, trial) keeps the index of its input
     tick, which only moves forward: the arrivals are sorted and an output
     comes after its input, so the next input lies one or more arrivals
     on.  When an index reaches the end of the arrivals, every node
     receives another chunk of broadcast ticks.
     """
-    rng_c, rng_ec, *rngs = [np.random.default_rng(s) for s in
-                            seq.spawn(2 + len(scenario.nodes))]
+    rng_c, rng_jit, rng_ec = [np.random.default_rng(s)
+                              for s in seq.spawn(3)]
     n_out = scenario.n_outputs
     width = n_out + 2  # each output uses up at least one arrival
-    broadcast = np.cumsum(scenario.central.sample(rng_c, (size, width)),
-                          axis=1)
-    arr = _arrivals(broadcast, scenario, rngs)
-    rows = np.arange(size * len(scenario.nodes))
-    idx = np.zeros_like(rows)     # each (trial, node)'s input, flattened
-    start = rows * arr.shape[2]   # its row's offset in the flat arr
+    broadcast = np.cumsum(scenario.central.sample(rng_c, (width, size)),
+                          axis=0)
+    arr = _arrivals(broadcast, scenario, rng_jit)
+    rows = np.arange(arr.shape[1] * size)  # (node, trial), flattened
+    idx = np.zeros_like(rows)  # each row's input tick
+    stride = rows.size         # one tick of the flat arr
 
     def gather(at):
         """The arrivals at ``idx[at]``, extending the broadcast first if
         one of those indices has reached the end."""
-        nonlocal arr, broadcast, start
+        nonlocal arr, broadcast
         i = idx[at]
-        if i.max() == arr.shape[2]:
-            waits = scenario.central.sample(rng_c, (size, width))
-            broadcast = broadcast[:, -1:] + np.cumsum(waits, axis=1)
+        if i.max() == arr.shape[0]:
+            waits = scenario.central.sample(rng_c, (width, size))
+            broadcast = broadcast[-1:] + np.cumsum(waits, axis=0)
             arr = np.concatenate(
-                [arr, _arrivals(broadcast, scenario, rngs)], axis=2)
-            start = rows * arr.shape[2]
-        return np.take(arr, start[at] + i)
+                [arr, _arrivals(broadcast, scenario, rng_jit)])
+        return np.take(arr, i * stride + rows[at])
 
     def next_input(t_in, t_out):
         t_out = t_out.ravel()
@@ -156,12 +167,15 @@ def _simulate(scenario: NetworkScenario, seq: np.random.SeedSequence,
         return nxt.reshape(t_in.shape)
 
     out = np.empty((size, len(scenario.nodes), n_out), order="F")
-    t_in = arr[:, :, 0]  # every EC was reset at time 0
-    switching(out, t_in, t_in, scenario.ec, rng_ec, next_input)
-    if (arr[:, :, 1:] <= arr[:, :, :-1]).any():
+    # switching runs on (nodes, size) planes, one contiguous plane a tick
+    # of either array, in the order of ``rows``
+    t_in = arr[0]  # every EC was reset at time 0
+    switching(out.transpose(1, 0, 2), t_in, t_in, scenario.ec, rng_ec,
+              next_input)
+    if (arr[1:] <= arr[:-1]).any():
         raise ValueError("link jitter reordered the broadcast ticks")
     check_rows(out.reshape(-1, n_out, order="F"))  # a view: no copy
-    return out, arr
+    return out, arr.transpose(2, 1, 0)
 
 
 @dataclass(frozen=True)

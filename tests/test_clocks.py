@@ -71,6 +71,13 @@ class TestEnhancingClock:
             parts = parts.advance(dt)
         assert parts.phase == pytest.approx(ec.advance(2.0).phase, abs=1e-12)
 
+    @pytest.mark.parametrize("dt", [np.nan, np.inf])
+    def test_advance_rejects_non_finite_time(self, dt):
+        ec = EnhancingClock(tau=1.0, sigma=0.1, eps_tail=0.0)
+        with pytest.raises(ValueError, match="advance time dt must be "
+                                             "finite"):
+            ec.advance(dt)
+
     def test_mode_discipline(self):
         ec = EnhancingClock(tau=1.0, sigma=0.1, eps_tail=0.0)
         with pytest.raises(ValueError):

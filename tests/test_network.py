@@ -43,17 +43,47 @@ def oracle_node(arrivals, ec, n_outputs, rng):
 
 
 def oracle_trial(scenario, rng):
-    """Output ticks (nodes, n_outputs) of one trial over a broadcast of
-    4 (n_outputs + 2) central ticks, all drawn from ``rng``."""
+    """Output ticks (nodes, n_outputs) and arrivals (nodes, n) of one
+    trial over a broadcast of n = 4 (n_outputs + 2) central ticks, all
+    drawn from ``rng``."""
     waits = scenario.central.sample(rng, 4 * (scenario.n_outputs + 2))
     broadcast = np.cumsum(waits)
-    out = []
+    out, arrivals = [], []
     for node in scenario.nodes:
         arr = broadcast + node.delay
         if node.jitter is not None:
             arr = arr + node.jitter.sample(rng, arr.size) - node.jitter.mean
         out.append(oracle_node(arr, scenario.ec, scenario.n_outputs, rng))
-    return np.array(out)
+        arrivals.append(arr)
+    return np.array(out), np.array(arrivals)
+
+
+def _assert_matches_oracle(scenario, trials, seed):
+    """Run ``trials`` trials of ``scenario`` in blocks of ``_BLOCK`` from
+    ``seed`` and compare every node's outputs, and its arrivals at as
+    many ticks, with as many ``oracle_trial`` draws by KS; Bonferroni
+    keeps the family-wise error rate at 5 percent.  Returns the arrivals
+    of the first block."""
+    streams = np.random.SeedSequence(seed).spawn(-(-trials // _BLOCK))
+    runs = [_simulate(scenario, seq, min(_BLOCK, trials - b * _BLOCK))
+            for b, seq in enumerate(streams)]
+    n_out = scenario.n_outputs
+    engine = {"output": np.concatenate([out for out, _ in runs]),
+              "arrival": np.concatenate([arr[:, :, :n_out]
+                                         for _, arr in runs])}
+    rng = np.random.default_rng(seed + 1)
+    oracle = [oracle_trial(scenario, rng) for _ in range(trials)]
+    oracle = {"output": np.array([out for out, _ in oracle]),
+              "arrival": np.array([arr[:, :n_out] for _, arr in oracle])}
+    alpha = 0.05 / (2 * len(scenario.nodes) * n_out)
+    for name, ticks in engine.items():
+        for i in range(len(scenario.nodes)):
+            for k in range(n_out):
+                p = stats.ks_2samp(ticks[:, i, k],
+                                   oracle[name][:, i, k]).pvalue
+                assert p > alpha, \
+                    f"node {i} {name} {k}: KS p-value {p:.2e}"
+    return runs[0][1]
 
 
 def _ideal_ec():
@@ -65,6 +95,12 @@ class TestScenarios:
         with pytest.raises(ValueError):
             NetworkScenario(central=Delta(3.3), ec=_ideal_ec(),
                             nodes=(NodeConfig(delay=0.0),), n_outputs=1)
+
+    @pytest.mark.parametrize("delay", [-0.1, np.nan, np.inf])
+    def test_bad_delay_rejected(self, delay):
+        with pytest.raises(ValueError, match="link delay must be finite "
+                                             "and nonnegative"):
+            NodeConfig(delay=delay)
 
     def test_jitter_needs_bounded_support(self):
         with pytest.raises(ValueError, match="bounded support"):
@@ -117,19 +153,26 @@ class TestRunNetwork:
         assert out0 == pytest.approx(out1, abs=1e-12)
 
     def test_nodes_only_see_their_arrivals(self):
-        # adding jitter at one node leaves the other node's trace unchanged
+        # adding jitter at one node leaves the other node's whole arrival
+        # row unchanged, with the quiet node first or last, the chunks
+        # that extend the broadcast included: central waits near 0.3
+        # against an EC of period 1 use up more than the first chunk of
+        # n_outputs + 2 ticks
         jitter = Box(center=0.05, width=0.05)
-        quiet = NodeConfig(delay=0.05)
-        noisy_a = NodeConfig(delay=0.05, jitter=None)
-        noisy_b = NodeConfig(delay=0.05, jitter=jitter)
-        central = Box(3.2, 0.05)
-        a = run_network(NetworkScenario(central=central, ec=_ideal_ec(),
-                                        nodes=(quiet, noisy_a),
-                                        n_outputs=3), seed=4)
-        b = run_network(NetworkScenario(central=central, ec=_ideal_ec(),
-                                        nodes=(quiet, noisy_b),
-                                        n_outputs=3), seed=4)
-        assert np.array_equal(a.arrivals[0], b.arrivals[0])
+        quiet = NodeConfig(delay=0.7)
+        central = Box(0.3, 0.05)
+        for quiet_at in (0, 1):
+            rows = []
+            for other in (NodeConfig(delay=0.7),
+                          NodeConfig(delay=0.7, jitter=jitter)):
+                nodes = [other]
+                nodes.insert(quiet_at, quiet)
+                result = run_network(NetworkScenario(
+                    central=central, ec=_ideal_ec(), nodes=nodes,
+                    n_outputs=5), seed=4)
+                rows.append(result.arrivals[quiet_at])
+            assert rows[0].size > 5 + 2
+            assert np.array_equal(rows[0], rows[1])
 
 
 def _plan_scan(mu, sigma, jitter_width, ratio):
@@ -259,22 +302,21 @@ class TestEngineAgainstOracle:
                 oracle_node(arr, scenario.ec, n_outputs, rng), rel=1e-12)
 
     def test_in_distribution_box_central_with_jitter(self):
-        # every node and output column is one KS test; Bonferroni keeps
-        # the family-wise error rate at 5 percent
         scenario = plan_scenario(Box(1.0, 0.1), 3, 0.1, 256, n_outputs=4)
-        trials = 1500
-        streams = np.random.SeedSequence(2024).spawn(-(-trials // _BLOCK))
-        engine = np.concatenate(
-            [_simulate(scenario, seq, min(_BLOCK, trials - b * _BLOCK))[0]
-             for b, seq in enumerate(streams)])
-        rng = np.random.default_rng(2025)
-        oracle = np.array([oracle_trial(scenario, rng)
-                           for _ in range(trials)])
-        alpha = 0.05 / (len(scenario.nodes) * scenario.n_outputs)
-        for i in range(len(scenario.nodes)):
-            for k in range(scenario.n_outputs):
-                p = stats.ks_2samp(engine[:, i, k], oracle[:, i, k]).pvalue
-                assert p > alpha, f"node {i} tick {k}: KS p-value {p:.2e}"
+        _assert_matches_oracle(scenario, 1500, 2024)
+
+    def test_in_distribution_mixed_jitter(self):
+        # one node without jitter and two with different Box laws; central
+        # waits near 0.3 against an EC of period 1, so the outputs use up
+        # more than the first chunk of broadcast ticks
+        ec = ExplicitEC(tau=1.0, sigma=0.1, eps_tail=0.001)
+        nodes = (NodeConfig(delay=0.7),
+                 NodeConfig(delay=0.68, jitter=Box(0.05, 0.04)),
+                 NodeConfig(delay=0.72, jitter=Box(0.2, 0.1)))
+        scenario = NetworkScenario(central=Box(0.3, 0.05), ec=ec,
+                                   nodes=nodes, n_outputs=5)
+        arr = _assert_matches_oracle(scenario, 1500, 7)
+        assert arr.shape[2] > scenario.n_outputs + 2
 
     def test_steps_past_one_or_several_arrivals(self):
         # central waits of 0.2 to 0.4 against an EC of period 1: the
