@@ -214,13 +214,13 @@ class MarkovTwoState:
     beta: float
 
     def __post_init__(self):
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("rates must be nonnegative")
+        if not (0 <= self.alpha < math.inf and 0 <= self.beta < math.inf):
+            raise ValueError("rates must be finite and nonnegative")
 
     def transition(self, t: float) -> np.ndarray:
         """Row-stochastic transition matrix P(t)."""
-        if t < 0:
-            raise ValueError("time must be nonnegative")
+        if not 0 <= t < math.inf:
+            raise ValueError("time must be finite and nonnegative")
         a, b = self.alpha, self.beta
         if a + b == 0:
             return np.eye(2)
@@ -235,8 +235,8 @@ class MarkovTwoState:
                           tol: float = 1e-12) -> PeriodicityCheck:
         """Certify that a fixed point of the A-row at any period > 0 forces
         stationarity: A P(T) = A holds iff alpha (1 - e^{-T(a+b)}) = 0."""
-        if period <= 0:
-            raise ValueError("period must be positive")
+        if not 0 < period < math.inf:
+            raise ValueError("period must be finite and positive")
         row = np.array([1.0, 0.0]) @ self.transition(period)
         fixed = abs(row[0] - 1.0) <= tol and abs(row[1]) <= tol
         return PeriodicityCheck(is_fixed_point=fixed)

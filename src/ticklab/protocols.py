@@ -81,11 +81,15 @@ def _bound(protocol: Protocol, sigma_in: float, bar_sigma_ec: float | None,
     period leaves ``room`` = tau - sigma_ec: theorem 1, (5 j^2 / 6)
     Sigma_in bar_Sigma_EC, for dynamics switching while ``_room_fits``;
     theorem 2, Sigma_in bar_Sigma_EC, for the one i.i.d. gap of feedback
-    while Sigma_in < 1.  The default is a unit-mean input in the widest
+    while Sigma_in < 1.  bar_Sigma_EC is None for the bunching protocols,
+    which have no bound.  The default is a unit-mean input in the widest
     period cell, tau = 1 / 1.5 and room tau (1 - bar_Sigma_EC / 2).
     This is the one place a failed hypothesis becomes None."""
     if not (0.0 <= sigma_in < math.inf and _is_count(j)):
         raise ValueError("need a finite sigma_in >= 0 and a tick index >= 1")
+    if bar_sigma_ec is not None and not 0.0 <= bar_sigma_ec < math.inf:
+        raise ValueError("need a finite bar_sigma_ec >= 0, got "
+                         f"{bar_sigma_ec!r}")
     if protocol is Protocol.DYN_SWITCH and _room_fits(
             j, sigma_in, (1.0 / 1.5) * (1.0 - bar_sigma_ec / 2)
             if room is None else room):

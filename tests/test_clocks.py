@@ -393,3 +393,15 @@ class TestMarkovTwoState:
     def test_rejects_negative_rates(self):
         with pytest.raises(ValueError):
             MarkovTwoState(-0.1, 0.5)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_rates_times_and_periods(self, bad):
+        with pytest.raises(ValueError, match="rates"):
+            MarkovTwoState(bad, 1.0)
+        with pytest.raises(ValueError, match="rates"):
+            MarkovTwoState(1.0, bad)
+        chain = MarkovTwoState(0.3, 0.7)
+        with pytest.raises(ValueError, match="time"):
+            chain.transition(bad)
+        with pytest.raises(ValueError, match="period"):
+            chain.periodicity_check(bad)

@@ -143,14 +143,6 @@ def binomials(d):
     return combs
 
 
-def rounded_binomial(d):
-    """The 2^64-word counts of Bin(d, 1/2) the pair table is built from:
-    C(d, k) 2^(64 - d) rounded, the residual on the mode."""
-    counts = [((c << 64) + (1 << (d - 1))) >> d for c in binomials(d)]
-    counts[d // 2] += (1 << 64) - sum(counts)
-    return counts
-
-
 def pair_law(d):
     """4^d P(N_0 + 2 N_1 = m) for m = 0..3d and i.i.d. N_b ~ Bin(d, 1/2):
     the coefficients of (1 + x)^d (1 + x^2)^d, by Kronecker substitution of
@@ -167,6 +159,38 @@ def pair_law(d):
     return [int(digits[i:i + w]) for i in range(0, len(digits), w)][::-1]
 
 
+def digit_law(d):
+    """C_m = 4^d P(N_0 + 2 N_1 = m) for m = 0..3d, the coefficients of
+    (1 + x + x^2 + x^3)^d, by the exact recurrence of P = that power,
+    (1 + x + x^2 + x^3) P' = d (1 + 2x + 3x^2) P, over the whole range;
+    fast where ``pair_law`` takes seconds (d = 4096).  Checked on the way
+    out: the C_m sum to 4^d, are symmetric, and sum_m C_m r^m is
+    (1 + r + r^2 + r^3)^d modulo the prime 2^61 - 1 at a few r."""
+    law = [0, 0, 1]  # C_-2, C_-1 and C_0
+    for m in range(3 * d):
+        law.append(((d - m) * law[-1] + (2 * d - m + 1) * law[-2]
+                    + (3 * d - m + 2) * law[-3]) // (m + 1))
+    law = law[2:]
+    assert sum(law) == 4 ** d
+    assert law == law[::-1]
+    prime = 2 ** 61 - 1
+    residues = [c % prime for c in law]
+    for r in (2, 12345, 2 ** 40 + 15):
+        value = 0
+        for c in reversed(residues):
+            value = (value * r + c) % prime
+        assert value == pow(1 + r + r * r + r ** 3, d, prime)
+    return law
+
+
+def rounded_law(law, d):
+    """The 2^64-word counts of C_m / 4^d, ``law`` as ``pair_law`` gives
+    it: C_m 2^64 / 4^d rounded once, the residual on the mode."""
+    counts = [((c << 64) + (1 << (2 * d - 1))) >> (2 * d) for c in law]
+    counts[counts.index(max(counts))] += (1 << 64) - sum(counts)
+    return counts
+
+
 class TestPairAlias:
     @pytest.mark.parametrize("d", [_BIT_PLANES, 256, 257, 1000, 1024])
     def test_table_law_is_within_2_53_of_the_pair_law(self, d):
@@ -179,29 +203,26 @@ class TestPairAlias:
                  for m, p in zip(mass, pair_law(d)))
         assert Fraction(l1, 2 ** (65 + 2 * d)) <= Fraction(1, 2 ** 53)
 
-    @pytest.mark.parametrize("d", [_BIT_PLANES, 257, _ALIAS_MAX])
-    def test_table_counts_are_the_rounded_convolution(self, d):
-        # the 2^128-word counts of N_0 + 2 N_1 by a double loop over the
-        # rounded binomial counts, divided by 2^64 and rounded, the
-        # residual on the mode; at _ALIAS_MAX, where the exact law takes
-        # seconds, the docstring's bound: twice the binomial counts'
-        # distance plus the rounding's
-        binom = rounded_binomial(d)
-        held = [k for k, m in enumerate(binom) if m]
-        exact = [0] * (3 * d + 1)
-        for a in held:
-            for b in held:
-                exact[a + 2 * b] += binom[a] * binom[b]
-        counts = [(p + (1 << 63)) >> 64 for p in exact]
-        counts[counts.index(max(counts))] += (1 << 64) - sum(counts)
-        assert alias_mass(d) == counts
-        # in units of 2^-(65 + d) and 2^-129
-        binom_l1 = sum(abs((m << d) - (c << 64))
-                       for m, c in zip(binom, binomials(d)))
-        round_l1 = sum(abs((m << 64) - p) for m, p in zip(counts, exact))
-        bound = (2 * Fraction(binom_l1, 2 ** (65 + d))
-                 + Fraction(round_l1, 2 ** 129))
-        assert bound <= Fraction(1, 2 ** 53)
+    @pytest.mark.parametrize("d", [33, 257, 1024])
+    def test_table_counts_are_the_rounded_law(self, d):
+        # d = 33 is the first d whose counts are rounded: 2^64 / 4^d is no
+        # longer a whole number of words
+        assert alias_mass(d) == rounded_law(pair_law(d), d)
+
+    @pytest.mark.parametrize("d", [1, 33, 257])
+    def test_digit_law_is_the_pair_law(self, d):
+        assert digit_law(d) == pair_law(d)
+
+    def test_largest_table_is_within_2_56_of_the_pair_law(self):
+        # pair_law would take seconds at _ALIAS_MAX; digit_law checks its
+        # own coefficients
+        d = _ALIAS_MAX
+        law = digit_law(d)
+        mass = alias_mass(d)
+        assert mass == rounded_law(law, d)
+        # twice the distance to the exact law, in units of 2^-(64 + 2d)
+        l1 = sum(abs((m << 2 * d) - (c << 64)) for m, c in zip(mass, law))
+        assert Fraction(l1, 2 ** (65 + 2 * d)) <= Fraction(1, 2 ** 56)
 
     @pytest.mark.parametrize("d", [_BIT_PLANES, 257])
     def test_threshold_words_draw_the_alias(self, d):
@@ -219,10 +240,10 @@ class TestPairAlias:
         expected = [v for c in split for v in (first + c, aliases[c])]
         assert counts[:len(expected)].tolist() == expected
 
-    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3, 32])
     def test_small_tables_hold_the_exact_law(self, d):
-        # the binomial counts are exact and the pair counts a whole number
-        # of words, so the table draws the exact law
+        # up to d = 32 each count C_m 2^64 / 4^d is a whole number of
+        # words, so the table draws the exact law
         assert [m * 4 ** d for m in alias_mass(d)] == [
             p << 64 for p in pair_law(d)]
 

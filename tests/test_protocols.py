@@ -259,6 +259,13 @@ class TestBoundFormulas:
         with pytest.raises(ValueError):
             theorem2_bound(1.0, 0.04)
 
+    @pytest.mark.parametrize("bar", [-1.0, math.nan, math.inf])
+    def test_theorems_name_a_bad_bar_sigma_ec(self, bar):
+        with pytest.raises(ValueError, match="finite bar_sigma_ec"):
+            theorem1_bound(0.1, bar, 1)
+        with pytest.raises(ValueError, match="finite bar_sigma_ec"):
+            theorem2_bound(0.1, bar)
+
     def test_corollaries(self):
         nf, fb = corollary_bounds(0.33, 100, 0.1, 1)
         assert nf == pytest.approx(0.00872, abs=1e-5)
