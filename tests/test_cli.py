@@ -13,6 +13,8 @@ from ticklab.cli import (ConfigError, build_parser, fit_slope, main,
                          parse_dist)
 from ticklab.distributions import Box, Delta, DeltaMixture, Gaussian
 
+from rewrite_golden import unstamped
+
 
 class TestParseDist:
     def test_variants(self):
@@ -79,9 +81,7 @@ class TestDeterminism:
     def test_identical_output_except_timestamp(self, capsys):
         _, first = _run(capsys, *SMALL_SWEEP)
         _, second = _run(capsys, *SMALL_SWEEP)
-        strip = lambda text: [line for line in text.splitlines()
-                              if not line.startswith("# generated")]
-        assert strip(first) == strip(second)
+        assert unstamped(first) == unstamped(second)
 
     def test_round_trip_from_emitted_file(self, capsys, tmp_path):
         out = tmp_path / "first.csv"
@@ -90,9 +90,7 @@ class TestDeterminism:
         code, text = _run(capsys, "sweep", "--config", str(out))
         assert code == 0
         emitted = out.read_text()
-        strip = lambda t: [line for line in t.splitlines()
-                           if not line.startswith("# generated")]
-        assert strip(text) == strip(emitted)
+        assert unstamped(text) == unstamped(emitted)
 
     def test_network_round_trip_from_emitted_file(self, capsys, tmp_path):
         out = tmp_path / "network.csv"
@@ -101,9 +99,7 @@ class TestDeterminism:
         assert code == 0
         code, text = _run(capsys, "network", "--config", str(out))
         assert code == 0
-        strip = lambda t: [line for line in t.splitlines()
-                           if not line.startswith("# generated")]
-        assert strip(text) == strip(out.read_text())
+        assert unstamped(text) == unstamped(out.read_text())
 
     @pytest.mark.parametrize("argv", [
         ("run", "--protocol", "2", "--trials", "80", "--seed", "5"),
@@ -118,9 +114,7 @@ class TestDeterminism:
         assert code == 0
         code, text = _run(capsys, argv[0], "--config", str(out))
         assert code == 0
-        strip = lambda t: [line for line in t.splitlines()
-                           if not line.startswith("# generated")]
-        assert strip(text) == strip(out.read_text())
+        assert unstamped(text) == unstamped(out.read_text())
 
     def test_parser_built_once_keeps_no_state(self, capsys, monkeypatch):
         # main builds its parser on the first call of a process; a network
@@ -138,9 +132,7 @@ class TestDeterminism:
         code, _ = _run(capsys, "network", "--trials", "20")
         assert code == 0
         _, again = _run(capsys, *run)
-        strip = lambda t: [line for line in t.splitlines()
-                           if not line.startswith("# generated")]
-        assert strip(first) == strip(again)
+        assert unstamped(first) == unstamped(again)
         assert len(built) == 1
 
     def test_env_variable_overrides_seed(self, capsys, monkeypatch):
