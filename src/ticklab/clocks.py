@@ -99,11 +99,11 @@ def sample_tick_phase(ec: ExplicitEC, rng, size=None):
         return lo + (hi - lo) * rng.random()
     keep = 1.0 - ec.eps_tail
     phi = rng.random(size)  # u, mapped in place
-    tail = phi >= keep      # empty at eps_tail 0, as u < 1
-    phi_tail = -tau / 2 + tau * (phi[tail] - keep) / ec.eps_tail
+    tail = np.flatnonzero(phi >= keep)  # empty at eps_tail 0, as u < 1
+    phi_tail = -tau / 2 + tau * (phi.flat[tail] - keep) / ec.eps_tail
     phi *= (hi - lo) / keep
     phi += lo
-    phi[tail] = phi_tail
+    phi.flat[tail] = phi_tail
     return phi
 
 
@@ -122,10 +122,10 @@ def delay_to_phase(idle: np.ndarray, phi: np.ndarray, tau) -> np.ndarray:
     a float.  An array result gets its extra period in place; ``idle``
     and ``phi`` are left as they are."""
     s = wrap_phase(idle, tau)
-    d = phi - s
+    d = phi - s  # with gradual underflow, d <= 0 exactly when phi <= s
     if isinstance(d, float):
-        return d + tau * (phi <= s)
-    np.add(d, tau, out=d, where=phi <= s)
+        return d + tau * (d <= 0)
+    np.add(d, tau, out=d, where=d <= 0)
     return d
 
 

@@ -117,7 +117,11 @@ class Box(WaitingTimeDistribution):
     def sample(self, rng, size):
         lo = self.center - self.width / 2
         hi = self.center + self.width / 2
-        return rng.uniform(lo, hi, size)
+        # rng.uniform(lo, hi, size)'s own arithmetic, in place
+        u = rng.random(size)
+        u *= hi - lo
+        u += lo
+        return u
 
     def bunch_sums(self, rng, size, d):
         # each wait is the midpoint of one of 2^32 cells of the support, so

@@ -26,10 +26,11 @@ _PHASE_MARGIN = 0.75  # fraction of the safe phase band a node may use
 # block, while peak memory grows with the block.  ``network_spreads`` on
 # the default ``network`` scenario at 5000 trials, medians of 15
 # in-process interleaved rounds (2-vCPU shared host, raw time, tracemalloc
-# peak): 128 trials 0.027 s and 0.37 MB; 512 trials 0.013 s and 1.20 MB;
-# 1024 trials 0.012 s and 2.32 MB.  The process's peak RSS is 40.3 MB at
-# all three, set by the imports.  512 takes most of the gain at half of
-# 1024's traced peak.
+# peak): 128 trials 0.024 s and 0.32 MB; 512 trials 0.010 s and 1.00 MB;
+# 1024 trials 0.009 s and 1.91 MB.  The process's peak RSS is 35.3, 35.8
+# and 36.9 MB, set by the imports.  512 takes most of the gain at half of
+# 1024's traced peak; 1024 would also move the seeded oracle test
+# ``test_in_distribution_mixed_jitter`` (seed 7) below its KS threshold.
 _BLOCK = 512
 
 
@@ -94,17 +95,20 @@ def _arrivals_safe(central: ConfidenceInterval, ec: ExplicitEC,
 def _arrivals(broadcast: np.ndarray, scenario: NetworkScenario,
               rng) -> np.ndarray:
     """Broadcast ticks (ticks, trials) as received at every node, shape
-    (ticks, nodes, trials): one add of every node's delay, then each
-    jittered node, in node order, draws its jitter from ``rng``.  A node
-    without jitter draws nothing, so its arrivals come from the broadcast
-    alone; a jittered node's draws depend on the jitter laws of the nodes
-    before it."""
-    delays = np.array([node.delay for node in scenario.nodes])
-    t = broadcast[:, None, :] + delays[:, None]
+    (ticks, nodes, trials): each node's plane is one add to the broadcast
+    of its delay, or of its jitter draw offset by delay - mean.  The
+    jittered nodes draw from ``rng`` in node order.  A node without
+    jitter draws nothing, so its arrivals come from the broadcast alone;
+    a jittered node's draws depend on the jitter laws of the nodes before
+    it."""
+    t = np.empty((broadcast.shape[0], len(scenario.nodes),
+                  broadcast.shape[1]))
     for i, node in enumerate(scenario.nodes):
+        lag = node.delay
         if node.jitter is not None:
-            t[:, i] += node.jitter.sample(rng, broadcast.shape) \
-                - node.jitter.mean
+            lag = node.jitter.sample(rng, broadcast.shape)
+            lag += node.delay - node.jitter.mean
+        np.add(broadcast, lag, out=t[:, i])
     return t
 
 
@@ -120,7 +124,7 @@ def _simulate(scenario: NetworkScenario, seq: np.random.SeedSequence,
     the node count.  The arrivals are laid out tick-major, (ticks, nodes,
     size), like the outputs.  Returns the output ticks and the arrival
     ticks, shapes (size, nodes, n_outputs) and (size, nodes, n),
-    n > n_outputs; the arrivals are a transposed view, so one tick of
+    n >= n_outputs; the arrivals are a transposed view, so one tick of
     every node and trial is contiguous.
 
     Each node runs ``switching`` over its arrivals.  Every EC was reset
@@ -135,34 +139,40 @@ def _simulate(scenario: NetworkScenario, seq: np.random.SeedSequence,
     rng_c, rng_jit, rng_ec = [np.random.default_rng(s)
                               for s in seq.spawn(3)]
     n_out = scenario.n_outputs
-    width = n_out + 2  # each output uses up at least one arrival
-    broadcast = np.cumsum(scenario.central.sample(rng_c, (width, size)),
+    # output k uses arrival k or a later one, so a chunk of n_out ticks
+    # serves every output of a row that never lags
+    broadcast = np.cumsum(scenario.central.sample(rng_c, (n_out, size)),
                           axis=0)
     arr = _arrivals(broadcast, scenario, rng_jit)
-    rows = np.arange(arr.shape[1] * size)  # (node, trial), flattened
-    idx = np.zeros_like(rows)  # each row's input tick
-    stride = rows.size         # one tick of the flat arr
+    stride = arr.shape[1] * size  # one tick of the flat arr
+    # each (node, trial) row's input tick as a flat index into arr,
+    # tick * stride + row, and the largest tick of any row
+    pos = np.arange(stride)
+    top = 0
 
     def gather(at):
-        """The arrivals at ``idx[at]``, extending the broadcast first if
-        one of those indices has reached the end."""
+        """The arrivals at flat indices ``at``, extending the broadcast
+        first if the largest tick has reached the end."""
         nonlocal arr, broadcast
-        i = idx[at]
-        if i.max() == arr.shape[0]:
-            waits = scenario.central.sample(rng_c, (width, size))
+        if top == arr.shape[0]:
+            waits = scenario.central.sample(rng_c, (n_out, size))
             broadcast = broadcast[-1:] + np.cumsum(waits, axis=0)
             arr = np.concatenate(
                 [arr, _arrivals(broadcast, scenario, rng_jit)])
-        return np.take(arr, i * stride + rows[at])
+        return np.take(arr, at)
 
     def next_input(t_in, t_out):
+        nonlocal top
         t_out = t_out.ravel()
-        idx[:] += 1
-        nxt = gather(slice(None))
+        pos[:] += stride
+        top += 1
+        nxt = gather(pos)
         step = np.flatnonzero(nxt <= t_out)
         while step.size:
-            idx[step] += 1
-            nxt[step] = gather(step)
+            at = pos[step] + stride
+            pos[step] = at
+            top = max(top, int(at.max()) // stride)
+            nxt[step] = gather(at)
             step = step[nxt[step] <= t_out[step]]
         return nxt.reshape(t_in.shape)
 
@@ -188,7 +198,7 @@ def run_network(scenario: NetworkScenario, seed: int) -> NetworkResult:
     """Simulate one scenario trial, the single trial of
     ``network_spreads(scenario, 1, seed, k)``.  Nodes only see their own
     arrivals, never each other's state.  The result holds arrays of shape
-    (nodes, n_outputs) and (nodes, n), n > n_outputs."""
+    (nodes, n_outputs) and (nodes, n), n >= n_outputs."""
     (_, seq), = _blocks(1, seed, 1)
     out, arr = _simulate(scenario, seq, 1)
     check_rows(arr[0])

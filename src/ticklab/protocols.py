@@ -309,8 +309,8 @@ def switching(out, t_in, idle, ec: ExplicitEC, rng, next_input):
     idles until the input tick ``next_input(t_in, t_out)``."""
     n_out = out.shape[-1]
     for k in range(n_out):
-        t_out = t_in + fire_delay(idle, ec, rng, t_in.shape)
-        out[..., k] = t_out
+        t_out = np.add(t_in, fire_delay(idle, ec, rng, t_in.shape),
+                       out=out[..., k])
         if k + 1 == n_out:
             break
         t_in = next_input(t_in, t_out)

@@ -287,6 +287,24 @@ class TestIdleLaw:
         assert type(scalar) is float
         assert np.array([scalar]).tobytes() == array.tobytes()
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e6)),
+           st.integers(min_value=-4, max_value=4),
+           st.floats(min_value=0.1, max_value=10))
+    def test_late_exactly_when_phase_at_or_behind_hand(self, idle, ulps,
+                                                       tau):
+        # the late test reads the sign of d = phi - s; tick phases a few
+        # ulps either side of the hand, subnormal ones around a hand at 0
+        # too, take the extra period exactly where phi <= s
+        s = float(wrap_phase(idle, tau))
+        phi = s
+        for _ in range(abs(ulps)):
+            phi = float(np.nextafter(phi, math.copysign(math.inf, ulps)))
+        expected = phi - s + (tau if phi <= s else 0.0)
+        assert delay_to_phase(idle, phi, tau) == expected
+        assert delay_to_phase(np.array([idle]), np.array([phi]),
+                              tau)[0] == expected
+
     def test_array_arguments_are_left_unchanged(self):
         # the network passes a view of its arrival array as ``idle``
         rng = np.random.default_rng(6)

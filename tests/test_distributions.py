@@ -58,6 +58,19 @@ class TestBox:
         with pytest.raises(ValueError):
             Box(center=1.0, width=2.0)
 
+    @pytest.mark.parametrize("box", [Box(1.0, 0.3333333333), Box(0.3, 0.05),
+                                     Box(0.05, 0.04), Box(1e3, 1.9e3)])
+    @pytest.mark.parametrize("size", [10 ** 5, (7, 512), ()])
+    def test_draw_is_rng_uniform_bit_for_bit(self, box, size):
+        # sample inlines rng.uniform's arithmetic in place, and moves the
+        # stream exactly as rng.random(size) does
+        rng, twin, raw = (np.random.default_rng(77) for _ in range(3))
+        lo, hi = box.support()
+        x = box.sample(rng, size)
+        assert x.tobytes() == twin.uniform(lo, hi, size).tobytes()
+        raw.random(size)
+        assert rng.random() == twin.random() == raw.random()
+
 
 def lattice_words(seed, n):
     """The n 32-bit words ``Box.bunch_sums`` draws for n waits from a

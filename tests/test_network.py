@@ -159,7 +159,7 @@ class TestRunNetwork:
         # row unchanged, with the quiet node first or last, the chunks
         # that extend the broadcast included: central waits near 0.3
         # against an EC of period 1 use up more than the first chunk of
-        # n_outputs + 2 ticks
+        # n_outputs ticks
         jitter = Box(center=0.05, width=0.05)
         quiet = NodeConfig(delay=0.7)
         central = Box(0.3, 0.05)
@@ -398,6 +398,59 @@ class TestBroadcast:
         assert arr.shape[2] > 4 * (scenario.n_outputs + 2)
         np.testing.assert_allclose(np.diff(out, axis=2), 0.5, rtol=0,
                                    atol=1e-9)
+
+    @pytest.mark.parametrize("n_outputs", [1, 5])
+    def test_block_without_lag_draws_one_chunk(self, n_outputs):
+        # central waits near 1 against an EC period below 1: each output
+        # comes before the next arrival, so output k's input is arrival k
+        scenario = plan_scenario(Box(1.0, 0.1), 8, 0.1, 256,
+                                 n_outputs=n_outputs)
+        out, arr = _simulate(scenario, np.random.SeedSequence(5).spawn(1)[0],
+                             _BLOCK)
+        assert arr.shape == (_BLOCK, 8, n_outputs)
+        assert (arr[:, :, 1:] > out[:, :, :-1]).all()
+
+    @pytest.mark.parametrize("central,delays,n_outputs", [
+        (Delta(0.1), (0.0, 0.0), 20),
+        (Box(0.3, 0.2), (0.5, 0.7, 0.9), 6),
+    ], ids=["delta", "box"])
+    def test_lagging_block_grows_by_chunks_of_n_outputs(self, central,
+                                                        delays, n_outputs):
+        # the last output's input is the first arrival after the output
+        # before it; the broadcast grows a chunk of n_outputs ticks at a
+        # time until it holds that arrival
+        nodes = tuple(NodeConfig(delay=d) for d in delays)
+        scenario = NetworkScenario(central=central, ec=_ideal_ec(),
+                                   nodes=nodes, n_outputs=n_outputs, eps=0.0)
+        out, arr = _simulate(scenario, np.random.SeedSequence(3).spawn(1)[0],
+                             _BLOCK)
+        last_input = (arr <= out[:, :, -2:-1]).sum(axis=2).max()
+        assert last_input >= n_outputs  # some node lags
+        assert arr.shape[2] == n_outputs * (last_input // n_outputs + 1)
+
+    def test_arrivals_are_broadcast_plus_delay_plus_centred_jitter(self):
+        # each plane is one add, so a jittered node's sum is rounded in
+        # another order than the reference's: a few ulps apart
+        nodes = (NodeConfig(delay=0.68, jitter=Box(0.05, 0.04)),
+                 NodeConfig(delay=0.7),
+                 NodeConfig(delay=0.72, jitter=Box(0.2, 0.1)))
+        scenario = NetworkScenario(central=Box(0.3, 0.05),
+                                   ec=ExplicitEC(1.0, 0.1, 0.001),
+                                   nodes=nodes, n_outputs=5)
+        broadcast = np.cumsum(scenario.central.sample(
+            np.random.default_rng(9), (40, 300)), axis=0)
+        rng, twin = np.random.default_rng(8), np.random.default_rng(8)
+        arr = network._arrivals(broadcast, scenario, rng)
+        assert arr.shape == (40, 3, 300)
+        for i, node in enumerate(nodes):
+            expected = broadcast + node.delay
+            if node.jitter is None:
+                assert np.array_equal(arr[:, i], expected)
+                continue
+            expected += (node.jitter.sample(twin, broadcast.shape)
+                         - node.jitter.mean)
+            np.testing.assert_array_max_ulp(arr[:, i], expected, maxulp=2)
+        assert rng.random() == twin.random()
 
     def test_reordering_jitter_rejected(self):
         # jitter spans 1.5, more than the shortest central wait of 0.95
