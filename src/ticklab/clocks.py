@@ -99,11 +99,12 @@ def sample_tick_phase(ec: ExplicitEC, rng, size=None):
         return lo + (hi - lo) * rng.random()
     keep = 1.0 - ec.eps_tail
     phi = rng.random(size)  # u, mapped in place
-    tail = np.flatnonzero(phi >= keep)  # empty at eps_tail 0, as u < 1
-    phi_tail = -tau / 2 + tau * (phi.flat[tail] - keep) / ec.eps_tail
+    flat = phi.reshape(-1)  # a view: phi is contiguous
+    tail = (flat >= keep).nonzero()[0]  # empty at eps_tail 0, as u < 1
+    phi_tail = -tau / 2 + tau * (flat[tail] - keep) / ec.eps_tail
     phi *= (hi - lo) / keep
     phi += lo
-    phi.flat[tail] = phi_tail
+    flat[tail] = phi_tail
     return phi
 
 

@@ -40,6 +40,7 @@ CASES = {
     "estimator-check": (["estimator-check"], None),
     # one protocol-3 run per Box bunch-sum path: per wait (32), alias
     # table (64, run-p3's default bunch, and 4096) and binomial planes
+    # (4097)
     **{f"run-p3-bunch{b}": (["run"], f"[run]\nprotocol = 3\nbunch = {b}\n")
        for b in (32, 4096, 4097)},
 }
@@ -48,7 +49,7 @@ CASES = {
 def versions() -> str:
     """The interpreter and numpy versions, as ``golden/VERSIONS`` holds
     them."""
-    return f"python {platform.python_version()}\nnumpy {np.__version__}\n"
+    return f"python {platform.python_version()}, numpy {np.__version__}"
 
 
 def unstamped(text: str) -> str:
@@ -85,7 +86,7 @@ def main() -> int:
         moved = not path.exists() or path.read_bytes() != data
         path.write_bytes(data)
         print(f"{'moved' if moved else 'same '} {path.relative_to(HERE)}")
-    (GOLDEN / "VERSIONS").write_text(versions(), encoding="utf-8")
+    (GOLDEN / "VERSIONS").write_text(versions() + "\n", encoding="utf-8")
     return 0
 
 

@@ -4,21 +4,16 @@ import pytest
 from rewrite_golden import CASES, GOLDEN, render, versions
 
 
-def _recorded_versions() -> str:
-    return (GOLDEN / "VERSIONS").read_text(encoding="utf-8")
-
-
 def _written_by() -> str:
-    def one_line(text):
-        return ", ".join(text.splitlines())
-    return (f"goldens written by {one_line(_recorded_versions())}; "
-            f"running {one_line(versions())}")
+    recorded = (GOLDEN / "VERSIONS").read_text(encoding="utf-8").strip()
+    return f"goldens written by {recorded}; running {versions()}"
 
 
 def test_goldens_match_this_python_and_numpy():
     # another numpy may draw other bits from the same seed: a mismatch
     # fails here rather than skipping the comparison
-    assert versions() == _recorded_versions(), _written_by()
+    recorded = (GOLDEN / "VERSIONS").read_text(encoding="utf-8").strip()
+    assert recorded == versions(), _written_by()
 
 
 @pytest.mark.parametrize("name", CASES)
