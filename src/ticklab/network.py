@@ -178,7 +178,7 @@ def _simulate(scenario: NetworkScenario, seq: np.random.SeedSequence,
 
     out = np.empty((size, len(scenario.nodes), n_out), order="F")
     # switching runs on (nodes, size) planes, one contiguous plane a tick
-    # of either array, in the order of ``rows``
+    # of either array, in the row order of ``pos``
     t_in = arr[0]  # every EC was reset at time 0
     switching(out.transpose(1, 0, 2), t_in, t_in, scenario.ec, rng_ec,
               next_input)

@@ -24,6 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
+from ticklab import cli
+
 HERE = Path(__file__).resolve().parent
 GOLDEN = HERE / "golden"
 RUN_T20 = HERE.parent / "perfbench" / "run_t20.ini"
@@ -58,10 +60,9 @@ def unstamped(text: str) -> str:
                    if not line.startswith("# generated"))
 
 
-def render(name: str) -> str:
-    """The unstamped CSV that case ``name`` prints, run in-process."""
-    from ticklab.cli import main
-
+def render(name: str) -> bytes:
+    """The unstamped CSV that case ``name`` prints, run in-process, as
+    its golden file holds it."""
     argv, config = CASES[name]
     with tempfile.TemporaryDirectory() as tmp:
         if config is not None:
@@ -70,10 +71,10 @@ def render(name: str) -> str:
             argv = [*argv, "--config", str(path)]
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            code = main(argv)
+            code = cli.main(argv)
     if code != 0:
         raise RuntimeError(f"golden case {name}: exit code {code}")
-    return unstamped(out.getvalue())
+    return unstamped(out.getvalue()).encode("utf-8")
 
 
 def main() -> int:
@@ -81,8 +82,7 @@ def main() -> int:
     GOLDEN.mkdir(exist_ok=True)
     for name in CASES:
         path = GOLDEN / f"{name}.csv"
-        text = render(name)
-        data = text.encode("utf-8")
+        data = render(name)
         moved = not path.exists() or path.read_bytes() != data
         path.write_bytes(data)
         print(f"{'moved' if moved else 'same '} {path.relative_to(HERE)}")

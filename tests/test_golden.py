@@ -20,6 +20,6 @@ def test_goldens_match_this_python_and_numpy():
 def test_output_matches_golden(name, monkeypatch):
     monkeypatch.delenv("TICKLAB_SEED", raising=False)
     expected = (GOLDEN / f"{name}.csv").read_bytes()
-    assert render(name).encode("utf-8") == expected, (
+    assert render(name) == expected, (
         f"{name}.csv differs from its golden ({_written_by()}); a change "
         "that moves a stream reruns tests/rewrite_golden.py")
