@@ -38,6 +38,9 @@ CASES = {
     **{f"run-t20-p{p}": (["run", "--config", str(RUN_T20), "--protocol", p],
                          None) for p in "1234"},
     "network": (["network"], None),
+    # unjittered links: every node's arrivals are the broadcast plus its
+    # delay, with no draw from the jitter stream
+    "network-nojitter": (["network"], "[network]\njitter_width = 0\n"),
     "bounds": (["bounds"], None),
     "estimator-check": (["estimator-check"], None),
     # one protocol-3 run per Box bunch-sum path: per wait (32), alias

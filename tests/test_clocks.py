@@ -287,6 +287,51 @@ class TestIdleLaw:
         assert type(scalar) is float
         assert np.array([scalar]).tobytes() == array.tobytes()
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(min_value=0.1, max_value=10),
+           st.integers(min_value=0, max_value=2 ** 32))
+    def test_many_entry_arrays_match_scalar_oracle(self, tau, seed):
+        # 2-D idles, half of them within 4 ulps of a domain edge
+        # (k + 1/2) tau, in three memory layouts: contiguous, and a
+        # non-contiguous transposed view of a Fortran-order block like
+        # the network's; tick phases at the hand or anywhere in
+        # (-tau/2, tau); then a float idle against an array of phases,
+        # EC bunching's fire_delay(0.0, ec, rng, size)
+        rng = np.random.default_rng(seed)
+        shape = (6, 32)
+        edge = (rng.integers(-10 ** 6, 10 ** 6, 96) + 0.5) * tau
+        for ulps in range(1, 5):
+            for sign in (-1.0, 1.0):
+                pick = rng.random(edge.size) < 0.3
+                edge[pick] = np.nextafter(edge[pick], sign * math.inf)
+        idle = np.concatenate([rng.uniform(-1e6, 1e6, 96), edge])
+        idle = rng.permutation(idle).reshape(shape)
+        hand = rng.random(shape) < 0.25
+        phi = np.where(hand, wrap_phase(idle, tau),
+                       rng.uniform(-0.5, 1.0, shape) * tau)
+        block = np.zeros((shape[1], 2, shape[0]), order="F")
+        block[:, 1] = idle.T
+        layouts = (idle, block[:, 1].T)
+        assert not layouts[1].flags.c_contiguous
+        assert not layouts[1].flags.f_contiguous
+        wrapped = np.array([wrap_phase(float(x), tau) for x in idle.flat])
+        oracle = np.array([delay_to_phase(float(x), float(p), tau)
+                           for x, p in zip(idle.flat, phi.flat)])
+        for view in layouts:
+            assert np.array_equal(view, idle)
+            assert wrap_phase(view, tau).tobytes() == wrapped.tobytes()
+            assert (delay_to_phase(view, phi, tau).tobytes()
+                    == oracle.tobytes())
+        ec = ExplicitEC(tau, 0.3 * tau, 0.2)
+        twin = np.random.default_rng(seed)
+        oracle = np.array([delay_to_phase(0.0, float(p), tau)
+                           for p in sample_tick_phase(ec, twin, 192)])
+        assert fire_delay(0.0, ec, np.random.default_rng(seed),
+                          192).tobytes() == oracle.tobytes()
+        assert (delay_to_phase(0.0, phi, tau).tobytes()
+                == np.array([delay_to_phase(0.0, float(p), tau)
+                             for p in phi.flat]).tobytes())
+
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e6)),
            st.integers(min_value=-4, max_value=4),

@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from ticklab import (Box, Delta, ExplicitEC, Gaussian, NetworkScenario,
-                     NodeConfig, cross_node_spread, network_spreads,
-                     plan_scenario, quasi_ideal_ratio, run_network,
-                     sample_tick_phase, wrap_phase)
+from ticklab import (Box, Delta, DeltaMixture, ExplicitEC, Gaussian,
+                     NetworkScenario, NodeConfig, cross_node_spread,
+                     network_spreads, plan_scenario, quasi_ideal_ratio,
+                     run_network, sample_tick_phase, wrap_phase)
 from ticklab import network
 from ticklab.network import (_BLOCK, _PHASE_MARGIN, _arrivals_safe,
                              _simulate)
@@ -450,6 +450,32 @@ class TestBroadcast:
             expected += (node.jitter.sample(twin, broadcast.shape)
                          - node.jitter.mean)
             np.testing.assert_array_max_ulp(arr[:, i], expected, maxulp=2)
+        assert rng.random() == twin.random()
+
+    def test_arrivals_equal_node_by_node_draws(self):
+        # runs of nodes that share a jitter law, broken by an unjittered
+        # node and by other laws: every plane equals the node-by-node
+        # reference on a twin stream exactly, and both streams end at
+        # the same position
+        a, b = Box(0.05, 0.04), Box(0.2, 0.1)
+        mixture = DeltaMixture(((0.02, 0.3), (0.05, 0.5), (0.09, 0.2)))
+        laws = (a, a, None, a, b, mixture, Delta(0.03))
+        nodes = tuple(NodeConfig(delay=0.66 + 0.01 * i, jitter=law)
+                      for i, law in enumerate(laws))
+        scenario = NetworkScenario(central=Box(0.3, 0.05),
+                                   ec=ExplicitEC(1.0, 0.1, 0.001),
+                                   nodes=nodes, n_outputs=5)
+        broadcast = np.cumsum(scenario.central.sample(
+            np.random.default_rng(9), (40, 300)), axis=0)
+        rng, twin = np.random.default_rng(8), np.random.default_rng(8)
+        arr = network._arrivals(broadcast, scenario, rng)
+        assert arr.shape == (40, len(nodes), 300)
+        for i, node in enumerate(nodes):
+            lag = node.delay
+            if node.jitter is not None:
+                lag = node.jitter.sample(twin, broadcast.shape)
+                lag += node.delay - node.jitter.mean
+            assert np.array_equal(arr[:, i], broadcast + lag), i
         assert rng.random() == twin.random()
 
     def test_reordering_jitter_rejected(self):
