@@ -40,8 +40,14 @@ def wrap_phase(x, tau: float) -> np.ndarray:
     if isinstance(x, float):
         s = x - tau * math.ceil(x / tau - 0.5)
         return tau / 2 if s <= -tau / 2 else min(s, tau / 2)
-    s = x - tau * np.ceil(x / tau - 0.5)
-    return np.where(s <= -tau / 2, tau / 2, np.minimum(s, tau / 2))
+    s = np.asarray(x / tau)  # a 0-d array where x / tau is a scalar
+    s -= 0.5
+    np.ceil(s, out=s)
+    s *= tau
+    np.subtract(x, s, out=s)
+    np.minimum(s, tau / 2, out=s)
+    np.copyto(s, tau / 2, where=s <= -tau / 2)
+    return s
 
 
 def _check_ec_tail(eps_tail: float):
@@ -120,10 +126,12 @@ def fire_delay(idle, ec: ExplicitEC, rng, size=None) -> np.ndarray:
 def delay_to_phase(idle: np.ndarray, phi: np.ndarray, tau) -> np.ndarray:
     """Time for the hand of an EC idle ``idle`` since its reset to turn to
     the tick phase ``phi`` by the module's rule, elementwise; scalars give
-    a float.  An array result gets its extra period in place; ``idle``
-    and ``phi`` are left as they are."""
+    a float.  An array result is built in place, in wrap_phase's buffer
+    if it has ``phi``'s shape; ``idle`` and ``phi`` stay as they are."""
     s = wrap_phase(idle, tau)
-    d = phi - s  # with gradual underflow, d <= 0 exactly when phi <= s
+    # with gradual underflow, d = phi - s <= 0 exactly when phi <= s
+    d = (np.subtract(phi, s, out=s) if isinstance(s, np.ndarray)
+         and s.shape == np.shape(phi) else phi - s)
     if isinstance(d, float):
         return d + tau * (d <= 0)
     np.add(d, tau, out=d, where=d <= 0)

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
+from operator import attrgetter
 
 import numpy as np
 
@@ -24,13 +26,14 @@ _PHASE_MARGIN = 0.75  # fraction of the safe phase band a node may use
 # trials per block.  The per-block cost (three streams, the jitter draws
 # of ``_arrivals``, the small calls of each output step) is paid once per
 # block, while peak memory grows with the block.  ``network_spreads`` on
-# the default ``network`` scenario at 5000 trials, medians of 15
+# the default ``network`` scenario at 5000 trials, medians of 31
 # in-process interleaved rounds (2-vCPU shared host, raw time, tracemalloc
-# peak): 128 trials 0.024 s and 0.32 MB; 512 trials 0.010 s and 1.00 MB;
-# 1024 trials 0.009 s and 1.91 MB.  The process's peak RSS is 35.3, 35.8
-# and 36.9 MB, set by the imports.  512 takes most of the gain at half of
-# 1024's traced peak; 1024 would also move the seeded oracle test
-# ``test_in_distribution_mixed_jitter`` (seed 7) below its KS threshold.
+# peak; grouped jitter draws): 128 trials 0.014 s and 0.34 MB; 512 trials
+# 0.0066 s and 0.93 MB; 1024 trials 0.0056 s and 1.78 MB.  The process's
+# peak RSS is 35.4, 36.0 and 36.6 MB, set by the imports.  512 takes most
+# of the gain at half of 1024's traced peak; 1024 would also move the
+# seeded oracle test ``test_in_distribution_mixed_jitter`` (seed 7) below
+# its KS threshold.
 _BLOCK = 512
 
 
@@ -95,20 +98,24 @@ def _arrivals_safe(central: ConfidenceInterval, ec: ExplicitEC,
 def _arrivals(broadcast: np.ndarray, scenario: NetworkScenario,
               rng) -> np.ndarray:
     """Broadcast ticks (ticks, trials) as received at every node, shape
-    (ticks, nodes, trials): each node's plane is one add to the broadcast
-    of its delay, or of its jitter draw offset by delay - mean.  The
-    jittered nodes draw from ``rng`` in node order.  A node without
-    jitter draws nothing, so its arrivals come from the broadcast alone;
-    a jittered node's draws depend on the jitter laws of the nodes before
-    it."""
+    (ticks, nodes, trials): each node's plane is the broadcast plus its
+    delay, or plus its jitter draw offset by delay - mean.  Each run of
+    nodes that share a jitter law takes one draw from ``rng``, the values
+    of drawing node by node in node order.  A node without jitter draws
+    nothing, so its arrivals come from the broadcast alone; a jittered
+    node's draws depend on the jitter laws of the nodes before it."""
     t = np.empty((broadcast.shape[0], len(scenario.nodes),
                   broadcast.shape[1]))
-    for i, node in enumerate(scenario.nodes):
-        lag = node.delay
-        if node.jitter is not None:
-            lag = node.jitter.sample(rng, broadcast.shape)
-            lag += node.delay - node.jitter.mean
-        np.add(broadcast, lag, out=t[:, i])
+    i = 0
+    for jitter, run in groupby(scenario.nodes, attrgetter("jitter")):
+        delays = np.array([node.delay for node in run])
+        lag = delays[:, None]
+        if jitter is not None:
+            lag = jitter.sample(rng, (delays.size, *broadcast.shape))
+            lag += (delays - jitter.mean)[:, None, None]
+            lag = lag.transpose(1, 0, 2)
+        np.add(broadcast[:, None], lag, out=t[:, i:i + delays.size])
+        i += delays.size
     return t
 
 
@@ -167,7 +174,7 @@ def _simulate(scenario: NetworkScenario, seq: np.random.SeedSequence,
         pos[:] += stride
         top += 1
         nxt = gather(pos)
-        step = np.flatnonzero(nxt <= t_out)
+        step = (nxt <= t_out).nonzero()[0]
         while step.size:
             at = pos[step] + stride
             pos[step] = at

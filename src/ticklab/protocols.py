@@ -294,7 +294,7 @@ def _next_after(t_in, t, dist, rng, n_ignored):
     ``t``; ticks passed over are counted in ``n_ignored``.  Only the trials
     whose input still lags are redrawn."""
     t_in = t_in + dist.sample(rng, t_in.size)
-    lag = np.flatnonzero(t_in <= t)
+    lag = (t_in <= t).nonzero()[0]
     while lag.size:
         n_ignored[lag] += 1
         t_in[lag] += dist.sample(rng, lag.size)
@@ -346,7 +346,7 @@ def _simulate(prep: PreparedRun, rng, out: np.ndarray,
             # every trial fires at least once
             t_in = _next_after(t_in, ec, dist, rng, n_ignored)
             ec += fire_delay(0.0, prep.ec, rng, size)
-            behind = np.flatnonzero(ec < t_in)
+            behind = (ec < t_in).nonzero()[0]
             while behind.size:
                 ec[behind] += fire_delay(0.0, prep.ec, rng, behind.size)
                 behind = behind[ec[behind] < t_in[behind]]
