@@ -292,15 +292,15 @@ class TestIdleLaw:
            st.integers(min_value=0, max_value=2 ** 32))
     def test_many_entry_arrays_match_scalar_oracle(self, tau, seed):
         # 2-D idles, half of them within 4 ulps of a domain edge
-        # (k + 1/2) tau, in three memory layouts: contiguous, and a
+        # (k + 1/2) tau, in two memory layouts: contiguous, and a
         # non-contiguous transposed view of a Fortran-order block like
         # the network's; tick phases at the hand or anywhere in
-        # (-tau/2, tau); then a float idle against an array of phases,
-        # EC bunching's fire_delay(0.0, ec, rng, size)
+        # (-tau/2, tau); a 0-d idle; then a float idle against an array
+        # of phases, EC bunching's fire_delay(0.0, ec, rng, size)
         rng = np.random.default_rng(seed)
         shape = (6, 32)
         edge = (rng.integers(-10 ** 6, 10 ** 6, 96) + 0.5) * tau
-        for ulps in range(1, 5):
+        for _ in range(4):
             for sign in (-1.0, 1.0):
                 pick = rng.random(edge.size) < 0.3
                 edge[pick] = np.nextafter(edge[pick], sign * math.inf)
@@ -322,6 +322,7 @@ class TestIdleLaw:
             assert wrap_phase(view, tau).tobytes() == wrapped.tobytes()
             assert (delay_to_phase(view, phi, tau).tobytes()
                     == oracle.tobytes())
+        assert wrap_phase(idle[:1, :1].reshape(()), tau) == wrapped[0]
         ec = ExplicitEC(tau, 0.3 * tau, 0.2)
         twin = np.random.default_rng(seed)
         oracle = np.array([delay_to_phase(0.0, float(p), tau)
