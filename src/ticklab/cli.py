@@ -59,14 +59,11 @@ def parse_dist(spec: str):
             for item in rest.split(","):
                 key, _, value = item.partition("=")
                 kv[key.strip()] = value.strip()
-        if kind == "box":
-            return Box(center=float(kv.pop("center")),
-                       width=float(kv.pop("width")), **kv)
-        if kind == "delta":
-            return Delta(time=float(kv.pop("time")), **kv)
-        if kind == "gaussian":
-            return Gaussian(mu=float(kv.pop("mu")),
-                            sd=float(kv.pop("sd")), **kv)
+        laws = {"box": (Box, "center", "width"), "delta": (Delta, "time"),
+                "gaussian": (Gaussian, "mu", "sd")}
+        if kind in laws:
+            law, *keys = laws[kind]
+            return law(**{key: float(kv.pop(key)) for key in keys}, **kv)
         if kind == "mixture":
             times = [float(x) for x in kv.pop("times").split("|")]
             probs = [float(x) for x in kv.pop("probs").split("|")]
@@ -173,12 +170,11 @@ def _int_list(cfg: dict, key: str) -> list[int]:
 
 
 def _row(**kw) -> dict:
-    row = {c: "" for c in COLUMNS}
+    row = dict.fromkeys(COLUMNS)
     for key, value in kw.items():
         if key not in row:
             raise KeyError(key)
-        if value is not None:
-            row[key] = value
+        row[key] = value
     return row
 
 
@@ -328,7 +324,7 @@ _COMMANDS = {
 
 
 def _format_value(value) -> str:
-    if value == "" or value is None:
+    if value is None:
         return ""
     if isinstance(value, (int, np.integer)):
         return str(int(value))
@@ -355,8 +351,7 @@ def render_json(rows: list[dict], cfg: dict, experiment: str) -> str:
     payload = {
         "experiment": experiment,
         "config": cfg,
-        "rows": [{c: (None if row[c] == "" else row[c]) for c in COLUMNS}
-                 for row in rows],
+        "rows": rows,
     }
     return json.dumps(payload, indent=2, default=float) + "\n"
 

@@ -115,8 +115,7 @@ class Box(WaitingTimeDistribution):
             raise ValueError("box support must be strictly positive")
 
     def sample(self, rng, size):
-        lo = self.center - self.width / 2
-        hi = self.center + self.width / 2
+        lo, hi = self.support()
         # rng.uniform(lo, hi, size)'s own arithmetic, in place
         u = rng.random(size)
         u *= hi - lo
@@ -146,7 +145,7 @@ class Box(WaitingTimeDistribution):
                     np.uint32)[:n]
                 return u.reshape(*shape, d).sum(axis=-1, dtype=np.uint64)
             cells = _in_chunks(cell_sums, size, d)
-        lo = self.center - self.width / 2
+        lo = self.support()[0]
         return d * lo + self.width * 2.0 ** -32 * (cells + d / 2)
 
     @property
@@ -296,10 +295,9 @@ class Gaussian(WaitingTimeDistribution):
                 return math.inf
             return (hi - lo) / ((hi + lo) / 2)
 
-        a = _golden_section_min(ratio, 0.0, eps, xatol=1e-12)
-        for edge in (0.0, eps):  # the search never evaluates the ends
-            if ratio(edge) < ratio(a):
-                a = edge
+        # the search skips the ends, which win at an eps of a few xatol
+        a = min((_golden_section_min(ratio, 0.0, eps, xatol=1e-12), 0.0, eps),
+                key=ratio)
         lo = self._quantile(a)
         hi = self._quantile(a + 1.0 - eps)
         return ConfidenceInterval((lo + hi) / 2, hi - lo, eps)

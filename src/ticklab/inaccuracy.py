@@ -74,17 +74,6 @@ def _check_tick(j: int):
         raise ValueError("tick index must be a positive integer")
 
 
-def _validated_samples(samples) -> np.ndarray:
-    x = np.asarray(samples, dtype=float)
-    if x.ndim != 1 or x.size < 2:
-        raise ValueError("need at least two samples")
-    if not np.isfinite(x).all():
-        raise ValueError("tick-time samples must be finite")
-    if np.any(x <= 0):
-        raise ValueError("tick-time samples must be strictly positive")
-    return x
-
-
 def _coverage_count(n: int, eps: float) -> int:
     """k = ceil((1 - eps) n), the fewest of n samples a window covers."""
     _check_tail(eps)
@@ -151,7 +140,14 @@ def bruteforce_inaccuracy(samples, j: int, eps: float) -> InaccuracyEstimate:
     suite checks exact agreement between the two on randomised inputs.
     """
     _check_tick(j)
-    x = np.sort(_validated_samples(samples))
+    x = np.asarray(samples, dtype=float)
+    if x.ndim != 1 or x.size < 2:
+        raise ValueError("need at least two samples")
+    if not np.isfinite(x).all():
+        raise ValueError("tick-time samples must be finite")
+    if np.any(x <= 0):
+        raise ValueError("tick-time samples must be strictly positive")
+    x = np.sort(x)
     n = x.size
     k = _coverage_count(n, eps)
     best = None

@@ -339,18 +339,17 @@ def _simulate(prep: PreparedRun, rng, out: np.ndarray,
             np.add(out[:, k - 1], sums[:, k], out=out[:, k])
     elif cfg.protocol is Protocol.EC_BUNCH:
         # the EC free-runs from its reset state at time 0
-        ec = np.zeros(size)
-        t_in = np.zeros(size)
+        ec = t_in = np.zeros(size)
         for k in range(n_out):
             # the input tick lies strictly after the EC's last tick, so
             # every trial fires at least once
             t_in = _next_after(t_in, ec, dist, rng, n_ignored)
-            ec += fire_delay(0.0, prep.ec, rng, size)
+            ec = np.add(ec, fire_delay(0.0, prep.ec, rng, size),
+                        out=out[:, k])
             behind = (ec < t_in).nonzero()[0]
             while behind.size:
                 ec[behind] += fire_delay(0.0, prep.ec, rng, behind.size)
                 behind = behind[ec[behind] < t_in[behind]]
-            out[:, k] = ec
     else:  # the EC is reset when the first input tick arrives
         fb = cfg.protocol is Protocol.DYN_SWITCH_FEEDBACK
         switching(out, dist.sample(rng, size), 0.0, prep.ec, rng,
@@ -401,18 +400,15 @@ class TrialMatrix:
 def _blocks(trials: int, seed: int, block: int):
     """Iterate over ``trials`` trials, ``block`` at a time, as (rows, seq):
     the slice of block b's rows and its stream, child b of the seed's
-    ``SeedSequence``.  The trial count is checked at once; each child is
-    spawned when its block is reached, the same children as one
-    ``spawn(n_blocks)``, none before the caller has allocated its output."""
+    ``SeedSequence`` as ``spawn(n_blocks)`` makes it.  The trial count is
+    checked at once; a child is made when its block is reached, so a bad
+    seed raises only once the caller has checked its run."""
     if not _is_count(trials):
         raise ValueError("the trial count must be a positive integer, got "
                          f"{trials!r}")
-
-    def blocks():
-        root = np.random.SeedSequence(seed)
-        for start in range(0, trials, block):
-            yield slice(start, min(start + block, trials)), root.spawn(1)[0]
-    return blocks()
+    return ((slice(start, min(start + block, trials)),
+             np.random.SeedSequence(seed, spawn_key=(start // block,)))
+            for start in range(0, trials, block))
 
 
 def monte_carlo(cfg: ProtocolConfig, trials: int,

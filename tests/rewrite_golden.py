@@ -63,10 +63,11 @@ def unstamped(text: str) -> str:
                    if not line.startswith("# generated"))
 
 
-def render(name: str) -> bytes:
+def render(name: str, *flags: str) -> bytes:
     """The unstamped CSV that case ``name`` prints, run in-process, as
-    its golden file holds it."""
+    its golden file holds it; ``flags`` are added to its command line."""
     argv, config = CASES[name]
+    argv = [*argv, *flags]
     with tempfile.TemporaryDirectory() as tmp:
         if config is not None:
             path = Path(tmp) / "case.ini"

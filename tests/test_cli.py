@@ -33,6 +33,8 @@ class TestParseDist:
             parse_dist("box:center=1,width=0.5,tilt=2")
         with pytest.raises(ConfigError, match="2 times but 3 probs"):
             parse_dist("mixture:times=0.9|1.1,probs=0.2|0.3|0.5")
+        with pytest.raises(ConfigError, match=r"unknown keys \['tilt'\]"):
+            parse_dist("mixture:times=0.9|1.1,probs=0.5|0.5,tilt=2")
 
 
 def test_fit_slope_recovers_power_law():
@@ -188,6 +190,12 @@ class TestConfigHandling:
         _run(capsys, *SMALL_SWEEP, "--out", str(out))
         code, _ = _run(capsys, "bounds", "--config", str(out))
         assert code == 2
+        # an INI file without the subcommand's section
+        cfg = _ini(tmp_path, "sweep", "d = 16\n")
+        assert main(["bounds", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {cfg}: missing section [bounds]\n"
 
     def test_sweep_needs_a_dimension(self, capsys, tmp_path):
         cfg = _ini(tmp_path, "sweep", "d = ,\ntrials = 10\n")
@@ -200,6 +208,8 @@ class TestConfigHandling:
         ("bounds", "j = ,\n", "j needs at least one entry"),
         ("bounds", "sigma_in = inf\n", "finite sigma_in"),
         ("sweep", "protocols = ,\ntrials = 10\n", "protocols needs"),
+        ("bounds", "d = 16,abc\n", "bad integer list '16,abc'"),
+        ("bounds", "d\n", "Source contains parsing errors"),
     ])
     def test_empty_or_infinite_config_rejected(self, capsys, tmp_path,
                                                experiment, body, message):
@@ -419,6 +429,23 @@ class TestCommands:
     def test_estimator_check_passes(self, capsys):
         code, text = _run(capsys, "estimator-check")
         assert code == 0
+
+    def test_estimator_check_fails_on_a_mismatch(self, capsys, tmp_path,
+                                                 monkeypatch):
+        # an oracle that disagrees on the first and third of 4 instances
+        calls, slow = [], cli.bruteforce_inaccuracy
+
+        def oracle(samples, j, eps):
+            calls.append(j)
+            return None if len(calls) % 2 else slow(samples, j, eps)
+        monkeypatch.setattr(cli, "bruteforce_inaccuracy", oracle)
+        cfg = _ini(tmp_path, "estimator-check", "instances = 4\n")
+        code, text = _run(capsys, "estimator-check", "--config", cfg)
+        assert code == 3
+        assert len(calls) == 4
+        assert "# config: instances=4\n" in text
+        (row,) = _table(text)
+        assert (row["trials"], row["Sigma_out"]) == ("4", "2")
 
     @pytest.mark.parametrize("body, key", [
         ("instances = 0\n", "instances"),

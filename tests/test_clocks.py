@@ -78,6 +78,11 @@ class TestEnhancingClock:
                                              "finite"):
             ec.advance(dt)
 
+    def test_advance_rejects_negative_time(self):
+        ec = EnhancingClock(tau=1.0, sigma=0.1, eps_tail=0.0)
+        with pytest.raises(ValueError, match="cannot advance backwards"):
+            ec.advance(-1.0)
+
     def test_mode_discipline(self):
         ec = EnhancingClock(tau=1.0, sigma=0.1, eps_tail=0.0)
         with pytest.raises(ValueError):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import optimize, stats
 
-from ticklab import Box, Delta, DeltaMixture, Gaussian
+from ticklab import Box, ConfidenceInterval, Delta, DeltaMixture, Gaussian
 from ticklab.distributions import (_ALIAS_CHUNK, _ALIAS_MAX, _BIT_PLANES,
                                    _PLANE_WEIGHTS, _alias_pairs, _normal_tail,
                                    _pair_alias)
@@ -405,6 +405,19 @@ class TestGaussian:
             np.random.default_rng(7).normal(d, math.sqrt(d) * inside.sd,
                                             size))
 
+    @pytest.mark.parametrize("mu, sd, eps, a", [
+        (1.0, 1e-4, 1e-16, 1e-16),      # below xatol: no search step
+        (1.0, 10.0, 1.5e-12, 1.5e-12),  # a bracket of a few xatol
+        (1.0, 0.01, 2.5e-16, 0.0),      # hi is +inf at the search's point
+    ])
+    def test_an_end_of_the_bracket_can_win(self, mu, sd, eps, a):
+        # the golden-section search, to xatol = 1e-12, is too coarse for a
+        # bracket [0, eps] of a few xatol, and the window at an end wins
+        g = Gaussian(mu, sd)
+        lo, hi = g._quantile(a), g._quantile(a + 1.0 - eps)
+        assert g.confidence(eps) == ConfidenceInterval((lo + hi) / 2,
+                                                       hi - lo, eps)
+
     def test_no_interval_at_zero_eps(self):
         with pytest.raises(ValueError):
             Gaussian(mu=1.0, sd=0.1).confidence(0.0)
@@ -480,6 +493,19 @@ def test_rejects_non_finite_parameters(make, value):
         make(value)
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: Box(center=1.0, width=0.0), "width must be positive"),
+    (lambda: Box(center=1.0, width=-0.1), "width must be positive"),
+    (lambda: Gaussian(mu=0.0, sd=0.1), "mean must be positive"),
+    (lambda: Gaussian(mu=-1.0, sd=0.1), "mean must be positive"),
+    (lambda: Gaussian(mu=1.0, sd=0.0), "standard deviation must be positive"),
+], ids=["box-width-0", "box-width-neg", "gauss-mu-0", "gauss-mu-neg",
+        "gauss-sd-0"])
+def test_rejects_nonpositive_parameters(make, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make()
+
+
 class TestDeltaMixture:
     def test_atom_frequencies(self):
         rng = np.random.default_rng(3)
@@ -509,6 +535,10 @@ class TestDeltaMixture:
             DeltaMixture(((1.0, 0.7), (2.0, 0.4)))
         with pytest.raises(ValueError):
             DeltaMixture(((0.0, 1.0),))
+        with pytest.raises(ValueError, match="at least one atom"):
+            DeltaMixture(())
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            DeltaMixture(((1.0, 1.5), (2.0, -0.5)))
 
     def test_bunch_sums_follow_the_binomial_law(self):
         # two atoms: a bunch sum is (d - k) 0.9 + k 1.1 with k binomial in

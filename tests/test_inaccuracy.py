@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ticklab import (Box, Delta, DeltaMixture, ExplicitEC, Gaussian,
-                     InaccuracyEstimate, Protocol, ProtocolConfig,
-                     TrialMatrix, bruteforce_inaccuracy, chebyshev_bound,
-                     corollary_bounds, cross_node_spread,
+from ticklab import (Box, ConfidenceInterval, Delta, DeltaMixture,
+                     ExplicitEC, Gaussian, InaccuracyEstimate, Protocol,
+                     ProtocolConfig, TrialMatrix, bruteforce_inaccuracy,
+                     chebyshev_bound, corollary_bounds, cross_node_spread,
                      empirical_inaccuracy, hoeffding_inaccuracy_bound,
                      hoeffding_tail, output_epsilon_budget, prepare,
                      theorem1_bound)
@@ -79,6 +79,13 @@ class TestEmpiricalInaccuracy:
             empirical_inaccuracy([1.0, 2.0], 0, 0.1)
         with pytest.raises(ValueError):
             empirical_inaccuracy([1.0, 2.0], 1, 1.0)
+        with pytest.raises(ValueError, match="need at least two samples"):
+            bruteforce_inaccuracy([1.0], 1, 0.1)
+        with pytest.raises(ValueError, match="need at least two samples"):
+            empirical_inaccuracy([[1.0, 2.0], [1.5, 2.5]], 1, 0.1)
+        # a window of (1 - eps) n = 2e-12 samples covers none
+        with pytest.raises(ValueError, match="coverage count vanished"):
+            empirical_inaccuracy([1.0, 2.0], 1, 1 - 1e-12)
 
     @pytest.mark.parametrize("estimator", [empirical_inaccuracy,
                                            bruteforce_inaccuracy,
@@ -235,6 +242,17 @@ class TestHoeffding:
                for j in js]
         slope = np.polyfit(np.log(list(js)), np.log(sig), 1)[0]
         assert slope == pytest.approx(0.5, abs=0.1)
+
+
+@pytest.mark.parametrize("sigma, eps, message", [
+    (-0.1, 0.1, "interval width must be nonnegative"),
+    (0.1, -0.1, r"tail level must lie in \[0, 1\]"),
+    (0.1, 1.5, r"tail level must lie in \[0, 1\]"),
+    (0.1, math.nan, r"tail level must lie in \[0, 1\]"),
+])
+def test_confidence_interval_rejects_bad_fields(sigma, eps, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ConfidenceInterval(1.0, sigma, eps)
 
 
 @pytest.mark.parametrize("bound,args", [

@@ -108,6 +108,12 @@ class TestScenarios:
         with pytest.raises(ValueError, match="bounded support"):
             NodeConfig(delay=1.0, jitter=Gaussian(0.1, 0.01))
 
+    def test_jitter_cannot_make_the_delay_negative(self):
+        # a jitter of width 0.1, centered, reaches 0.05 below the delay
+        NodeConfig(delay=0.06, jitter=Box(0.1, 0.1))
+        with pytest.raises(ValueError, match="delay negative"):
+            NodeConfig(delay=0.04, jitter=Box(0.1, 0.1))
+
     def test_detector_band_violation_names_node(self):
         # an arrival at phase tau/2 lands on the detector
         nodes = (NodeConfig(delay=0.0), NodeConfig(delay=0.2))
@@ -222,6 +228,13 @@ class TestPlanScenario:
     def test_bad_jitter_width_rejected(self, jitter_width):
         with pytest.raises(ValueError, match="jitter width"):
             plan_scenario(Box(1.0, 0.1), 3, jitter_width, 256)
+
+    @pytest.mark.parametrize("sigma_scale", [0.0, -0.5, 1.5, np.nan])
+    def test_bad_sigma_scale_rejected(self, sigma_scale):
+        with pytest.raises(ValueError,
+                           match=r"sigma_scale must lie in \(0, 1\]"):
+            plan_scenario(Box(1.0, 0.1), 3, 0.1, 256,
+                          sigma_scale=sigma_scale)
 
     def test_structure(self):
         scenario = plan_scenario(Box(1.0, 0.1), n_nodes=8, jitter_width=0.1,

@@ -354,6 +354,9 @@ class TestBoundFormulas:
         assert output_epsilon_budget(0.01, 0.001, 1) == pytest.approx(0.012)
         assert output_epsilon_budget(0.0, 0.0, 7) == 0.0
         assert output_epsilon_budget(0.5, 0.5, 9) == 1.0
+        for eps, eps_ec in ((-0.1, 0.001), (1.5, 0.001), (0.01, math.nan)):
+            with pytest.raises(ValueError, match="must lie in"):
+                output_epsilon_budget(eps, eps_ec, 1)
 
 
 def _delta_prep(protocol, mu_in=1.0, tau=0.2, n_ticks=5, **kw):
