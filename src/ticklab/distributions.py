@@ -295,9 +295,11 @@ class Gaussian(WaitingTimeDistribution):
                 return math.inf
             return (hi - lo) / ((hi + lo) / 2)
 
-        # the search skips the ends, which win at an eps of a few xatol
-        a = min((_golden_section_min(ratio, 0.0, eps, xatol=1e-12), 0.0, eps),
-                key=ratio)
+        # a tolerance relative to eps searches a small bracket as finely
+        # as a large one; where a + 1 - eps rounds to one of a few
+        # doubles, an end of the bracket can still win
+        a = _golden_section_min(ratio, 0.0, eps, xatol=min(1e-12, 1e-4 * eps))
+        a = min((a, 0.0, eps), key=ratio)
         lo = self._quantile(a)
         hi = self._quantile(a + 1.0 - eps)
         return ConfidenceInterval((lo + hi) / 2, hi - lo, eps)

@@ -26,15 +26,14 @@ _PHASE_MARGIN = 0.75  # fraction of the safe phase band a node may use
 # trials per block.  The per-block cost (three streams, the jitter draws
 # of ``_arrivals``, the small calls of each output step) is paid once per
 # block, while peak memory grows with the block.  ``network_spreads`` on
-# the default ``network`` scenario at 5000 trials, medians of 31
-# in-process interleaved rounds (2-vCPU shared host, raw time, tracemalloc
-# peak; grouped jitter draws): 128 trials 0.014 s and 0.34 MB; 512 trials
-# 0.0066 s and 0.93 MB; 1024 trials 0.0056 s and 1.78 MB.  The process's
-# peak RSS is 35.4, 36.0 and 36.6 MB, set by the imports.  512 takes most
-# of the gain at half of 1024's traced peak; 1024 would also move the
-# seeded oracle test ``test_in_distribution_mixed_jitter`` (seed 7) below
-# its KS threshold.
-_BLOCK = 512
+# the default ``network`` scenario at 5000 trials, 61 in-process
+# interleaved rounds (2-vCPU shared host, raw time, tracemalloc peak):
+# 512 trials 8.29 ms and 0.89 MB; 1024 trials 7.04 ms and 1.69 MB, at
+# 0.852 of 512's time in the median round (faster in 56 of 61); 2048
+# trials 7.68 ms and 3.30 MB, at 0.937 (51 of 61).  The peak RSS of a
+# process that runs one size is 36.1, 36.8 and 38.5 MB, set mostly by
+# the imports.  1024 is the fastest of the three.
+_BLOCK = 1024
 
 
 @dataclass(frozen=True)

@@ -667,21 +667,21 @@ def _reject_constant(token):
     raise ValueError(f"non-standard JSON constant {token}")
 
 
-def test_sweep_of_zero_sigma_has_an_empty_slope(tmp_path):
+def test_sweep_of_zero_sigma_has_an_empty_slope(tmp_path, capsys):
     # a Delta input gives Sigma_out = 0 at every d, whose log has no value:
     # the slope cell stays empty instead of carrying nan (a bare NaN token
-    # in JSON) and a numpy warning on stderr
+    # in JSON) and a numpy warning on stderr, which the suite also turns
+    # into an error
     cfg = _ini(tmp_path, "sweep", "input = delta:time=1\nprotocols = 3\n"
                "d = 16,32\ntrials = 50\n")
-    csv_run = _python("-m", "ticklab.cli", "sweep", "--config", cfg,
-                      check=False)
-    assert (csv_run.returncode, csv_run.stderr) == (0, "")
-    slope = [r for r in _table(csv_run.stdout)
+    code = main(["sweep", "--config", cfg])
+    csv_run = capsys.readouterr()
+    assert (code, csv_run.err) == (0, "")
+    slope = [r for r in _table(csv_run.out)
              if r["experiment"] == "sweep_slope"]
     assert [r["Sigma_out"] for r in slope] == [""]
-    json_run = _python("-m", "ticklab.cli", "sweep", "--config", cfg,
-                       "--format", "json", check=False)
-    assert (json_run.returncode, json_run.stderr) == (0, "")
-    rows = json.loads(json_run.stdout,
-                      parse_constant=_reject_constant)["rows"]
+    code = main(["sweep", "--config", cfg, "--format", "json"])
+    json_run = capsys.readouterr()
+    assert (code, json_run.err) == (0, "")
+    rows = json.loads(json_run.out, parse_constant=_reject_constant)["rows"]
     assert [r["Sigma_out"] for r in rows] == [0.0, 0.0, None]

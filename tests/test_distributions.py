@@ -406,17 +406,34 @@ class TestGaussian:
                                             size))
 
     @pytest.mark.parametrize("mu, sd, eps, a", [
-        (1.0, 1e-4, 1e-16, 1e-16),      # below xatol: no search step
-        (1.0, 10.0, 1.5e-12, 1.5e-12),  # a bracket of a few xatol
-        (1.0, 0.01, 2.5e-16, 0.0),      # hi is +inf at the search's point
+        (1.0, 1e-4, 1e-16, 1e-16),  # a + 1 - eps rounds
     ])
     def test_an_end_of_the_bracket_can_win(self, mu, sd, eps, a):
-        # the golden-section search, to xatol = 1e-12, is too coarse for a
-        # bracket [0, eps] of a few xatol, and the window at an end wins
+        # at eps = 1e-16, a + 1 - eps takes one of a few doubles, so the
+        # ratio is a step function of a, and the window at an end wins
         g = Gaussian(mu, sd)
         lo, hi = g._quantile(a), g._quantile(a + 1.0 - eps)
         assert g.confidence(eps) == ConfidenceInterval((lo + hi) / 2,
                                                        hi - lo, eps)
+
+    @pytest.mark.parametrize("mu, sd, eps", [
+        *itertools.product((1.0,), (0.1, 0.01, 10.0),
+                           (1e-13, 5e-12, 1e-10)),
+        (1.0, 10.0, 1.5e-12),   # a bracket of a few 1e-12
+        (1.0, 0.01, 2.5e-16),   # hi is +inf on the upper half of [0, eps]
+    ])
+    def test_small_eps_matches_grid_minimum(self, mu, sd, eps):
+        # the search's tolerance shrinks with eps, so a small bracket
+        # [0, eps] is searched as finely as a large one
+        g = Gaussian(mu, sd)
+
+        def ratio(a):
+            lo, hi = g._quantile(a), g._quantile(a + 1.0 - eps)
+            return (hi - lo) / ((hi + lo) / 2) if hi < math.inf else math.inf
+
+        c = g.confidence(eps)
+        best = min(ratio(a) for a in np.linspace(0.0, eps, 4001))
+        assert c.sigma / c.mu <= best * (1 + 1e-5)
 
     def test_no_interval_at_zero_eps(self):
         with pytest.raises(ValueError):

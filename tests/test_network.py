@@ -58,16 +58,23 @@ def oracle_trial(scenario, rng):
     return np.array(out), np.array(arrivals)
 
 
+# trials per engine block in ``_assert_matches_oracle``: fixed here, so
+# that its seeded KS families draw the same values whatever the engine's
+# own block size ``network._BLOCK`` is
+_ORACLE_BLOCK = 512
+
+
 def _assert_matches_oracle(scenario, trials, seed):
-    """Run ``trials`` trials of ``scenario`` in blocks of ``_BLOCK`` from
-    ``seed`` and compare every node's outputs, and its arrivals at as
-    many ticks, with as many ``oracle_trial`` draws by KS.  The outputs
-    and the arrivals are two families; within each, Bonferroni keeps the
-    family-wise error rate at 5 percent, so adding the arrivals leaves
-    the outputs' threshold as it was.  Returns the arrivals of the first
-    block."""
-    streams = np.random.SeedSequence(seed).spawn(-(-trials // _BLOCK))
-    runs = [_simulate(scenario, seq, min(_BLOCK, trials - b * _BLOCK))
+    """Run ``trials`` trials of ``scenario`` in blocks of
+    ``_ORACLE_BLOCK`` from ``seed`` and compare every node's outputs, and
+    its arrivals at as many ticks, with as many ``oracle_trial`` draws by
+    KS.  The outputs and the arrivals are two families; within each,
+    Bonferroni keeps the family-wise error rate at 5 percent, so adding
+    the arrivals leaves the outputs' threshold as it was.  Returns the
+    arrivals of the first block."""
+    streams = np.random.SeedSequence(seed).spawn(-(-trials // _ORACLE_BLOCK))
+    runs = [_simulate(scenario, seq,
+                      min(_ORACLE_BLOCK, trials - b * _ORACLE_BLOCK))
             for b, seq in enumerate(streams)]
     n_out = scenario.n_outputs
     engine = {"output": np.concatenate([out for out, _ in runs]),
