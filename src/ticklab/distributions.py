@@ -297,8 +297,12 @@ class Gaussian(WaitingTimeDistribution):
 
         # a tolerance relative to eps searches a small bracket as finely
         # as a large one; where a + 1 - eps rounds to one of a few
-        # doubles, an end of the bracket can still win
-        a = _golden_section_min(ratio, 0.0, eps, xatol=min(1e-12, 1e-4 * eps))
+        # doubles, an end of the bracket can still win.  The tolerance is
+        # at least one subnormal step: 1e-4 eps rounds to 0 below about
+        # 2.5e-320, and at a zero tolerance a bracket one step wide can
+        # stop shrinking
+        xatol = min(1e-12, max(1e-4 * eps, math.ulp(0.0)))
+        a = _golden_section_min(ratio, 0.0, eps, xatol)
         a = min((a, 0.0, eps), key=ratio)
         lo = self._quantile(a)
         hi = self._quantile(a + 1.0 - eps)

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from scipy import optimize, stats
 
-from ticklab import Box, ConfidenceInterval, Delta, DeltaMixture, Gaussian
+from ticklab import (Box, ConfidenceInterval, Delta, DeltaMixture, Gaussian,
+                     distributions)
 from ticklab.distributions import (_ALIAS_CHUNK, _ALIAS_MAX, _BIT_PLANES,
                                    _PLANE_WEIGHTS, _alias_pairs, _normal_tail,
                                    _pair_alias)
@@ -407,14 +408,49 @@ class TestGaussian:
 
     @pytest.mark.parametrize("mu, sd, eps, a", [
         (1.0, 1e-4, 1e-16, 1e-16),  # a + 1 - eps rounds
+        (1.0, 0.01, 1.6e-16, 0.0),  # hi is +inf at the search and at eps
     ])
     def test_an_end_of_the_bracket_can_win(self, mu, sd, eps, a):
-        # at eps = 1e-16, a + 1 - eps takes one of a few doubles, so the
-        # ratio is a step function of a, and the window at an end wins
+        # at eps near 1e-16, a + 1 - eps takes one of a few doubles, so
+        # the ratio is a step function of a, and the window at an end wins
         g = Gaussian(mu, sd)
         lo, hi = g._quantile(a), g._quantile(a + 1.0 - eps)
         assert g.confidence(eps) == ConfidenceInterval((lo + hi) / 2,
                                                        hi - lo, eps)
+
+    @pytest.mark.parametrize("eps", [5e-324, 1e-320, 2.5e-320, 1e-310])
+    def test_subnormal_eps_searches_to_a_positive_tolerance(
+            self, eps, monkeypatch):
+        # 1e-4 eps rounds to 0 below about 2.5e-320; at a zero tolerance
+        # the search ends only when ties move the bracket, and a ratio
+        # that falls across a bracket one subnormal step wide cycles
+        search = distributions._golden_section_min
+
+        def checked(f, lo, hi, xatol):
+            assert xatol >= math.ulp(0.0)
+            return search(f, lo, hi, xatol)
+
+        monkeypatch.setattr(distributions, "_golden_section_min", checked)
+        g = Gaussian(1.0, 0.1)
+        # 1 - eps rounds to 1, so every window reaches the open tail
+        lo, hi = g._quantile(0.0), g._quantile(1.0 - eps)
+        assert hi == math.inf
+        assert g.confidence(eps) == ConfidenceInterval((lo + hi) / 2,
+                                                       hi - lo, eps)
+
+    @pytest.mark.parametrize("hi", [5e-324, 1e-320])
+    def test_search_ends_at_one_subnormal_step(self, hi):
+        # a falling function keeps the search at the top of the bracket,
+        # where a zero tolerance would cycle; one step ends it
+        calls = itertools.count()
+
+        def falling(a):
+            assert next(calls) < 100
+            return -a
+
+        x = distributions._golden_section_min(falling, 0.0, hi,
+                                              math.ulp(0.0))
+        assert 0.0 <= x <= hi
 
     @pytest.mark.parametrize("mu, sd, eps", [
         *itertools.product((1.0,), (0.1, 0.01, 10.0),
