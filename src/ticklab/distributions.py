@@ -26,6 +26,7 @@ _CHUNK = 1 << 16     # waits a per-wait bunch sum draws at once
 _ALIAS_CHUNK = 1 << 14  # words or counts a bit-plane bunch sum draws at once
 _PLANE_WEIGHTS = 2.0 ** np.arange(32)  # plane b's count is worth 2^b cells
 _PAIR_WEIGHTS = 4.0 ** np.arange(16)  # planes 2p and 2p + 1's count: 4^p
+_STEP_SCAN = 1024    # steps of a + 1.0 up to which a Gaussian window scans
 
 
 class WaitingTimeDistribution(ABC):
@@ -303,10 +304,27 @@ class Gaussian(WaitingTimeDistribution):
         # stop shrinking
         xatol = min(1e-12, max(1e-4 * eps, math.ulp(0.0)))
         a = _golden_section_min(ratio, 0.0, eps, xatol)
-        a = min((a, 0.0, eps), key=ratio)
+        a = min((a, 0.0, eps, *_step_ends(eps)), key=ratio)
         lo = self._quantile(a)
         hi = self._quantile(a + 1.0 - eps)
         return ConfidenceInterval((lo + hi) / 2, hi - lo, eps)
+
+
+def _step_ends(eps: float) -> list[float]:
+    """The last a of each step of a + 1.0 that ends below ``eps``, where
+    a in [0, eps] takes at most ``_STEP_SCAN`` steps; else none.
+
+    a + 1.0 rounds to 1 + k u, u = ulp(1), for a from (k - 1/2) u to
+    (k + 1/2) u, the tie going to even k.  On a step, the upper quantile
+    at a + 1 - eps is fixed and the lower one rises with a, so the ratio
+    of a window falls: its lowest value on the step is at the step's end,
+    and at eps for the last step."""
+    u = math.ulp(1.0)
+    if eps > _STEP_SCAN * u:
+        return []
+    ends = ((k + 0.5) * u if k % 2 == 0 else math.nextafter((k + 0.5) * u, 0)
+            for k in range(int(eps / u) + 1))
+    return [a for a in ends if a < eps]
 
 
 def _normal_tail(z: float) -> float:

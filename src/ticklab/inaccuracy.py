@@ -83,12 +83,36 @@ def _coverage_count(n: int, eps: float) -> int:
     return k
 
 
+def _sort_tails(x: np.ndarray, eps: float):
+    """Sort in place what ``_scan_windows`` reads of each row of ``x``,
+    shape (rows, n): the n - k + 1 smallest values, ascending, at the
+    row's start and the n - k + 1 largest, ascending, at its end, for
+    ``k = ceil((1 - eps) n)``.  Where the two tails leave a middle, two
+    single-``kth`` partitions move them there and only they are sorted;
+    otherwise, or where k is not defined (the scan raises then, after its
+    own checks), the whole row is sorted.  Either way, as numpy orders
+    NaN last, a row starts at its minimum and ends at its maximum or a
+    NaN."""
+    n = x.shape[1]
+    try:
+        tail = n - _coverage_count(n, eps) + 1
+    except ValueError:
+        tail = n
+    if 2 * tail >= n:
+        x.sort(axis=1)
+        return
+    x.partition(n - tail, axis=1)
+    x[:, :n - tail].partition(tail - 1, axis=1)
+    x[:, :tail].sort(axis=1)
+    x[:, n - tail:].sort(axis=1)
+
+
 def _scan_windows(x: np.ndarray, js, eps: float) -> list[InaccuracyEstimate]:
     """The minimal-ratio window of each row of ``x``, shape (len(js), n),
-    every row already sorted ascending; row r is the samples of tick
-    ``js[r]``.
+    every row sorted ascending, or its tails as ``_sort_tails`` sorts
+    them; row r is the samples of tick ``js[r]``.
 
-    A sorted row is valid when its ends are: numpy sorts NaN last, so
+    A row is valid when its ends are: numpy orders NaN last, so
     ``x[:, -1]`` shows a NaN or +inf and ``x[:, 0]`` a -inf or a value
     <= 0.  The first invalid row names the error.  Each row scans every
     window of ``k = ceil((1 - eps) n)`` consecutive order statistics, and

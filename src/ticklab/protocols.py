@@ -14,13 +14,16 @@ accurate output tick signal:
 The module also houses the period chooser ``largest_period``, each EC
 protocol's contract ``_contract``, the closed-form inaccuracy bounds for
 the first two protocols, the one dynamics-switching loop ``switching``
-and the Monte-Carlo engine, which runs a block of trials in lockstep.
+and the Monte-Carlo engine, which runs the trials of a group of blocks
+in lockstep, each block drawing from its own random stream.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -28,10 +31,23 @@ from .clocks import (ExplicitEC, _check_dimension, _check_ec_tail,
                      _check_eta, fire_delay, quasi_ideal_params)
 from .distributions import WaitingTimeDistribution
 from .inaccuracy import (InaccuracyEstimate, _check_tail, _check_tick,
-                         _is_count, _scan_windows)
+                         _is_count, _scan_windows, _sort_tails)
 
 _M_CAP = 10 ** 6
 _BLOCK = 4096        # trials per random stream
+# blocks per lockstep group.  A group makes each engine step's numpy calls
+# once for all its rows, where blocks run one at a time make them once a
+# block, while its temporaries grow with it.  ``monte_carlo`` on a
+# Gaussian(1, 0.1) input at d = 256, in-process interleaved rounds (2-vCPU
+# shared host, raw time as the median share of one block at a time): at
+# 10^4 trials x 20 ticks (three blocks) a group of 3 or more took 0.85-0.91
+# of it; at 10^5 x 20, groups of 4 / 8 / 16 / 32 took 0.91 / 0.88 / 0.87 /
+# 0.87 (dyn-switch) and 0.86 / 0.83 / 0.81 / 0.75 (ec-bunch), with
+# tracemalloc peaks 17.3 / 17.8 / 18.9 / 20.0 MB against 16.9; at 10^6 x 5,
+# 4 / 8 / 16 / 32 / 64 took 0.93 / 0.90 / 0.83 / 0.90 / 0.94 and 0.85 /
+# 0.76 / 0.76 / 0.75 / 0.77.  Past 8 the gain is within the host's noise
+# while the peak keeps growing; 8 blocks are 32768 trials, 256 kB a column.
+_GROUP = 8
 
 
 def largest_period(mu: float, offset: float, fits,
@@ -289,15 +305,15 @@ def check_rows(times: np.ndarray):
             "tick times must be nonnegative and strictly increasing")
 
 
-def _next_after(t_in, t, dist, rng, n_ignored):
+def _next_after(t_in, t, dist, streams, n_ignored):
     """Advance each trial's input clock to its first tick strictly after
     ``t``; ticks passed over are counted in ``n_ignored``.  Only the trials
-    whose input still lags are redrawn."""
-    t_in = t_in + dist.sample(rng, t_in.size)
+    whose input still lags are redrawn, each from its block's stream."""
+    t_in = t_in + streams.sample(dist)
     lag = (t_in <= t).nonzero()[0]
     while lag.size:
         n_ignored[lag] += 1
-        t_in[lag] += dist.sample(rng, lag.size)
+        t_in[lag] += streams.rows(lag).sample(dist)
         lag = lag[t_in[lag] <= t[lag]]
     return t_in
 
@@ -317,9 +333,57 @@ def switching(out, t_in, idle, ec: ExplicitEC, rng, next_input):
         idle = t_in - t_out
 
 
-def _simulate(prep: PreparedRun, rng, out: np.ndarray,
+class _Streams:
+    """The random streams of consecutive row blocks run in lockstep:
+    ``parts`` holds (generator, rows) of each block, in row order, and a
+    block's rows draw from its generator alone.  A draw over rows of
+    several blocks takes each block's share from that block's generator,
+    in row order, so every generator makes the calls, of the sizes, that
+    its block would make run on its own.  It stands in for the generator
+    of ``fire_delay``, which draws through ``random``."""
+
+    def __init__(self, parts):
+        self.parts = parts
+
+    @cached_property
+    def _stops(self) -> np.ndarray:
+        """The row after each block's last."""
+        return np.cumsum([n for _, n in self.parts])
+
+    def random(self, size) -> np.ndarray:
+        """One uniform on [0, 1) a row, as ``Generator.random`` draws
+        them, shaped ``size``: the draw of ``sample_tick_phase``."""
+        if len(self.parts) == 1:
+            return self.parts[0][0].random(size)
+        u, start = np.empty(sum(n for _, n in self.parts)), 0
+        for rng, n in self.parts:
+            rng.random(out=u[start:start + n])
+            start += n
+        return u.reshape(size)
+
+    def sample(self, dist: WaitingTimeDistribution) -> np.ndarray:
+        """One wait of ``dist`` a row."""
+        if len(self.parts) == 1:
+            return dist.sample(*self.parts[0])
+        return np.concatenate([dist.sample(rng, n) for rng, n in self.parts])
+
+    def rows(self, idx: np.ndarray) -> _Streams:
+        """The streams of the rows ``idx``, ascending: each block's rows
+        among them, in the order of ``idx``."""
+        if len(self.parts) == 1:
+            return _Streams([(self.parts[0][0], idx.size)])
+        parts, start = [], 0
+        for (rng, _), stop in zip(self.parts,
+                                  idx.searchsorted(self._stops).tolist()):
+            if stop > start:
+                parts.append((rng, stop - start))
+            start = stop
+        return _Streams(parts)
+
+
+def _simulate(prep: PreparedRun, streams: _Streams, out: np.ndarray,
               n_ignored: np.ndarray):
-    """Run ``len(out)`` trials in lockstep on one random stream.
+    """Run ``len(out)`` trials in lockstep, their blocks on ``streams``.
 
     Fills ``out``, shape (trials, ticks), with the absolute output ticks
     and adds each trial's count of ignored input ticks to the zeroed
@@ -331,30 +395,35 @@ def _simulate(prep: PreparedRun, rng, out: np.ndarray,
     dist = cfg.input_dist
     size, n_out = out.shape
     if cfg.protocol is Protocol.INPUT_BUNCH:
-        # each trial draws its n_out bunches in order; the prefix sum runs
-        # column by column, cumsum's additions in cumsum's order
-        sums = dist.bunch_sums(rng, (size, n_out), cfg.bunch)
-        out[:, 0] = sums[:, 0]
+        # each trial draws its n_out bunches in order, block by block,
+        # into its row; the prefix sum runs column by column, cumsum's
+        # additions in cumsum's order
+        start = 0
+        for rng, n in streams.parts:
+            out[start:start + n] = dist.bunch_sums(rng, (n, n_out),
+                                                   cfg.bunch)
+            start += n
         for k in range(1, n_out):
-            np.add(out[:, k - 1], sums[:, k], out=out[:, k])
+            np.add(out[:, k - 1], out[:, k], out=out[:, k])
     elif cfg.protocol is Protocol.EC_BUNCH:
         # the EC free-runs from its reset state at time 0
         ec = t_in = np.zeros(size)
         for k in range(n_out):
             # the input tick lies strictly after the EC's last tick, so
             # every trial fires at least once
-            t_in = _next_after(t_in, ec, dist, rng, n_ignored)
-            ec = np.add(ec, fire_delay(0.0, prep.ec, rng, size),
+            t_in = _next_after(t_in, ec, dist, streams, n_ignored)
+            ec = np.add(ec, fire_delay(0.0, prep.ec, streams, size),
                         out=out[:, k])
             behind = (ec < t_in).nonzero()[0]
             while behind.size:
-                ec[behind] += fire_delay(0.0, prep.ec, rng, behind.size)
+                ec[behind] += fire_delay(0.0, prep.ec, streams.rows(behind),
+                                         behind.size)
                 behind = behind[ec[behind] < t_in[behind]]
     else:  # the EC is reset when the first input tick arrives
         fb = cfg.protocol is Protocol.DYN_SWITCH_FEEDBACK
-        switching(out, dist.sample(rng, size), 0.0, prep.ec, rng,
-                  lambda t_in, t_out: t_out + dist.sample(rng, size) if fb
-                  else _next_after(t_in, t_out, dist, rng, n_ignored))
+        switching(out, streams.sample(dist), 0.0, prep.ec, streams,
+                  lambda t_in, t_out: t_out + streams.sample(dist) if fb
+                  else _next_after(t_in, t_out, dist, streams, n_ignored))
     check_rows(out)
 
 
@@ -387,10 +456,11 @@ class TrialMatrix:
     def estimates(self, js, eps: float) -> list[InaccuracyEstimate]:
         """The estimate of each tick in ``js``, in its order, as
         ``empirical_inaccuracy`` gives it: the requested columns are
-        copied once as rows, sorted in place and scanned together."""
+        copied once as rows, their tails sorted in place and scanned
+        together."""
         js = list(js)
         x = self.data.T[[self._column(j) for j in js]]
-        x.sort(axis=1)
+        _sort_tails(x, eps)
         return _scan_windows(x, js, eps)
 
     def estimate(self, j: int, eps: float) -> InaccuracyEstimate:
@@ -415,11 +485,12 @@ def monte_carlo(cfg: ProtocolConfig, trials: int,
                 seed: int) -> TrialMatrix:
     """Run independent trials in blocks of ``_BLOCK`` trials.
 
-    Block b draws from its own stream (see ``_blocks``) and runs its
-    trials in lockstep.  The result is bit-identical for a fixed
-    (seed, trials); blocks are independent, so the rows of every full
-    block do not depend on the total trial count.  The blocks run one
-    after another on the calling thread, each filling its own rows.
+    Block b draws from its own stream (see ``_blocks``).  The blocks run
+    in groups of up to ``_GROUP``, the trials of a group in lockstep, on
+    the calling thread, each group filling its own rows.  The result is
+    bit-identical for a fixed (seed, trials) and does not depend on how
+    the blocks are grouped; blocks are independent, so the rows of every
+    full block do not depend on the total trial count.
     """
     blocks = _blocks(trials, seed, _BLOCK)
     prep = prepare(cfg)
@@ -429,9 +500,11 @@ def monte_carlo(cfg: ProtocolConfig, trials: int,
     # column is contiguous
     out = np.empty((trials, n_out), order="F")
     n_ignored = np.zeros(trials, dtype=int)
-    for rows, seq in blocks:
-        _simulate(prep, np.random.default_rng(seq), out[rows],
-                  n_ignored[rows])
+    while group := list(itertools.islice(blocks, _GROUP)):
+        rows = slice(group[0][0].start, group[-1][0].stop)
+        streams = _Streams([(np.random.default_rng(seq), r.stop - r.start)
+                            for r, seq in group])
+        _simulate(prep, streams, out[rows], n_ignored[rows])
     data = out
     if switching:  # each tick relative to the anchoring first output
         data = out[:, 1:]

@@ -641,26 +641,45 @@ def test_sample_checks_survive_optimize():
     assert done.stdout == "tick-time samples must be finite\n"
 
 
-@pytest.mark.parametrize("trials", [10 ** 30, 2 ** 62],
-                         ids=["10^30", "2^62"])
-@pytest.mark.parametrize("experiment", ["run", "network"])
-def test_impossible_trial_count_fails_at_once(experiment, trials):
-    # the output arrays are allocated before any block's stream is
-    # spawned, so both counts fail there at once; spawning first would
-    # build 2^50 streams for 2^62 trials.  The child's address space is
-    # capped, so that such a regression fails instead of filling memory
+IMPOSSIBLE_TRIALS = {"10^30": 10 ** 30, "2^62": 2 ** 62}
+
+
+@pytest.fixture(scope="module")
+def impossible_trial_runs():
+    """Every (experiment, trial count) case of
+    ``test_impossible_trial_count_fails_at_once``, run one after another
+    in one child process: (exit code, seconds, stdout, stderr) by case.
+    The output arrays are allocated before any block's stream is spawned,
+    so each count fails there at once; spawning first would build 2^50
+    streams for 2^62 trials.  The child's address space is capped, so
+    that such a regression fails instead of filling memory."""
+    cases = [(e, t) for e in ("run", "network") for t in IMPOSSIBLE_TRIALS]
+    argvs = [[e, "--trials", str(IMPOSSIBLE_TRIALS[t])] for e, t in cases]
     script = (
-        "import resource, time\n"
+        "import contextlib, io, json, resource, time\n"
         "resource.setrlimit(resource.RLIMIT_AS, (1 << 31, 1 << 31))\n"
         "import ticklab.cli\n"
-        "start = time.monotonic()\n"
-        f"code = ticklab.cli.main([{experiment!r}, '--trials', "
-        f"'{trials}'])\n"
-        "print(code, time.monotonic() - start)\n")
+        f"for argv in {argvs!r}:\n"
+        "    out, err = io.StringIO(), io.StringIO()\n"
+        "    start = time.monotonic()\n"
+        "    with contextlib.redirect_stdout(out), "
+        "contextlib.redirect_stderr(err):\n"
+        "        code = ticklab.cli.main(argv)\n"
+        "    print(json.dumps([code, time.monotonic() - start, "
+        "out.getvalue(), err.getvalue()]))\n")
     done = _python("-c", script)
-    code, seconds = done.stdout.split()
-    assert code == "2" and float(seconds) < 5.0
-    assert done.stderr.startswith("error: ")
+    return dict(zip(cases, map(json.loads, done.stdout.splitlines()),
+                    strict=True))
+
+
+@pytest.mark.parametrize("trials", list(IMPOSSIBLE_TRIALS))
+@pytest.mark.parametrize("experiment", ["run", "network"])
+def test_impossible_trial_count_fails_at_once(impossible_trial_runs,
+                                              experiment, trials):
+    code, seconds, out, err = impossible_trial_runs[experiment, trials]
+    assert code == 2 and seconds < 5.0
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def _reject_constant(token):

@@ -408,11 +408,13 @@ class TestGaussian:
 
     @pytest.mark.parametrize("mu, sd, eps, a", [
         (1.0, 1e-4, 1e-16, 1e-16),  # a + 1 - eps rounds
-        (1.0, 0.01, 1.6e-16, 0.0),  # hi is +inf at the search and at eps
+        # hi is +inf past a = ulp(1) / 2, where a + 1.0 leaves 1.0
+        (1.0, 0.01, 1.6e-16, math.ulp(1.0) / 2),
     ])
     def test_an_end_of_the_bracket_can_win(self, mu, sd, eps, a):
         # at eps near 1e-16, a + 1 - eps takes one of a few doubles, so
-        # the ratio is a step function of a, and the window at an end wins
+        # the ratio is a step function of a, and the window at the end of
+        # a step wins
         g = Gaussian(mu, sd)
         lo, hi = g._quantile(a), g._quantile(a + 1.0 - eps)
         assert g.confidence(eps) == ConfidenceInterval((lo + hi) / 2,
@@ -470,6 +472,22 @@ class TestGaussian:
         c = g.confidence(eps)
         best = min(ratio(a) for a in np.linspace(0.0, eps, 4001))
         assert c.sigma / c.mu <= best * (1 + 1e-5)
+
+    @pytest.mark.parametrize("eps", [1e-15, 1e-14, 1e-13])
+    @pytest.mark.parametrize("mu, sd", [(2.0, 0.01), (1.0, 0.1),
+                                        (1.0, 1e-4)])
+    def test_tiny_eps_scans_every_step(self, mu, sd, eps):
+        # a + 1 - eps takes a few hundred doubles at most; the search
+        # alone stopped up to 0.9 % above the grid's best at 1e-15
+        g = Gaussian(mu, sd)
+
+        def ratio(a):
+            lo, hi = g._quantile(a), g._quantile(a + 1.0 - eps)
+            return (hi - lo) / ((hi + lo) / 2)
+
+        c = g.confidence(eps)
+        best = min(ratio(a) for a in np.linspace(0.0, eps, 4001))
+        assert c.sigma / c.mu <= best * (1 + 1e-12)
 
     def test_no_interval_at_zero_eps(self):
         with pytest.raises(ValueError):

@@ -9,9 +9,10 @@ EC) and in distribution otherwise.  Input bunching has a second oracle,
 ``prefix_sum_bunching``, which builds every wait, or a Box's alias-pair
 bunch sum, from the engine's own draws and sums them in another order, so
 the two agree draw for draw to rounding.
-``serial_monte_carlo`` simulates ``monte_carlo``'s blocks each into its
-own arrays and stacks them; ``monte_carlo`` must agree with it bit for bit,
-whatever number of CPUs the process is told it has.
+``serial_monte_carlo`` simulates ``monte_carlo``'s blocks each on its own
+into its own arrays and stacks them; ``monte_carlo``, which runs groups of
+blocks in lockstep, must agree with it bit for bit, whatever number of
+CPUs the process is told it has.
 """
 import _thread
 import os
@@ -29,7 +30,7 @@ from ticklab import (Box, Delta, DeltaMixture, EnhancingClock, ExplicitEC,
                      monte_carlo, prepare, protocols)
 from ticklab.cli import main
 from ticklab.distributions import _ALIAS_CHUNK, _ALIAS_MAX, _BIT_PLANES, _CHUNK
-from ticklab.protocols import _BLOCK, _simulate
+from ticklab.protocols import _BLOCK, _GROUP, _simulate, _Streams
 
 from test_distributions import alias_sums
 
@@ -42,7 +43,7 @@ def simulate(prep, rng, size, ticks=None):
     per-trial count of ignored input ticks."""
     out = np.empty((size, ticks or prep.cfg.n_ticks))
     n_ignored = np.zeros(size, dtype=int)
-    _simulate(prep, rng, out, n_ignored)
+    _simulate(prep, _Streams([(rng, size)]), out, n_ignored)
     return out, n_ignored
 
 
@@ -336,7 +337,7 @@ class TestStreams:
 
 
 class TestTickMajorLayout:
-    """``monte_carlo`` hands each block tick-major (Fortran-order) rows,
+    """``monte_carlo`` hands each group tick-major (Fortran-order) rows,
     while ``simulate`` above fills C-order arrays: ``_simulate`` must fill
     both alike, draw for draw."""
 
@@ -347,11 +348,11 @@ class TestTickMajorLayout:
         prep = prepare(_cfg(protocol, Gaussian(1.0, 0.1), n_ticks))
         filled = []
         for out in (np.empty((300, n_ticks)),
-                    # a block's rows of a larger tick-major array
+                    # a group's rows of a larger tick-major array
                     np.empty((500, n_ticks), order="F")[100:400]):
             n_ignored = np.zeros(300, dtype=int)
             rng = np.random.default_rng(5)
-            _simulate(prep, rng, out, n_ignored)
+            _simulate(prep, _Streams([(rng, 300)]), out, n_ignored)
             filled.append((out.view(np.int64), n_ignored, rng.random()))
         (c, c_ignored, c_next), (f, f_ignored, f_next) = filled
         assert np.array_equal(c, f)
@@ -383,8 +384,8 @@ def test_next_after_is_strictly_after(dist, trials, seed):
     t = t_in + np.array([(lag + frac) * dist.mean
                          for _, lag, frac in trials])
     n_ignored = np.zeros(len(trials), dtype=int)
-    nxt = protocols._next_after(t_in.copy(), t, dist,
-                                np.random.default_rng(seed), n_ignored)
+    streams = _Streams([(np.random.default_rng(seed), len(trials))])
+    nxt = protocols._next_after(t_in.copy(), t, dist, streams, n_ignored)
     assert (nxt > t).all()
     assert (n_ignored >= 0).all()
     if isinstance(dist, Delta):  # every tick passed over is counted
@@ -418,9 +419,9 @@ def _bit_plane_bunch_cfg():
                    bunch=_BIT_PLANES)
 
 
-def _one_thread_on_cpus(monkeypatch, cpus):
+def _no_thread_on_cpus(monkeypatch, cpus):
     """Report ``cpus`` CPUs to the process and make starting any thread
-    fail, so a run that still passes ran on the calling thread alone."""
+    fail, so a run that still passes started none."""
     def no_thread(*args, **kwargs):
         raise AssertionError("monte_carlo started a thread")
 
@@ -432,20 +433,47 @@ def _one_thread_on_cpus(monkeypatch, cpus):
     monkeypatch.setattr(threading.Thread, "start", no_thread)
 
 
+def _lagging_cfg(dist):
+    """Dynamics switching whose EC fires after the next input tick is due
+    (tau / 2 > mu_in), so every tick redraws lagging inputs."""
+    return ProtocolConfig(protocol=Protocol.DYN_SWITCH, input_dist=dist,
+                          eps=0.01, n_ticks=2,
+                          ec=ExplicitEC(tau=2.5, sigma=0.1, eps_tail=0.01))
+
+
+# a run takes each of these per-row redraws in several blocks of a group
+REDRAW_CASES = {
+    # Gaussian.sample redraws its nonpositive waits; the EC leaves room
+    # for its wide confidence interval
+    "truncating-gaussian": replace(_lagging_cfg(Gaussian(1.0, 0.45)),
+                                   ec=ExplicitEC(3.0, 0.1, 0.01)),
+    "lagging-input": _lagging_cfg(Box(1.0, 0.3)),
+    # the catch-up fires of EC bunching
+    "ec-bunch": _cfg(Protocol.EC_BUNCH, Gaussian(1.0, 0.1), 2),
+    # a mixture draws its waits with rng.choice
+    "delta-mixture": _lagging_cfg(DeltaMixture(((0.9, 0.25), (1.05, 0.5),
+                                                (1.3, 0.25)))),
+    # a Box drops the odd half word of each lattice draw
+    "odd-lattice-bunch": replace(_bit_plane_bunch_cfg(),
+                                 bunch=_BIT_PLANES - 1),
+}
+TRIAL_COUNTS = [1, _BLOCK, 2 * _BLOCK + 1, 5 * _BLOCK + 7,
+                _GROUP * _BLOCK + 1]
+
+
 class TestBlocksOnEveryCpu:
-    """``monte_carlo`` runs its blocks one after another on the calling
+    """``monte_carlo`` runs its blocks in lockstep groups on the calling
     thread, however many CPUs the process may use: the result must not
-    depend on that number, no block may run on another thread, and a
-    failing block must reach the caller."""
+    depend on that number or on the grouping, no thread may start, and a
+    bad row in any block must reach the caller."""
 
     @pytest.mark.parametrize("cpus", [1, 3])
-    @pytest.mark.parametrize("trials", [1, _BLOCK, 2 * _BLOCK + 1,
-                                        5 * _BLOCK + 7])
+    @pytest.mark.parametrize("trials", TRIAL_COUNTS)
     @pytest.mark.parametrize("protocol", list(Protocol),
                              ids=lambda p: p.value)
     def test_matches_serial_block_loop(self, monkeypatch, protocol, trials,
                                        cpus):
-        _one_thread_on_cpus(monkeypatch, cpus)
+        _no_thread_on_cpus(monkeypatch, cpus)
         cfg = _cfg(protocol, Box(1.0, 0.30303), 2)
         if protocol is Protocol.INPUT_BUNCH:
             cfg = _bit_plane_bunch_cfg()
@@ -454,6 +482,18 @@ class TestBlocksOnEveryCpu:
         seed = 17 + cpus
         matrix = monte_carlo(cfg, trials, seed)
         data, n_ignored = serial_monte_carlo(cfg, trials, seed)
+        assert np.array_equal(matrix.data, data)
+        assert np.array_equal(matrix.n_ignored, n_ignored)
+
+    @pytest.mark.parametrize("trials", TRIAL_COUNTS)
+    @pytest.mark.parametrize("case", list(REDRAW_CASES))
+    def test_redraws_match_serial_block_loop(self, monkeypatch, case,
+                                             trials):
+        # each block takes its share of a redraw from its own stream
+        _no_thread_on_cpus(monkeypatch, 1)
+        cfg = REDRAW_CASES[case]
+        matrix = monte_carlo(cfg, trials, 23)
+        data, n_ignored = serial_monte_carlo(cfg, trials, 23)
         assert np.array_equal(matrix.data, data)
         assert np.array_equal(matrix.n_ignored, n_ignored)
 
@@ -466,68 +506,63 @@ class TestBlocksOnEveryCpu:
             "input-bunch-few-waits"])
     def test_small_arrays_stay_on_the_calling_thread(self, monkeypatch,
                                                       cfg):
-        check_rows, ran_on = protocols.check_rows, []
-
-        def recording_check_rows(times):
-            ran_on.append(threading.get_ident())
-            check_rows(times)
-
-        monkeypatch.setattr(protocols, "check_rows", recording_check_rows)
-        _one_thread_on_cpus(monkeypatch, 3)
+        checked = self._record_checks(monkeypatch)
         monte_carlo(cfg, 3 * _BLOCK, 0)
-        assert ran_on == [threading.get_ident()] * 3
+        # three blocks, one group
+        assert checked == [(3 * _BLOCK, threading.get_ident())]
 
-    @pytest.mark.parametrize("blocks", [2, 3, 5])
-    def test_caller_runs_the_last_block(self, monkeypatch, blocks):
-        check_rows, ran_on = protocols.check_rows, []
-
-        def recording_check_rows(times):
-            ran_on.append((len(times), threading.get_ident()))
-            check_rows(times)
-
-        monkeypatch.setattr(protocols, "check_rows", recording_check_rows)
-        _one_thread_on_cpus(monkeypatch, 3)
-        monte_carlo(_bit_plane_bunch_cfg(), (blocks - 1) * _BLOCK + 5, 0)
-        # the blocks in order, the short last one included, all on the
-        # calling thread
-        caller = threading.get_ident()
-        assert ran_on == [(_BLOCK, caller)] * (blocks - 1) + [(5, caller)]
+    @pytest.mark.parametrize("blocks", [2, 3, 5, _GROUP + 2])
+    def test_rows_checked_on_the_caller(self, monkeypatch, blocks):
+        checked = self._record_checks(monkeypatch)
+        trials = (blocks - 1) * _BLOCK + 5
+        monte_carlo(_bit_plane_bunch_cfg(), trials, 0)
+        # the groups in order, the short last one included, each checked
+        # once, all on the calling thread
+        group = _GROUP * _BLOCK
+        assert checked == [(min(group, trials - start), threading.get_ident())
+                           for start in range(0, trials, group)]
 
     @staticmethod
-    def _fail_on_helper(monkeypatch):
-        """Make ``check_rows`` fail the second block of every run, the
-        block a second CPU would take.  Returns the row counts of the
-        blocks checked."""
+    def _record_checks(monkeypatch, bad_row=None):
+        """Record the row count and thread of every ``check_rows`` call,
+        with threads forbidden.  With ``bad_row``, that row of the run,
+        counted over the calls, which see the rows in order, gets a NaN
+        tick before it is checked."""
         check_rows, checked = protocols.check_rows, []
 
-        def failing_check_rows(times):
-            checked.append(len(times))
-            if len(checked) == 2:
-                raise ValueError("bad row in the second block")
+        def recording_check_rows(times):
+            first = sum(n for n, _ in checked)
+            checked.append((len(times), threading.get_ident()))
+            if bad_row is not None and first <= bad_row < first + len(times):
+                times[bad_row - first, -1] = np.nan
             check_rows(times)
 
-        monkeypatch.setattr(protocols, "check_rows", failing_check_rows)
-        _one_thread_on_cpus(monkeypatch, 2)
+        monkeypatch.setattr(protocols, "check_rows", recording_check_rows)
+        _no_thread_on_cpus(monkeypatch, 3)
         return checked
 
-    def test_helper_failure_reaches_the_caller(self, monkeypatch):
-        checked = self._fail_on_helper(monkeypatch)
-        with pytest.raises(ValueError, match="second block"):
-            monte_carlo(_bit_plane_bunch_cfg(), 2 * _BLOCK + 5, 0)
-        # the failure stops the loop before the last block
-        assert checked == [_BLOCK, _BLOCK]
+    def test_bad_row_reaches_the_caller(self, monkeypatch):
+        trials = (_GROUP + 1) * _BLOCK + 5
+        for bad_row in (0, _BLOCK + 1, _GROUP * _BLOCK, trials - 1):
+            with monkeypatch.context() as patch:
+                checked = self._record_checks(patch, bad_row)
+                with pytest.raises(ValueError, match="strictly increasing"):
+                    monte_carlo(_bit_plane_bunch_cfg(), trials, 0)
+            # the failure stops the run at the group that holds the row
+            assert sum(n for n, _ in checked[:-1]) <= bad_row < \
+                sum(n for n, _ in checked)
 
-    def test_helper_failure_exits_2(self, monkeypatch, capsys, tmp_path):
-        checked = self._fail_on_helper(monkeypatch)
+    def test_bad_row_exits_2(self, monkeypatch, capsys, tmp_path):
+        trials = 2 * _BLOCK + 5
+        self._record_checks(monkeypatch, trials - 1)
         config = tmp_path / "run.ini"
         config.write_text("[run]\nticks = 2\nbunch = 8\n")
         code = main(["run", "--config", str(config), "--protocol", "3",
-                     "--trials", str(2 * _BLOCK + 5)])
+                     "--trials", str(trials)])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert "second block" in captured.err
-        assert checked == [_BLOCK, _BLOCK]
+        assert "strictly increasing" in captured.err
 
 
 class TestInvariants:

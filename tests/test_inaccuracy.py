@@ -121,6 +121,15 @@ class TestEmpiricalInaccuracy:
             with pytest.raises(ValueError, match=message):
                 matrix.estimates(js, 0.1)
 
+    def test_estimates_find_nans_past_the_sorted_tails(self):
+        # at eps 0.01, 100 samples sort only their 2 smallest and 2
+        # largest; 10 NaNs still reach the end of the row
+        x = np.linspace(1.0, 2.0, 100)
+        x[::10] = math.nan
+        matrix = _matrix(np.column_stack([np.linspace(1.0, 2.0, 100), x]))
+        with pytest.raises(ValueError, match="must be finite"):
+            matrix.estimates([1, 2], 0.01)
+
     def test_estimates_need_two_kept_trials(self):
         matrix = _matrix([[1.0, 2.0]])
         with pytest.raises(ValueError, match="need at least two samples"):

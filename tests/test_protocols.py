@@ -13,7 +13,7 @@ from ticklab import (Box, Delta, DeltaMixture, ExplicitEC, Gaussian,
                      output_epsilon_budget, prepare, quasi_ideal_ratio,
                      theorem1_bound, theorem2_bound, theorem_bound)
 from ticklab.clocks import quasi_ideal_params
-from ticklab.protocols import (_contract, _simulate, check_rows,
+from ticklab.protocols import (_contract, _simulate, _Streams, check_rows,
                                largest_period)
 
 BOX_THIRD = Box(center=1.0, width=0.3333333333)
@@ -370,7 +370,8 @@ def _delta_prep(protocol, mu_in=1.0, tau=0.2, n_ticks=5, **kw):
 def _one_trial(prep):
     """The absolute output ticks of one trial of ``prep``."""
     out = np.empty((1, prep.cfg.n_ticks))
-    _simulate(prep, np.random.default_rng(0), out, np.zeros(1, dtype=int))
+    _simulate(prep, _Streams([(np.random.default_rng(0), 1)]), out,
+              np.zeros(1, dtype=int))
     return out[0]
 
 
