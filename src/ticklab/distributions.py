@@ -27,6 +27,10 @@ _ALIAS_CHUNK = 1 << 14  # words or counts a bit-plane bunch sum draws at once
 _PLANE_WEIGHTS = 2.0 ** np.arange(32)  # plane b's count is worth 2^b cells
 _PAIR_WEIGHTS = 4.0 ** np.arange(16)  # planes 2p and 2p + 1's count: 4^p
 _STEP_SCAN = 1024    # steps of a + 1.0 up to which a Gaussian window scans
+# steps of a + 1.0 up to which a Gaussian window searches the step ends
+# (about eps 7.5e-9, below 1e-8), and the ends it scans on either side
+_STEP_SEARCH = 1 << 25
+_STEP_WINDOW = 8
 
 
 class WaitingTimeDistribution(ABC):
@@ -304,27 +308,43 @@ class Gaussian(WaitingTimeDistribution):
         # stop shrinking
         xatol = min(1e-12, max(1e-4 * eps, math.ulp(0.0)))
         a = _golden_section_min(ratio, 0.0, eps, xatol)
-        a = min((a, 0.0, eps, *_step_ends(eps)), key=ratio)
+        a = min((a, 0.0, eps, *_step_ends(eps, ratio)), key=ratio)
         lo = self._quantile(a)
         hi = self._quantile(a + 1.0 - eps)
         return ConfidenceInterval((lo + hi) / 2, hi - lo, eps)
 
 
-def _step_ends(eps: float) -> list[float]:
-    """The last a of each step of a + 1.0 that ends below ``eps``, where
-    a in [0, eps] takes at most ``_STEP_SCAN`` steps; else none.
+def _step_ends(eps: float, ratio) -> list[float]:
+    """The last a of the steps of a + 1.0 that end below ``eps`` and on
+    which ``ratio`` may be lowest: every step where a in [0, eps] takes
+    at most ``_STEP_SCAN`` steps, the ``_STEP_WINDOW`` steps either side
+    of the lowest step end a golden-section search finds where it takes
+    at most ``_STEP_SEARCH``, else none.
 
     a + 1.0 rounds to 1 + k u, u = ulp(1), for a from (k - 1/2) u to
     (k + 1/2) u, the tie going to even k.  On a step, the upper quantile
     at a + 1 - eps is fixed and the lower one rises with a, so the ratio
     of a window falls: its lowest value on the step is at the step's end,
-    and at eps for the last step."""
+    and at eps for the last step.  So the ratio is a sawtooth in a, on
+    which a search over a can stop on a step above the lowest, while
+    its values at the step ends vary smoothly with k."""
     u = math.ulp(1.0)
-    if eps > _STEP_SCAN * u:
+    if eps > _STEP_SEARCH * u:
         return []
-    ends = ((k + 0.5) * u if k % 2 == 0 else math.nextafter((k + 0.5) * u, 0)
-            for k in range(int(eps / u) + 1))
-    return [a for a in ends if a < eps]
+
+    def end(k):  # the last a of step k
+        if k % 2 == 0:
+            return (k + 0.5) * u
+        return math.nextafter((k + 0.5) * u, 0)
+
+    n = int(eps / u)
+    steps = range(n + 1)
+    if eps > _STEP_SCAN * u:
+        k = int(_golden_section_min(lambda x: ratio(min(end(int(x)), eps)),
+                                    0.0, n + 1.0, _STEP_WINDOW))
+        steps = range(max(0, k - _STEP_WINDOW),
+                      min(n, k + _STEP_WINDOW) + 1)
+    return [a for a in map(end, steps) if a < eps]
 
 
 def _normal_tail(z: float) -> float:

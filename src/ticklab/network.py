@@ -6,10 +6,18 @@ dynamics switching (``protocols.switching``) on its own copy of the
 scenario's one enhancing clock; all copies were reset at time 0.  The
 figure of merit is the spread of the k-th output tick across nodes,
 compared with the spread of the raw arrivals.
+
+``network_spreads`` runs its trials in blocks of ``_BLOCK``.  Each block
+fills its first chunk of arrivals and its outputs in two flat buffers
+that belong to the calling thread and are kept between calls, so the
+blocks of a run, and the next run, reuse the same pages rather than
+allocating and faulting in fresh ones.  Only the most recent call's
+block-sized pair is kept.
 """
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from itertools import groupby
 from operator import attrgetter
@@ -25,15 +33,20 @@ from .protocols import _blocks, check_rows, largest_period, switching
 _PHASE_MARGIN = 0.75  # fraction of the safe phase band a node may use
 # trials per block.  The per-block cost (three streams, the jitter draws
 # of ``_arrivals``, the small calls of each output step) is paid once per
-# block, while peak memory grows with the block.  ``network_spreads`` on
-# the default ``network`` scenario at 5000 trials, 61 in-process
-# interleaved rounds (2-vCPU shared host, raw time, tracemalloc peak):
-# 512 trials 8.29 ms and 0.89 MB; 1024 trials 7.04 ms and 1.69 MB, at
-# 0.852 of 512's time in the median round (faster in 56 of 61); 2048
-# trials 7.68 ms and 3.30 MB, at 0.937 (51 of 61).  The peak RSS of a
-# process that runs one size is 36.1, 36.8 and 38.5 MB, set mostly by
-# the imports.  1024 is the fastest of the three.
+# block, while memory grows with the block.  ``network_spreads`` on the
+# default ``network`` scenario at 5000 trials, with this thread's block
+# buffers warm, 101 in-process interleaved rounds (2-vCPU shared host,
+# raw time, tracemalloc peak within a call plus the buffers kept between
+# calls): 512 trials 7.86 ms, 0.40 + 0.33 MB; 1024 trials 6.12 ms,
+# 0.59 + 0.66 MB, at 0.764 of 512's time in the median round (faster in
+# 92 of 101); 2048 trials 5.33 ms, 0.96 + 1.31 MB, at 0.918 of 1024's
+# (faster in 78 of 101).  The peak RSS of a process that runs one size
+# is 35.7, 36.2 and 37.1 MB, set mostly by the imports.  2048 is the
+# fastest, but any size other than 1024 moves the streams of every run
+# of more than 1024 trials.
 _BLOCK = 1024
+# each thread's block buffers (``_buffers``)
+_workspace = threading.local()
 
 
 @dataclass(frozen=True)
@@ -95,16 +108,18 @@ def _arrivals_safe(central: ConfidenceInterval, ec: ExplicitEC,
 
 
 def _arrivals(broadcast: np.ndarray, scenario: NetworkScenario,
-              rng) -> np.ndarray:
+              rng, buf: np.ndarray | None = None) -> np.ndarray:
     """Broadcast ticks (ticks, trials) as received at every node, shape
     (ticks, nodes, trials): each node's plane is the broadcast plus its
     delay, or plus its jitter draw offset by delay - mean.  Each run of
     nodes that share a jitter law takes one draw from ``rng``, the values
     of drawing node by node in node order.  A node without jitter draws
     nothing, so its arrivals come from the broadcast alone; a jittered
-    node's draws depend on the jitter laws of the nodes before it."""
-    t = np.empty((broadcast.shape[0], len(scenario.nodes),
-                  broadcast.shape[1]))
+    node's draws depend on the jitter laws of the nodes before it.  The
+    arrivals fill the head of the flat ``buf`` if one is given (see
+    ``_blank``)."""
+    t = _blank((broadcast.shape[0], len(scenario.nodes),
+                broadcast.shape[1]), buf)
     i = 0
     for jitter, run in groupby(scenario.nodes, attrgetter("jitter")):
         delays = np.array([node.delay for node in run])
@@ -118,8 +133,16 @@ def _arrivals(broadcast: np.ndarray, scenario: NetworkScenario,
     return t
 
 
+def _blank(shape: tuple, buf: np.ndarray | None) -> np.ndarray:
+    """An uninitialized C-order float array of ``shape``: a fresh one, or
+    the head of the flat ``buf`` reshaped, a contiguous view."""
+    if buf is None:
+        return np.empty(shape)
+    return buf[:math.prod(shape)].reshape(shape)
+
+
 def _simulate(scenario: NetworkScenario, seq: np.random.SeedSequence,
-              size: int):
+              size: int, bufs: tuple | None = None):
     """Run ``size`` trials of ``scenario`` in lockstep.
 
     ``seq`` spawns three streams, one per role: the central clock's
@@ -141,7 +164,13 @@ def _simulate(scenario: NetworkScenario, seq: np.random.SeedSequence,
     comes after its input, so the next input lies one or more arrivals
     on.  When an index reaches the end of the arrivals, every node
     receives another chunk of broadcast ticks.
+
+    ``bufs``, two flat float arrays of at least n_outputs * nodes * size
+    values, hold the first chunk of arrivals and the outputs in place of
+    fresh arrays; the results are then views of them, valid until the
+    buffers are written again.  Later chunks are always fresh arrays.
     """
+    buf_arr, buf_out = bufs if bufs is not None else (None, None)
     rng_c, rng_jit, rng_ec = [np.random.default_rng(s)
                               for s in seq.spawn(3)]
     n_out = scenario.n_outputs
@@ -149,7 +178,7 @@ def _simulate(scenario: NetworkScenario, seq: np.random.SeedSequence,
     # serves every output of a row that never lags
     broadcast = np.cumsum(scenario.central.sample(rng_c, (n_out, size)),
                           axis=0)
-    arr = _arrivals(broadcast, scenario, rng_jit)
+    arr = _arrivals(broadcast, scenario, rng_jit, buf_arr)
     stride = arr.shape[1] * size  # one tick of the flat arr
     # each (node, trial) row's input tick as a flat index into arr,
     # tick * stride + row, and the largest tick of any row
@@ -182,7 +211,8 @@ def _simulate(scenario: NetworkScenario, seq: np.random.SeedSequence,
             step = step[nxt[step] <= t_out[step]]
         return nxt.reshape(t_in.shape)
 
-    out = np.empty((size, len(scenario.nodes), n_out), order="F")
+    # (size, nodes, n_out) in F order
+    out = _blank((n_out, len(scenario.nodes), size), buf_out).T
     # switching runs on (nodes, size) planes, one contiguous plane a tick
     # of either array, in the row order of ``pos``
     t_in = arr[0]  # every EC was reset at time 0
@@ -229,11 +259,26 @@ def network_spreads(scenario: NetworkScenario, trials: int, seed: int,
             f"tick index {k} outside [0, {scenario.n_outputs})")
     enhanced = np.empty(trials)
     raw = np.empty(trials)
+    # room for the first block, the largest
+    bufs = _buffers(scenario.n_outputs * len(scenario.nodes)
+                    * min(trials, _BLOCK))
     for rows, seq in blocks:
-        out, arr = _simulate(scenario, seq, rows.stop - rows.start)
+        out, arr = _simulate(scenario, seq, rows.stop - rows.start, bufs)
         enhanced[rows] = np.ptp(out[:, :, k], axis=1)
         raw[rows] = np.ptp(arr[:, :, k], axis=1)
     return enhanced, raw
+
+
+def _buffers(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """This thread's two flat float buffers of ``n`` values, kept between
+    calls so that a run's blocks and the next run's reuse the same pages.
+    A call that needs another size replaces them, so only the most recent
+    size is retained."""
+    if getattr(_workspace, "size", None) != n:
+        _workspace.bufs = None  # free the old pair before the new one
+        _workspace.bufs = np.empty(n), np.empty(n)
+        _workspace.size = n
+    return _workspace.bufs
 
 
 def plan_scenario(central: WaitingTimeDistribution, n_nodes: int,

@@ -473,12 +473,16 @@ class TestGaussian:
         best = min(ratio(a) for a in np.linspace(0.0, eps, 4001))
         assert c.sigma / c.mu <= best * (1 + 1e-5)
 
-    @pytest.mark.parametrize("eps", [1e-15, 1e-14, 1e-13])
-    @pytest.mark.parametrize("mu, sd", [(2.0, 0.01), (1.0, 0.1),
-                                        (1.0, 1e-4)])
+    @pytest.mark.parametrize("mu, sd, eps", [
+        *((mu, sd, eps) for mu, sd in ((2.0, 0.01), (1.0, 0.1), (1.0, 1e-4))
+          for eps in (1e-15, 1e-14, 1e-13)),
+        (1.0, 1e-4, 1e-12), (2.0, 0.01, 5e-12), (1.0, 0.1, 5e-12)])
     def test_tiny_eps_scans_every_step(self, mu, sd, eps):
-        # a + 1 - eps takes a few hundred doubles at most; the search
-        # alone stopped up to 0.9 % above the grid's best at 1e-15
+        # a + 1 - eps takes a few hundred doubles at most up to 1e-13,
+        # and every step is scanned; the search over a alone stopped up
+        # to 0.9 % above the grid's best at 1e-15.  At 1e-12 and 5e-12 the
+        # step ends are searched; the search over a alone stopped 1.6e-6,
+        # 9.2e-7 and 6.9e-7 above it
         g = Gaussian(mu, sd)
 
         def ratio(a):

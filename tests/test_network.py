@@ -1,3 +1,5 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from ticklab import (Box, Delta, DeltaMixture, ExplicitEC, Gaussian,
 from ticklab import network
 from ticklab.network import (_BLOCK, _PHASE_MARGIN, _arrivals_safe,
                              _simulate)
+from ticklab.protocols import _blocks
 
 
 def oracle_node(arrivals, ec, n_outputs, rng):
@@ -392,6 +395,124 @@ class TestEngineAgainstOracle:
         enhanced, raw = network_spreads(scenario, 1, 6, 3)
         assert enhanced[0] == cross_node_spread(result.outputs, 3)[0]
         assert raw[0] == cross_node_spread(result.arrivals, 3)[0]
+
+
+def _fresh_spreads(scenario, trials, seed, k):
+    """``network_spreads`` from one fresh ``_simulate`` call per block of
+    ``_blocks``' streams, none of which shares a buffer."""
+    enhanced, raw = np.empty(trials), np.empty(trials)
+    for rows, seq in _blocks(trials, seed, _BLOCK):
+        out, arr = _simulate(scenario, seq, rows.stop - rows.start)
+        enhanced[rows] = np.ptp(out[:, :, k], axis=1)
+        raw[rows] = np.ptp(arr[:, :, k], axis=1)
+    return enhanced, raw
+
+
+def _assert_spreads_equal(got, expected):
+    for a, b in zip(got, expected):
+        assert np.array_equal(a, b)
+
+
+def _lagging_scenario():
+    # central ticks every 0.1 against an EC of period 1: every output
+    # steps over several arrivals, so the arrivals grow by chunks
+    ec = ExplicitEC(tau=1.0, sigma=0.1, eps_tail=0.001)
+    nodes = (NodeConfig(delay=0.05, jitter=Box(0.02, 0.02)),
+             NodeConfig(delay=0.1),
+             NodeConfig(delay=0.15, jitter=Box(0.02, 0.02)))
+    return NetworkScenario(central=Delta(0.1), ec=ec, nodes=nodes,
+                           n_outputs=20)
+
+
+class TestReusedBuffers:
+    """``network_spreads`` runs its blocks in this thread's buffers, kept
+    between calls; it must give the spreads of fresh arrays bit for bit."""
+
+    def test_full_blocks_and_a_partial_one(self):
+        scenario = plan_scenario(Box(1.0, 0.1), 8, 0.1, 256)
+        trials = 2 * _BLOCK + 300
+        _assert_spreads_equal(network_spreads(scenario, trials, 3, 4),
+                              _fresh_spreads(scenario, trials, 3, 4))
+
+    @pytest.mark.parametrize("k", [0, 19])
+    def test_arrivals_extended_by_chunks(self, k):
+        scenario = _lagging_scenario()
+        _, arr = _simulate(scenario, next(_blocks(1, 5, _BLOCK))[1], _BLOCK)
+        assert arr.shape[2] > 2 * scenario.n_outputs
+        trials = _BLOCK + 77
+        _assert_spreads_equal(network_spreads(scenario, trials, 5, k),
+                              _fresh_spreads(scenario, trials, 5, k))
+
+    @pytest.mark.parametrize("large", [
+        lambda: plan_scenario(Box(1.0, 0.1), 3, 0.1, 256, n_outputs=30),
+        lambda: plan_scenario(Box(1.0, 0.1), 12, 0.1, 256),
+    ], ids=["more-outputs", "more-nodes"])
+    def test_a_larger_call_between_two_small_ones(self, large):
+        small = plan_scenario(Box(1.0, 0.1), 3, 0.1, 256)
+        large = large()
+        trials = _BLOCK + 40
+        first = network_spreads(small, trials, 8, 2)
+        kept = [a.copy() for a in first]
+        between = network_spreads(large, trials, 9, 4)
+        again = network_spreads(small, trials, 8, 2)
+        _assert_spreads_equal(first, kept)  # results own their memory
+        _assert_spreads_equal(again, kept)
+        _assert_spreads_equal(kept, _fresh_spreads(small, trials, 8, 2))
+        _assert_spreads_equal(between, _fresh_spreads(large, trials, 9, 4))
+        # only the most recent call's block-sized buffers are kept
+        size = small.n_outputs * len(small.nodes) * _BLOCK
+        assert [b.size for b in network._workspace.bufs] == [size, size]
+
+    def test_run_network_result_unchanged_by_a_later_call(self):
+        scenario = plan_scenario(Box(1.0, 0.1), 4, 0.1, 256)
+        result = run_network(scenario, 6)
+        outputs, arrivals = result.outputs.copy(), result.arrivals.copy()
+        network_spreads(scenario, _BLOCK + 1, 6, 3)
+        assert np.array_equal(result.outputs, outputs)
+        assert np.array_equal(result.arrivals, arrivals)
+
+    def test_each_thread_has_its_own_buffers(self):
+        # two threads run both scenarios at once, in opposite orders
+        cases = [(plan_scenario(Box(1.0, 0.1), 8, 0.1, 256), 4),
+                 (_lagging_scenario(), 19)]
+        expected = [_fresh_spreads(s, _BLOCK + 9, 2, k) for s, k in cases]
+
+        def run(order):
+            return [network_spreads(cases[i][0], _BLOCK + 9, 2, cases[i][1])
+                    for i in order]
+
+        orders = ([0, 1, 0, 1], [1, 0, 1, 0])
+        with ThreadPoolExecutor(2) as pool:
+            runs = list(pool.map(run, orders))
+        for order, got in zip(orders, runs):
+            for i, spreads in zip(order, got):
+                _assert_spreads_equal(spreads, expected[i])
+
+
+class TestExactRelations:
+    @pytest.mark.parametrize("c", [2.0, 0.5])
+    def test_time_unit_scales_both_spreads(self, c):
+        # every time in the scenario times a power of two: every spread
+        # scales by exactly c
+        def scenario(c):
+            return plan_scenario(Box(c, 0.1 * c), 8, 0.1 * c, 256,
+                                 n_outputs=20)
+
+        unit, scaled = scenario(1.0), scenario(c)
+        for k in (0, 4, 19):
+            for a, b in zip(network_spreads(unit, 3000, 7, k),
+                            network_spreads(scaled, 3000, 7, k)):
+                assert np.array_equal(c * a, b)
+
+    def test_shared_delay_without_jitter_has_no_raw_spread(self):
+        planned = plan_scenario(Box(1.0, 0.1), 4, 0.0, 256, n_outputs=20)
+        nodes = (NodeConfig(delay=planned.nodes[0].delay),) * 4
+        scenario = NetworkScenario(central=planned.central, ec=planned.ec,
+                                   nodes=nodes, n_outputs=20)
+        for k in range(scenario.n_outputs):
+            enhanced, raw = network_spreads(scenario, _BLOCK + 50, 4, k)
+            assert (raw == 0.0).all()
+            assert (enhanced > 0.0).any()  # the ECs fire independently
 
 
 class TestBroadcast:
