@@ -288,9 +288,18 @@ def cmd_network(cfg: dict) -> list[dict]:
         rows.append(_row(
             experiment="network", protocol=label, d=d, eta=eta, eps=eps,
             eps_ec=eps_ec, trials=trials, j=tick,
-            sigma_out=float(np.median(values)),
+            sigma_out=_median(values),
             mu_out=float(np.mean(values)), seed=seed))
     return rows
+
+
+def _median(values: np.ndarray) -> float:
+    """``float(np.median(values))`` of NaN-free values, bit for bit, from
+    one single-kth partition; an even count adds the lower half's max."""
+    half = values.size // 2
+    part = np.partition(values, half)
+    return float(part[half] if values.size % 2
+                 else (part[:half].max() + part[half]) / 2)
 
 
 def cmd_estimator_check(cfg: dict) -> list[dict]:
@@ -348,12 +357,19 @@ def render_csv(rows: list[dict], cfg: dict, experiment: str) -> str:
 
 
 def render_json(rows: list[dict], cfg: dict, experiment: str) -> str:
-    payload = {
-        "experiment": experiment,
-        "config": cfg,
-        "rows": rows,
-    }
-    return json.dumps(payload, indent=2, default=float) + "\n"
+    """The bytes of ``json.dumps(payload, indent=2, default=float)`` and a
+    newline for flat-dict rows and config, from json's C encoder with the
+    indent in its separators (``indent`` would select the Python one)."""
+    def flat(obj: dict, indent: str) -> str:
+        inner = json.dumps(obj, default=float,
+                           separators=(",\n" + indent, ": "))[1:-1]
+        return "{\n" + indent + inner + "\n" + indent[2:] + "}" if obj \
+            else "{}"
+
+    body = ",\n    ".join(flat(row, " " * 6) for row in rows)
+    body = "[\n    " + body + "\n  ]" if rows else "[]"
+    return (f'{{\n  "experiment": {json.dumps(experiment)},\n  "config": '
+            f'{flat(cfg, " " * 4)},\n  "rows": {body}\n}}\n')
 
 
 def build_parser() -> argparse.ArgumentParser:

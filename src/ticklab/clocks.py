@@ -36,7 +36,8 @@ def wrap_phase(x, tau: float) -> np.ndarray:
     form needs no float ``%``; rounding can put s an ulp outside the
     domain, at or below -tau/2 (mapped to tau/2) or above tau/2 (clamped to
     it).  A float x, the scalar oracle's case, gives a float by the same
-    arithmetic, at a fraction of the cost of 0-d arrays."""
+    arithmetic, at a fraction of the cost of 0-d arrays.  An array runs
+    the guards only if its min or max is outside the domain or NaN."""
     if isinstance(x, float):
         s = x - tau * math.ceil(x / tau - 0.5)
         return tau / 2 if s <= -tau / 2 else min(s, tau / 2)
@@ -45,8 +46,9 @@ def wrap_phase(x, tau: float) -> np.ndarray:
     np.ceil(s, out=s)
     s *= tau
     np.subtract(x, s, out=s)
-    np.minimum(s, tau / 2, out=s)
-    np.copyto(s, tau / 2, where=s <= -tau / 2)
+    if not (s.size and s.min() > -tau / 2 and s.max() <= tau / 2):
+        np.minimum(s, tau / 2, out=s)
+        np.copyto(s, tau / 2, where=s <= -tau / 2)
     return s
 
 

@@ -12,7 +12,10 @@ fills its first chunk of arrivals and its outputs in two flat buffers
 that belong to the calling thread and are kept between calls, so the
 blocks of a run, and the next run, reuse the same pages rather than
 allocating and faulting in fresh ones.  Only the most recent call's
-block-sized pair is kept.
+block-sized pair is kept.  A block builds a run of jittered nodes'
+arrivals in the jitter draw's layout and copies it once into its
+tick-major arrivals, takes the broadcast's prefix sums as row adds, and
+reads each input tick as one plane of the arrivals until some row lags.
 """
 from __future__ import annotations
 
@@ -28,7 +31,8 @@ from .clocks import (ExplicitEC, quasi_ideal_params, quasi_ideal_ratio,
                      wrap_phase)
 from .distributions import Box, WaitingTimeDistribution
 from .inaccuracy import ConfidenceInterval, _coverage_count, _is_count
-from .protocols import _blocks, check_rows, largest_period, switching
+from .protocols import (_blocks, check_rows, largest_period,
+                        prefix_sums, switching)
 
 _PHASE_MARGIN = 0.75  # fraction of the safe phase band a node may use
 # trials per block.  The per-block cost (three streams, the jitter draws
@@ -43,7 +47,9 @@ _PHASE_MARGIN = 0.75  # fraction of the safe phase band a node may use
 # (faster in 78 of 101).  The peak RSS of a process that runs one size
 # is 35.7, 36.2 and 37.1 MB, set mostly by the imports.  2048 is the
 # fastest, but any size other than 1024 moves the streams of every run
-# of more than 1024 trials.
+# of more than 1024 trials.  These timings predate the plane reads,
+# draw-layout arrivals and row prefix sums, which cut every size's
+# per-block cost; they were not measured again.
 _BLOCK = 1024
 # each thread's block buffers (``_buffers``)
 _workspace = threading.local()
@@ -123,13 +129,14 @@ def _arrivals(broadcast: np.ndarray, scenario: NetworkScenario,
     i = 0
     for jitter, run in groupby(scenario.nodes, attrgetter("jitter")):
         delays = np.array([node.delay for node in run])
-        lag = delays[:, None]
-        if jitter is not None:
+        plane, i = t[:, i:i + delays.size], i + delays.size
+        if jitter is None:
+            np.add(broadcast[:, None], delays[:, None], out=plane)
+        else:  # (jitter + off) + broadcast in the draw's layout, copied
             lag = jitter.sample(rng, (delays.size, *broadcast.shape))
             lag += (delays - jitter.mean)[:, None, None]
-            lag = lag.transpose(1, 0, 2)
-        np.add(broadcast[:, None], lag, out=t[:, i:i + delays.size])
-        i += delays.size
+            lag += broadcast
+            plane[...] = lag.transpose(1, 0, 2)
     return t
 
 
@@ -176,33 +183,38 @@ def _simulate(scenario: NetworkScenario, seq: np.random.SeedSequence,
     n_out = scenario.n_outputs
     # output k uses arrival k or a later one, so a chunk of n_out ticks
     # serves every output of a row that never lags
-    broadcast = np.cumsum(scenario.central.sample(rng_c, (n_out, size)),
-                          axis=0)
+    broadcast = prefix_sums(scenario.central.sample(rng_c, (n_out, size)))
     arr = _arrivals(broadcast, scenario, rng_jit, buf_arr)
     stride = arr.shape[1] * size  # one tick of the flat arr
+    # the largest tick of any row and, once some row has lagged past it,
     # each (node, trial) row's input tick as a flat index into arr,
-    # tick * stride + row, and the largest tick of any row
-    pos = np.arange(stride)
+    # tick * stride + row; until then every row is at tick top
+    pos = None
     top = 0
 
     def gather(at):
-        """The arrivals at flat indices ``at``, extending the broadcast
-        first if the largest tick has reached the end."""
+        """The arrivals at flat indices ``at``, or the plane of tick
+        ``top`` if None, extending the broadcast first if the largest
+        tick has reached the end."""
         nonlocal arr, broadcast
         if top == arr.shape[0]:
-            waits = scenario.central.sample(rng_c, (n_out, size))
-            broadcast = broadcast[-1:] + np.cumsum(waits, axis=0)
+            waits = prefix_sums(scenario.central.sample(rng_c, (n_out, size)))
+            broadcast = np.add(broadcast[-1], waits, out=waits)
             arr = np.concatenate(
                 [arr, _arrivals(broadcast, scenario, rng_jit)])
-        return np.take(arr, at)
+        return arr[top].reshape(-1) if at is None else np.take(arr, at)
 
     def next_input(t_in, t_out):
-        nonlocal top
+        nonlocal top, pos
         t_out = t_out.ravel()
-        pos[:] += stride
+        if pos is not None:
+            pos += stride
         top += 1
         nxt = gather(pos)
         step = (nxt <= t_out).nonzero()[0]
+        if step.size and pos is None:  # rows lag: index each from here
+            pos = np.arange(top * stride, (top + 1) * stride)
+            nxt = nxt.copy()  # not a view of arr, which it would write
         while step.size:
             at = pos[step] + stride
             pos[step] = at
@@ -214,7 +226,7 @@ def _simulate(scenario: NetworkScenario, seq: np.random.SeedSequence,
     # (size, nodes, n_out) in F order
     out = _blank((n_out, len(scenario.nodes), size), buf_out).T
     # switching runs on (nodes, size) planes, one contiguous plane a tick
-    # of either array, in the row order of ``pos``
+    # of either array, in the same row order
     t_in = arr[0]  # every EC was reset at time 0
     switching(out.transpose(1, 0, 2), t_in, t_in, scenario.ec, rng_ec,
               next_input)

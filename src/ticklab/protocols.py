@@ -53,14 +53,18 @@ _GROUP = 8
 def largest_period(mu: float, offset: float, fits,
                    m_max: int) -> tuple[int, float] | None:
     """The EC period cell (m, mu / (m + offset)) for the largest m in
-    [1, m_max] with ``fits(m, tau)``, found by bisection; None when m = 1
-    does not fit.
+    [1, m_max] with ``fits(m, tau)``; None when m = 1 does not fit.  m
+    doubles from 2 until it fails or passes the cap, then bisection
+    finds the cell, in at most 2 ceil(log2 m) + 3 calls of ``fits``.
 
     Precondition: ``fits`` holds for every m below one it holds for.
     """
     if not fits(1, mu / (1 + offset)):
         return None
-    lo, hi = 1, m_max + 1  # fits at lo; hi is past the cap or does not fit
+    # fits at lo; hi is past the cap or does not fit
+    lo, hi = 1, min(2, m_max + 1)
+    while hi <= m_max and fits(hi, mu / (hi + offset)):
+        lo, hi = hi, min(2 * hi, m_max + 1)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         lo, hi = (mid, hi) if fits(mid, mu / (mid + offset)) else (lo, mid)
@@ -295,6 +299,14 @@ def prepare(cfg: ProtocolConfig) -> PreparedRun:
     return PreparedRun(cfg=cfg, mu_in=mu_in, sigma_in=sigma_in, ec=ec, m=m)
 
 
+def prefix_sums(x: np.ndarray) -> np.ndarray:
+    """``np.cumsum(x, axis=0)`` in place and returned, as row adds
+    x[k] = x[k - 1] + x[k]: cumsum's order, at a fraction of its cost."""
+    for k in range(1, len(x)):
+        np.add(x[k - 1], x[k], out=x[k])
+    return x
+
+
 def check_rows(times: np.ndarray):
     """The tick-time invariant for a block of nonempty tick traces, one
     per row: raise ``ValueError`` unless every row is nonnegative and
@@ -396,15 +408,13 @@ def _simulate(prep: PreparedRun, streams: _Streams, out: np.ndarray,
     size, n_out = out.shape
     if cfg.protocol is Protocol.INPUT_BUNCH:
         # each trial draws its n_out bunches in order, block by block,
-        # into its row; the prefix sum runs column by column, cumsum's
-        # additions in cumsum's order
+        # into its row; the prefix sum runs column by column
         start = 0
         for rng, n in streams.parts:
             out[start:start + n] = dist.bunch_sums(rng, (n, n_out),
                                                    cfg.bunch)
             start += n
-        for k in range(1, n_out):
-            np.add(out[:, k - 1], out[:, k], out=out[:, k])
+        prefix_sums(out.T)
     elif cfg.protocol is Protocol.EC_BUNCH:
         # the EC free-runs from its reset state at time 0
         ec = t_in = np.zeros(size)

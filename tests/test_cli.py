@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ticklab
@@ -13,7 +14,7 @@ from ticklab.cli import (ConfigError, build_parser, fit_slope, main,
                          parse_dist)
 from ticklab.distributions import Box, Delta, DeltaMixture, Gaussian
 
-from rewrite_golden import unstamped
+from rewrite_golden import CASES, unstamped
 
 
 class TestParseDist:
@@ -581,6 +582,57 @@ class TestCommands:
 def test_parser_rejects_missing_subcommand():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])
+
+
+def _indent_json(rows, cfg, experiment) -> str:
+    """The slow form ``render_json`` reproduces: json's Python encoder,
+    which ``indent`` selects."""
+    return json.dumps({"experiment": experiment, "config": cfg,
+                       "rows": rows}, indent=2, default=float) + "\n"
+
+
+class TestRenderJson:
+    @pytest.mark.parametrize("name", CASES)
+    def test_golden_cases_match_the_indent_encoder(self, name, tmp_path,
+                                                   monkeypatch):
+        monkeypatch.delenv("TICKLAB_SEED", raising=False)
+        argv, config = CASES[name]
+        if config is not None:
+            path = tmp_path / "case.ini"
+            path.write_text(config, encoding="utf-8")
+            argv = [*argv, "--config", str(path)]
+        args = build_parser().parse_args(argv)
+        cfg = cli.resolve_config(args)
+        rows = cli._COMMANDS[args.experiment](cfg)
+        assert cli.render_json(rows, cfg, args.experiment) \
+            == _indent_json(rows, cfg, args.experiment)
+
+    def test_edge_payloads_match_the_indent_encoder(self):
+        bounds = dict(cli._DEFAULTS["bounds"], sigma_in="1.5")
+        assert cli.cmd_bounds(bounds) == []  # no theorem applies
+        odd = {"a, b": 'say "hi", \\ then', "d\u00e9j\u00e0": "\u65e5\u672c",
+               "tab": "a\tb\n"}
+        row = cli._row(experiment="run", protocol='p, "q"', d=np.int64(7),
+                       eta=np.float64(0.1), eps=float("nan"),
+                       eps0=float("inf"), eps_ec=-float("inf"),
+                       trials=np.int64(-3), j=np.float64(1e300),
+                       sigma_out=np.float64(-0.0), Sigma_out=True)
+        for rows, cfg in (([], bounds), ([], {}), ([row], {}),
+                          ([row, row], odd), ([{}], odd), ([row], bounds)):
+            assert cli.render_json(rows, cfg, "run") \
+                == _indent_json(rows, cfg, "run")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 200, 5000])
+def test_median_matches_numpy(n):
+    # ties: values from a few levels, some repeated many times
+    rng = np.random.default_rng(n)
+    for values in (rng.integers(0, 7, n) * 0.1, rng.random(n),
+                   np.full(n, 0.3), rng.permutation(np.arange(n) // 2)
+                   * 1.0):
+        before = values.copy()
+        assert cli._median(values).hex() == float(np.median(values)).hex()
+        assert np.array_equal(values, before)
 
 
 RUN_T20 = Path(__file__).resolve().parents[1] / "perfbench" / "run_t20.ini"

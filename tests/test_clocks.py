@@ -9,6 +9,7 @@ from scipy import stats
 from ticklab import (EnhancingClock, ExplicitEC, MarkovTwoState, Mode,
                      quasi_ideal_params, quasi_ideal_ratio,
                      sample_tick_phase, wrap_phase)
+from ticklab import clocks
 from ticklab.clocks import delay_to_phase, fire_delay
 
 
@@ -55,6 +56,72 @@ class TestWrapPhase:
         # the same dial point: tau/2 and -tau/2 are one point on the dial
         gap = abs(float(s) - float(self._wrap_by_remainder(x, tau)))
         assert min(gap, tau - gap) <= 4 * np.spacing(max(abs(x), tau))
+
+    @staticmethod
+    def _guards(monkeypatch) -> list:
+        """Record the names of the guard calls of ``wrap_phase``'s array
+        branch, ``np.minimum`` and ``np.copyto``, as clocks makes them."""
+        calls = []
+
+        class Spy:
+            def __getattr__(self, name):
+                attr = getattr(np, name)
+                if name not in ("minimum", "copyto"):
+                    return attr
+
+                def spy(*args, **kwargs):
+                    calls.append(name)
+                    return attr(*args, **kwargs)
+                return spy
+
+        monkeypatch.setattr(clocks, "np", Spy())
+        return calls
+
+    @staticmethod
+    def _layouts(x):
+        """``x`` as a C-order array and as a non-contiguous view."""
+        block = np.zeros((x.shape[1], 2, x.shape[0]), order="F")
+        block[:, 1] = x.T
+        view = block[:, 1].T
+        assert not (view.flags.c_contiguous or view.flags.f_contiguous)
+        return np.ascontiguousarray(x), view
+
+    def test_interior_array_skips_the_guards(self, monkeypatch):
+        # phases a tenth of tau or more inside the domain edges
+        tau = 0.3
+        rng = np.random.default_rng(4)
+        x = (rng.integers(-10 ** 6, 10 ** 6, (6, 32))
+             + rng.uniform(-0.4, 0.4, (6, 32))) * tau
+        floats = np.array([wrap_phase(float(v), tau) for v in x.flat])
+        guards = self._guards(monkeypatch)
+        for view in self._layouts(x):
+            assert wrap_phase(view, tau).tobytes() == floats.tobytes()
+        assert guards == []
+        assert wrap_phase(np.empty((0, 3)), tau).shape == (0, 3)
+
+    def test_outside_value_or_nan_takes_the_guards(self, monkeypatch):
+        # one value an ulp past (k + 1/2) tau whose ceil form rounds it
+        # outside the domain, or one NaN, among interior values
+        tau = 0.3
+        for k in range(-2000, 2000):
+            edge = float(np.nextafter((k + 0.5) * tau, math.inf))
+            s = edge - tau * math.ceil(edge / tau - 0.5)
+            if not -tau / 2 < s <= tau / 2:
+                break
+        else:
+            pytest.fail("no value rounds outside the domain")
+        x = (np.arange(-96, 96).reshape(6, 32) + 0.25) * tau
+        guards = self._guards(monkeypatch)
+        for bad in (edge, math.nan):
+            x[2, 5] = bad
+            # the float branch has no NaN: math.ceil rejects it
+            floats = np.array([wrap_phase(v, tau) if v == v else v
+                               for v in x.ravel().tolist()])
+            for view in self._layouts(x):
+                guards.clear()
+                s = wrap_phase(view, tau)
+                assert guards == ["minimum", "copyto"]
+                assert np.array_equal(s.ravel(), floats, equal_nan=True)
 
 
 class TestEnhancingClock:

@@ -397,6 +397,60 @@ class TestEngineAgainstOracle:
         assert raw[0] == cross_node_spread(result.arrivals, 3)[0]
 
 
+def _mixed_lag_scenario(n_outputs):
+    # central waits of 0.55 to 0.65 against a zero-width EC of period 1
+    # without tail, so every fire is exact.  First arrivals near phases
+    # 0.2, -0.05 and -0.3: node 0's first output comes before its second
+    # arrival, node 2's after it, node 1's either side
+    nodes = tuple(NodeConfig(delay=d) for d in (0.6, 0.35, 0.1))
+    return NetworkScenario(central=Box(0.6, 0.1), ec=_ideal_ec(),
+                           nodes=nodes, n_outputs=n_outputs, eps=0.0)
+
+
+def _assert_rows_match_oracle(out, arr, scenario):
+    rng = np.random.default_rng(0)  # the fires draw nothing that counts
+    for trial_out, trial_arr in zip(out, arr):
+        for node_out, node_arr in zip(trial_out, trial_arr):
+            assert np.array_equal(node_out, oracle_node(
+                node_arr, scenario.ec, scenario.n_outputs, rng))
+
+
+class TestLagPaths:
+    """A block reads each input tick as one plane of the arrivals until
+    some row lags past it, and from then on row by row; both paths, and
+    the chunks added to the arrivals, must agree with the scalar oracle
+    bit for bit."""
+
+    @pytest.mark.parametrize("n_outputs", [2, 12],
+                             ids=["one-step", "twelve-outputs"])
+    def test_block_rows_match_oracle(self, n_outputs):
+        scenario = _mixed_lag_scenario(n_outputs)
+        out, arr = _simulate(scenario, next(_blocks(1, 21, _BLOCK))[1], 300)
+        # the input of output 1 is arrival 1 of every node-0 row and a
+        # later one of every node-2 row
+        steps = (arr <= out[:, :, :1]).sum(axis=2)
+        assert (steps[:, 0] == 1).all() and (steps[:, 2] >= 2).all()
+        assert set(steps[:, 1].tolist()) == {1, 2}
+        # a lagging row's last input lies past the first chunk
+        assert arr.shape[2] > n_outputs
+        _assert_rows_match_oracle(out, arr, scenario)
+
+    @pytest.mark.parametrize("n_outputs", [2, 12],
+                             ids=["one-step", "twelve-outputs"])
+    def test_one_trial_runs_match_oracle(self, n_outputs):
+        # trial by trial: each seed's one-trial block, whose nodes lag
+        # at output 1 or not, against the oracle and network_spreads
+        scenario = _mixed_lag_scenario(n_outputs)
+        for seed in range(12):
+            result = run_network(scenario, seed)
+            _assert_rows_match_oracle(result.outputs[None],
+                                      result.arrivals[None], scenario)
+            for k in (0, n_outputs - 1):
+                enhanced, raw = network_spreads(scenario, 1, seed, k)
+                assert enhanced[0] == np.ptp(result.outputs[:, k])
+                assert raw[0] == np.ptp(result.arrivals[:, k])
+
+
 def _fresh_spreads(scenario, trials, seed, k):
     """``network_spreads`` from one fresh ``_simulate`` call per block of
     ``_blocks``' streams, none of which shares a buffer."""

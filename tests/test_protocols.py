@@ -14,7 +14,7 @@ from ticklab import (Box, Delta, DeltaMixture, ExplicitEC, Gaussian,
                      theorem1_bound, theorem2_bound, theorem_bound)
 from ticklab.clocks import quasi_ideal_params
 from ticklab.protocols import (_contract, _simulate, _Streams, check_rows,
-                               largest_period)
+                               largest_period, prefix_sums)
 
 BOX_THIRD = Box(center=1.0, width=0.3333333333)
 
@@ -194,6 +194,20 @@ class TestLargestPeriod:
 
         assert largest_period(mu, offset, fits, m_max) \
             == _linear_largest(mu, offset, fits, m_max)
+
+    @pytest.mark.parametrize("m_star", [1, 2, 1000, 10 ** 6])
+    def test_probe_count(self, m_star):
+        # doubling, then bisection: at most 2 ceil(log2 m) + 3 probes
+        # for the answer m, at the 10^6 cap too
+        probes = []
+
+        def fits(m, tau):
+            probes.append(m)
+            return m <= m_star
+
+        assert largest_period(1.0, 0.5, fits, 10 ** 6)[0] == m_star
+        assert len(probes) <= 2 * math.ceil(math.log2(m_star)) + 3
+        assert max(probes) <= 10 ** 6
 
     def test_none_and_cap(self):
         assert largest_period(1.0, 0.5, lambda m, tau: False, 10) is None
@@ -395,6 +409,19 @@ class TestCheckRows:
             check_rows(np.array([[0.0, 1.0], [3.0, 3.0]]))
         with pytest.raises(ValueError):
             check_rows(np.array([[0.0, 1.0], [-1.0, 3.0]]))
+
+
+def test_prefix_sums_are_cumsum_bit_for_bit():
+    rng = np.random.default_rng(3)
+    for shape in [(5, 1024), (1, 7), (40, 3, 9)]:
+        x = rng.exponential(1.0, shape)
+        expected = np.cumsum(x, axis=0)
+        assert prefix_sums(x).tobytes() == expected.tobytes()
+    # a transposed Fortran-order block, as input bunching hands it over
+    y = np.asfortranarray(rng.random((9, 6)))
+    expected = np.cumsum(y, axis=1)
+    prefix_sums(y.T)
+    assert y.tobytes() == expected.tobytes()
 
 
 class TestDeterministicTraces:
