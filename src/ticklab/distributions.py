@@ -16,7 +16,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .inaccuracy import ConfidenceInterval, _check_tail
+from .inaccuracy import ConfidenceInterval, _check_tail, _scan_windows
 
 _MASS_TOL = 1e-12
 _STD_NORMAL = NormalDist()
@@ -404,25 +404,9 @@ class DeltaMixture(WaitingTimeDistribution):
         return sum(t * p for t, p in self.atoms)
 
     def confidence(self, eps):
-        _check_tail(eps)
-        times = [t for t, _ in self.atoms]
-        probs = [p for _, p in self.atoms]
-        n = len(times)
-        best = None
-        for a in range(n):
-            mass = 0.0
-            for b in range(a, n):
-                mass += probs[b]
-                if mass >= 1.0 - eps - _MASS_TOL:
-                    sigma = times[b] - times[a]
-                    mu = (times[a] + times[b]) / 2
-                    r = sigma / mu
-                    if best is None or r < best[0]:
-                        best = (r, mu, sigma)
-                    break
-        if best is None:
-            raise ValueError("no interval reaches the requested coverage")
-        return ConfidenceInterval(best[1], best[2], eps)
+        times, probs = np.array(self.atoms).T
+        return _scan_windows(times[np.newaxis], [1], eps, probs,
+                             1.0 - eps - _MASS_TOL)[0].interval
 
     def support(self):
         times = [t for t, p in self.atoms if p > 0]

@@ -9,6 +9,7 @@ estimator of that quantity together with the classical tail bounds
 """
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -17,6 +18,9 @@ import numpy as np
 
 # Tolerance guarding ceil() against float noise in (1 - eps) * n.
 _CEIL_GUARD = 1e-9
+# arange(n + 1), the cumulative weights of n unit weights: kept, read-only
+_unit_cum = functools.lru_cache(maxsize=1)(
+    lambda n: np.broadcast_to(np.arange(n + 1), n + 1))
 
 
 @dataclass(frozen=True)
@@ -107,30 +111,41 @@ def _sort_tails(x: np.ndarray, eps: float):
     x[:, n - tail:].sort(axis=1)
 
 
-def _scan_windows(x: np.ndarray, js, eps: float) -> list[InaccuracyEstimate]:
+def _scan_windows(x: np.ndarray, js, eps: float, weights=None,
+                  need=None) -> list[InaccuracyEstimate]:
     """The minimal-ratio window of each row of ``x``, shape (len(js), n),
     every row sorted ascending, or its tails as ``_sort_tails`` sorts
     them; row r is the samples of tick ``js[r]``.
 
     A row is valid when its ends are: numpy orders NaN last, so
     ``x[:, -1]`` shows a NaN or +inf and ``x[:, 0]`` a -inf or a value
-    <= 0.  The first invalid row names the error.  Each row scans every
-    window of ``k = ceil((1 - eps) n)`` consecutive order statistics, and
-    ``argmin`` keeps the first minimum, the smallest left endpoint.
+    <= 0.  The first invalid row names the error.  Left end a's window
+    ends at the first b >= a where the ``weights`` of columns a to b, one
+    each by default, reach ``need``, by default k = ceil((1 - eps) n):
+    one ``searchsorted`` of the cumulative weights for the left ends that
+    can reach it.  ``argmin`` keeps the first minimum, the smallest left
+    endpoint.
     """
     n = x.shape[1]
-    if n < 2:
+    if weights is None and n < 2:
         raise ValueError("need at least two samples")
-    ends = x[:, [0, -1]]
-    finite = np.isfinite(ends).all(axis=1)
-    bad = np.flatnonzero(~finite | (ends[:, 0] <= 0))
-    if bad.size:
+    valid = (x[:, 0] > 0) & (x[:, -1] < math.inf)
+    if not valid.all():
+        ends = x[valid.argmin(), [0, -1]]
         raise ValueError("tick-time samples must be finite"
-                         if not finite[bad[0]] else
+                         if not np.isfinite(ends).all() else
                          "tick-time samples must be strictly positive")
-    k = _coverage_count(n, eps)
-    lo = x[:, : n - k + 1]
-    hi = x[:, k - 1:]
+    _check_tail(eps)
+    need = _coverage_count(n, eps) if need is None else need
+    cum = (_unit_cum(n) if weights is None
+           else np.concatenate(([0.0], np.cumsum(weights))))
+    m = cum[:-1].searchsorted(cum[-1] - need, "right")  # m left ends reach it
+    if not m:
+        raise ValueError("no interval reaches the requested coverage")
+    # the last column takes a target past cum[n - 1], rounding's too
+    right = cum[1:-1].searchsorted(cum[:m] + need)
+    np.maximum(right, np.arange(m), out=right)  # b >= a at a need near 0
+    lo, hi = x[:, :m], x[:, right]
     center = (lo + hi) / 2
     ratio = hi - lo
     ratio /= center

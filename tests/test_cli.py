@@ -361,6 +361,25 @@ class TestCommands:
         assert [r["bound"] != "" for r in rows] == \
             [True, protocol == "1", protocol == "1"]
 
+    @pytest.mark.parametrize("protocol", ["1", "2", "3", "4"])
+    def test_run_in_half_the_time_unit(self, capsys, tmp_path, protocol):
+        # the default input with its center and width doubled: every time
+        # doubles exactly, every ratio stays
+        cfg = _ini(tmp_path, "run",
+                   "input = box:center=2,width=0.6666666666\n")
+        rows = []
+        for argv in ([], ["--config", cfg]):
+            code, text = _run(capsys, "run", *argv, "--protocol", protocol,
+                              "--format", "json")
+            assert code == 0
+            rows.append(json.loads(text)["rows"])
+        assert len(rows[0]) == len(rows[1]) == 6
+        for one, two in zip(*rows):
+            assert two["sigma_out"] == 2 * one["sigma_out"]
+            assert two["mu_out"] == 2 * one["mu_out"]
+            assert (two["Sigma_out"], two["bound"]) == \
+                (one["Sigma_out"], one["bound"])
+
     def test_bounds_at_zero_input_inaccuracy(self, capsys, tmp_path):
         cfg = _ini(tmp_path, "bounds", "sigma_in = 0\n")
         code, text = _run(capsys, "bounds", "--config", cfg)

@@ -6,13 +6,15 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import optimize, stats
 
 from ticklab import (Box, ConfidenceInterval, Delta, DeltaMixture, Gaussian,
                      distributions)
 from ticklab.distributions import (_ALIAS_CHUNK, _ALIAS_MAX, _BIT_PLANES,
-                                   _PLANE_WEIGHTS, _alias_pairs, _normal_tail,
-                                   _pair_alias)
+                                   _MASS_TOL, _PLANE_WEIGHTS, _alias_pairs,
+                                   _normal_tail, _pair_alias)
 
 
 class TestDelta:
@@ -581,6 +583,50 @@ def test_rejects_nonpositive_parameters(make, message):
         make()
 
 
+def mixture_oracle(mix, eps):
+    """The minimal-ratio window of ``mix`` by a double loop over its atoms:
+    each left end a takes the first right end b at which the mass summed
+    from a, atom by atom, reaches 1 - eps - ``_MASS_TOL``."""
+    times = [t for t, _ in mix.atoms]
+    probs = [p for _, p in mix.atoms]
+    n = len(times)
+    best = None
+    for a in range(n):
+        mass = 0.0
+        for b in range(a, n):
+            mass += probs[b]
+            if mass >= 1.0 - eps - _MASS_TOL:
+                sigma = times[b] - times[a]
+                mu = (times[a] + times[b]) / 2
+                r = sigma / mu
+                if best is None or r < best[0]:
+                    best = (r, mu, sigma)
+                break
+    if best is None:
+        raise ValueError("no interval reaches the requested coverage")
+    return ConfidenceInterval(best[1], best[2], eps)
+
+
+@st.composite
+def mixtures(draw):
+    """1 to 40 atoms on a grid of 30 times, so that some repeat, with
+    integer counts from 0 as masses, and atoms without mass below and
+    above all others at will."""
+    n = draw(st.integers(1, 40))
+    times = draw(st.lists(st.integers(1, 30), min_size=n, max_size=n))
+    counts = draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
+    counts[draw(st.integers(0, n - 1))] += 1
+    atoms = [(t / 10, c / sum(counts)) for t, c in zip(times, counts)]
+    if draw(st.booleans()):
+        atoms.append((0.05, 0.0))
+    if draw(st.booleans()):
+        atoms.append((3.5, 0.0))
+    return DeltaMixture(tuple(atoms))
+
+
+MIXTURE_EPS = (0.9, 0.34, 0.1, 0.01, 1e-3, 0.0)
+
+
 class TestDeltaMixture:
     def test_atom_frequencies(self):
         rng = np.random.default_rng(3)
@@ -599,6 +645,42 @@ class TestDeltaMixture:
         c = mix.confidence(0.0)
         assert c.left == pytest.approx(0.9)
         assert c.right == pytest.approx(1.1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(mixtures())
+    def test_confidence_matches_oracle(self, mix):
+        for eps in MIXTURE_EPS:
+            assert mix.confidence(eps) == mixture_oracle(mix, eps)
+
+    def test_equal_masses_match_oracle(self):
+        times = np.random.default_rng(6).uniform(0.5, 1.5, 3000)
+        mix = DeltaMixture(tuple((t, 1 / 3000) for t in times))
+        assert mix.confidence(0.1) == mixture_oracle(mix, 0.1)
+
+    @pytest.mark.parametrize("eps", [1 - 1e-12, 1 - 2 ** -53])
+    def test_need_of_about_zero_matches_oracle(self, eps):
+        # every atom covers alone, the massless first one too
+        mix = DeltaMixture(((0.5, 0.0), (1.0, 0.6), (2.0, 0.4)))
+        assert mix.confidence(eps) == mixture_oracle(mix, eps) == \
+            ConfidenceInterval(0.5, 0.0, eps)
+
+    def test_one_atom_has_zero_width(self):
+        for eps in MIXTURE_EPS:
+            assert DeltaMixture(((1.5, 1.0),)).confidence(eps) == \
+                ConfidenceInterval(1.5, 0.0, eps)
+
+    @settings(max_examples=60, deadline=None)
+    @given(mixtures())
+    def test_exact_relations(self, mix):
+        # doubling every atom time doubles the window exactly, and its
+        # ratio never falls as eps falls
+        doubled = DeltaMixture(tuple((2 * t, p) for t, p in mix.atoms))
+        ratios = []
+        for eps in MIXTURE_EPS:
+            c, c2 = mix.confidence(eps), doubled.confidence(eps)
+            assert (c2.mu, c2.sigma) == (2 * c.mu, 2 * c.sigma)
+            ratios.append(c.sigma / c.mu)
+        assert ratios == sorted(ratios)
 
     def test_support_spans_only_atoms_with_mass(self):
         mix = DeltaMixture(((0.5, 0.0), (1.0, 0.6), (2.0, 0.4), (5.0, 0.0)))

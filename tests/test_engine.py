@@ -586,3 +586,28 @@ class TestInvariants:
         assert (np.diff(data, axis=1) > 0).all()
         if protocol is Protocol.DYN_SWITCH_FEEDBACK:
             assert not matrix.n_ignored.any()
+
+
+class TestTimeUnit:
+    """Scaling the input law by a power of two scales every output tick
+    by it, bit for bit: each rule of the engine is homogeneous in time,
+    and a product with 2^k is exact."""
+
+    @pytest.mark.parametrize("law", [Box, Gaussian],
+                             ids=lambda law: law.__name__)
+    @pytest.mark.parametrize("protocol", list(Protocol),
+                             ids=lambda p: p.value)
+    def test_scaled_input_scales_every_tick(self, protocol, law):
+        def run(c):
+            extra = ({"bunch": 256} if protocol is Protocol.INPUT_BUNCH
+                     else {"ec": QuasiIdealSpec(d=256)})
+            cfg = ProtocolConfig(protocol=protocol,
+                                 input_dist=law(c, 0.1 * c), eps=0.01,
+                                 n_ticks=20, **extra)
+            return monte_carlo(cfg, 5000, 7)
+
+        one = run(1.0)
+        for c in (2.0, 0.25):
+            scaled = run(c)
+            assert scaled.prep.m == one.prep.m
+            assert np.array_equal(c * one.data, scaled.data)

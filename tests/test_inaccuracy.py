@@ -12,7 +12,7 @@ from ticklab import (Box, ConfidenceInterval, Delta, DeltaMixture,
                      empirical_inaccuracy, hoeffding_inaccuracy_bound,
                      hoeffding_tail, output_epsilon_budget, prepare,
                      theorem1_bound)
-from ticklab.inaccuracy import _coverage_count
+from ticklab.inaccuracy import _coverage_count, _scan_windows
 
 positive_samples = st.lists(
     st.floats(min_value=0.01, max_value=100.0, allow_nan=False),
@@ -71,7 +71,7 @@ class TestEmpiricalInaccuracy:
         assert three.sigma_ratio == pytest.approx(3 * one.sigma_ratio)
 
     def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="need at least two samples"):
             empirical_inaccuracy([1.0], 1, 0.1)
         with pytest.raises(ValueError):
             empirical_inaccuracy([1.0, -2.0], 1, 0.1)
@@ -134,6 +134,11 @@ class TestEmpiricalInaccuracy:
         matrix = _matrix([[1.0, 2.0]])
         with pytest.raises(ValueError, match="need at least two samples"):
             matrix.estimates([1], 0.1)
+
+    def test_scan_needs_a_window_that_reaches_the_need(self):
+        # weights summing to 0.6 leave a need of 0.9 out of reach
+        with pytest.raises(ValueError, match="no interval reaches"):
+            _scan_windows(np.array([[1.0, 2.0]]), [1], 0.1, [0.3, 0.3], 0.9)
 
     @pytest.mark.parametrize("js", [[0], [4, 1], [1, 4, 2], [1, 2, -1]])
     def test_estimates_check_every_tick_first(self, js):
